@@ -51,28 +51,24 @@ class Atom:
 
 
 class AtomMask:
-    """Boolean activity mask over the atom ids of one set.
+    """Activity mask over the atom ids of one set.
 
     Deactivation is one-way: ids can be switched off (idempotently) but
-    never back on. The solver owns and mutates the mask; everything else
-    treats it as read-only.
+    never back on. A new mask stores nothing: every atom is active and it
+    exists at any set size, hypercubes beyond enumeration included. The
+    first deactivate materializes it, which is limited to enumerable sets.
+    The ascending array of active ids is cached and refreshed only by
+    deactivate, so it only ever shrinks; it is read-only. The solver owns
+    and mutates the mask; everything else treats it as read-only.
     """
 
-    def __init__(self, num_atoms, active=None):
+    def __init__(self, num_atoms):
         num_atoms = int(num_atoms)
         if num_atoms <= 0:
             raise ContractViolationError("mask needs at least one atom")
-        if num_atoms > _ENUM_LIMIT:
-            raise ContractViolationError(
-                f"refusing to materialize a mask over {num_atoms} atoms; "
-                f"masked operations are limited to {_ENUM_LIMIT} atoms"
-            )
-        if active is None:
-            self.active = np.ones(num_atoms, dtype=bool)
-        else:
-            self.active = np.asarray(active, dtype=bool).copy()
-            if self.active.shape != (num_atoms,):
-                raise ContractViolationError("mask length does not match atom count")
+        self._num_atoms = num_atoms
+        self._active = None  # None: every atom active, nothing stored
+        self._ids = None
 
     @classmethod
     def full(cls, atomic_set):
@@ -80,24 +76,53 @@ class AtomMask:
 
     @property
     def num_atoms(self):
-        return self.active.size
+        return self._num_atoms
+
+    @property
+    def is_full(self):
+        """True until the first deactivate: every atom is active."""
+        return self._active is None
 
     @property
     def active_count(self):
-        return int(np.count_nonzero(self.active))
+        if self._active is None:
+            return self._num_atoms
+        return int(self._ids.size)
 
     def active_ids(self):
-        return np.flatnonzero(self.active)
+        """Ascending active ids (a cached, read-only array)."""
+        if self._ids is None:
+            self._ids = np.arange(self._enumerable_count())
+            self._ids.setflags(write=False)
+        return self._ids
 
     def is_active(self, atom_id):
-        return bool(self.active[atom_id])
+        if self._active is None:
+            return 0 <= atom_id < self._num_atoms
+        return bool(self._active[atom_id])
 
     def deactivate(self, ids):
         """Switch the given ids off. Already-inactive ids are ignored."""
-        self.active[np.asarray(ids, dtype=int)] = False
+        if self._active is None:
+            self._active = np.ones(self._enumerable_count(), dtype=bool)
+        self._active[np.asarray(ids, dtype=int)] = False
+        self._ids = np.flatnonzero(self._active)
+        self._ids.setflags(write=False)
 
     def copy(self):
-        return AtomMask(self.num_atoms, self.active)
+        out = AtomMask(self._num_atoms)
+        if self._active is not None:
+            out._active = self._active.copy()
+            out._ids = self._ids  # read-only; deactivate replaces it
+        return out
+
+    def _enumerable_count(self):
+        if self._num_atoms > _ENUM_LIMIT:
+            raise ContractViolationError(
+                f"refusing to materialize a mask over {self._num_atoms} atoms; "
+                f"masked operations are limited to {_ENUM_LIMIT} atoms"
+            )
+        return self._num_atoms
 
     def __repr__(self):
         return f"AtomMask({self.active_count}/{self.num_atoms} active)"
@@ -206,9 +231,27 @@ class AtomicSet:
                 v[atom_id - self.dimension] = -self.scale
             return v
         if self.kind == HYPERCUBE:
-            bits = (atom_id >> np.arange(self.dimension)) & 1
-            return self.scale * (1.0 - 2.0 * bits)
+            # ids may exceed 64 bits, so the bits go through bytes
+            raw = atom_id.to_bytes((self.dimension + 7) // 8, "little")
+            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+            return self.scale * (1.0 - 2.0 * bits[: self.dimension])
         return self._vectors[atom_id].copy()
+
+    def image(self, features, atom_id):
+        """``features @ p`` for one atom p: for the signed basis one scaled
+        column of features, O(n) instead of O(n d)."""
+        if self.kind != SIGNED_BASIS:
+            return features @ self.atom_vector(atom_id)
+        atom_id = int(atom_id)
+        if atom_id < self.dimension:
+            return self.scale * features[:, atom_id]
+        return -self.scale * features[:, atom_id - self.dimension]
+
+    def coordinates(self, ids):
+        """Ascending coordinates that the given signed-basis atoms touch."""
+        if self.kind != SIGNED_BASIS:
+            raise ContractViolationError("atom coordinates exist for the signed basis only")
+        return np.unique(np.asarray(ids, dtype=int) % self.dimension)
 
     def atom(self, atom_id):
         return Atom(atom_id, self.atom_vector(atom_id))
@@ -220,7 +263,7 @@ class AtomicSet:
         if self.kind == SIGNED_BASIS:
             eye = np.eye(self.dimension) * self.scale
             return np.vstack([eye, -eye])
-        if self.num_atoms > _ENUM_LIMIT:
+        if not self.enumerable:
             raise ContractViolationError(
                 "hypercube vertex enumeration is limited to desk scale"
             )
@@ -236,6 +279,11 @@ class AtomicSet:
             )
         return z
 
+    @property
+    def enumerable(self):
+        """True when the atoms may be enumerated (masks, score vectors)."""
+        return self.num_atoms <= _ENUM_LIMIT
+
     def dots(self, z, mask=None):
         """Inner products of z with every (active) atom.
 
@@ -248,12 +296,8 @@ class AtomicSet:
         elif self.kind == EXPLICIT:
             values = self._vectors @ z
         else:
-            if self.num_atoms > _ENUM_LIMIT:
-                raise ContractViolationError(
-                    "hypercube vertex enumeration is limited to desk scale"
-                )
             values = self.atoms_matrix() @ z
-        if mask is None:
+        if mask is None or mask.is_full:
             return np.arange(self.num_atoms), values
         ids = mask.active_ids()
         return ids, values[ids]
@@ -267,14 +311,14 @@ class AtomicSet:
         every atom is active. Raises when the mask has no active atom.
         """
         z = self._check_point(z)
-        if mask is None and self.kind == HYPERCUBE:
-            # implicit sign oracle: works at any dimension
-            negative = z < 0
-            atom_id = 0
-            for k in np.flatnonzero(negative):
-                atom_id |= 1 << int(k)
+        full = mask is None or mask.is_full
+        if full and self.kind == HYPERCUBE:
+            # implicit sign oracle: works at any dimension; bit k of the id
+            # is set where z_k < 0, so ties at zero take the lower id
+            bits = np.packbits(z < 0, bitorder="little")
+            atom_id = int.from_bytes(bits.tobytes(), "little")
             return atom_id, self.scale * float(np.sum(np.abs(z)))
-        if mask is not None and mask.active_count == 0:
+        if not full and mask.active_count == 0:
             raise ContractViolationError("linear oracle over an empty mask")
         ids, values = self.dots(z, mask)
         best = int(np.argmax(values))  # first maximum -> lowest id

@@ -217,13 +217,16 @@ def _full_gap_at(loss, penalty, atomic_set, x, kappa):
     return grad, gap, loss.value(x) + h_x
 
 
-def _restricted_minimize(loss, penalty, mat, c0):
+def _restricted_minimize(loss, penalty, mat, c0, flat_steps=False):
     """Minimize f(Mc) + phi(1'c) over c >= 0 down to machine precision.
 
     L-BFGS-B makes the bulk of the progress but stalls around 1e-9
     suboptimality (its relative-reduction exit), far too loose for the
     zero-tolerance safety tests; a projected Newton loop sharpens the
-    result until the free-coordinate gradient is at roundoff level.
+    result until the free-coordinate gradient is at roundoff level. Its
+    steps must not raise the value. With flat_steps, a step that the line
+    search can only shrink below rounding is taken in full instead, when
+    the value stays within a few ulps and the projected gradient shrinks.
     """
     alpha, weight = penalty.alpha, penalty.weight
 
@@ -234,6 +237,10 @@ def _restricted_minimize(loss, penalty, mat, c0):
         grad_c = mat.T @ loss.gradient(point) + weight * total ** (alpha - 1.0)
         return value, grad_c
 
+    def projected_norm(c, grad_c):
+        free = (c > 0.0) | (grad_c < 0.0)
+        return free, (float(np.max(np.abs(grad_c[free]))) if np.any(free) else 0.0)
+
     found = minimize(
         fun, c0, jac=True, method="L-BFGS-B",
         bounds=[(0.0, None)] * mat.shape[1],
@@ -243,8 +250,8 @@ def _restricted_minimize(loss, penalty, mat, c0):
     features = loss.data.features
     for _ in range(60):
         value, grad_c = fun(c)
-        free = (c > 0.0) | (grad_c < 0.0)
-        if not np.any(free) or np.max(np.abs(grad_c[free])) < 1e-15:
+        free, norm = projected_norm(c, grad_c)
+        if norm < 1e-15:
             break
         point = mat @ c
         total = float(np.sum(c))
@@ -269,6 +276,17 @@ def _restricted_minimize(loss, penalty, mat, c0):
             scale *= 0.5
         else:
             break
+        if np.array_equal(trial, c):
+            # the halvings shrank the step below rounding: the value is flat
+            # to its last bit here and cannot judge the step
+            if not flat_steps:
+                break
+            trial = c.copy()
+            trial[free] = np.maximum(c[free] - direction, 0.0)
+            trial_value, trial_grad = fun(trial)
+            flat = value + 4.0 * np.finfo(float).eps * abs(value)
+            if not (trial_value <= flat and projected_norm(trial, trial_grad)[1] < norm):
+                break
         c = trial
     return c
 
@@ -303,9 +321,10 @@ def _polish(loss, penalty, atomic_set, state, tol):
             "support": _screening.support_of(coeffs),
         }
     c = np.array([coeffs[i] for i in support])
+    flat_steps = False
     for _ in range(50):
         mat = np.stack([atomic_set.atom_vector(i) for i in support], axis=1)
-        c = _restricted_minimize(loss, penalty, mat, c)
+        c = _restricted_minimize(loss, penalty, mat, c, flat_steps)
         x = mat @ c
         grad, gap, objective = _full_gap_at(
             loss, penalty, atomic_set, x, float(np.sum(c))
@@ -314,7 +333,11 @@ def _polish(loss, penalty, atomic_set, state, tol):
             break
         best_id, _ = atomic_set.lmo(-grad)
         if best_id in support:
-            break  # the floor is optimizer precision, not a missing atom
+            if flat_steps:
+                break  # the floor is optimizer precision, not a missing atom
+            # the Newton loop may have stalled on the value's last bit
+            flat_steps = True
+            continue
         support.append(best_id)
         c = np.append(c, 0.0)
     return {

@@ -91,7 +91,15 @@ def save_data_file(data, path):
 
 
 class _Loss:
-    """Common plumbing for the two concrete losses."""
+    """Common plumbing for the two concrete losses.
+
+    Both losses depend on x only through the margins ax = A x. Each states
+    its gradient once, as ``link(ax)``: the vector v with gradient = A'v.
+    ``gradient(x)`` computes the margins and calls it; the solver keeps ax
+    itself, calls ``link`` directly, and calls ``value(x)`` only for trace
+    rows. (value and gradient are defined on each concrete class, where
+    bench/tracing.py looks them up to wrap them.)
+    """
 
     kind = None
     # upper bound on the second derivative of the scalar link function
@@ -113,6 +121,10 @@ class _Loss:
                 f"expected a point of dimension {self.data.d}, got shape {x.shape}"
             )
         return x
+
+    def margins(self, x):
+        """A x: the loss value and gradient at x depend on x only through it."""
+        return self.data.features @ self._check_x(x)
 
     def smoothness_wrt(self, atomic_set):
         """Curvature constant relative to a symmetrized atomic set.
@@ -147,14 +159,14 @@ class QuadraticLoss(_Loss):
     kind = "quadratic"
 
     def value(self, x):
-        x = self._check_x(x)
-        r = self.data.features @ x - self.data.targets
+        r = self.margins(x) - self.data.targets
         return 0.5 * float(r @ r)
 
     def gradient(self, x):
-        x = self._check_x(x)
-        r = self.data.features @ x - self.data.targets
-        return self.data.features.T @ r
+        return self.data.features.T @ self.link(self.margins(x))
+
+    def link(self, ax):
+        return ax - self.data.targets
 
     def curvature_weights(self, x):
         """Per-row weights w with hessian(x) = A' diag(w) A."""
@@ -178,16 +190,16 @@ class LogisticLoss(_Loss):
             raise ContractViolationError("logistic targets must be -1 or +1")
 
     def value(self, x):
-        x = self._check_x(x)
-        margins = self.data.targets * (self.data.features @ x)
+        margins = self.data.targets * self.margins(x)
         # log(1 + exp(-m)) computed without overflow for any margin
         return float(np.mean(np.logaddexp(0.0, -margins)))
 
     def gradient(self, x):
-        x = self._check_x(x)
-        margins = self.data.targets * (self.data.features @ x)
-        w = expit(-margins)  # = 1 - sigmoid(m), saturates cleanly
-        return -(self.data.features.T @ (self.data.targets * w)) / self.data.n
+        return self.data.features.T @ self.link(self.margins(x))
+
+    def link(self, ax):
+        w = expit(-self.data.targets * ax)  # = 1 - sigmoid(m), saturates cleanly
+        return -(self.data.targets * w) / self.data.n
 
     def curvature_weights(self, x):
         """Per-row weights w with hessian(x) = A' diag(w) A."""

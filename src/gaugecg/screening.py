@@ -38,11 +38,14 @@ class ScreenReport:
 
 
 def apply_rule(mask, atomic_set, grad, sigma, gap, L, t=None):
-    """Apply the screening rule once; returns (pruned mask copy, report).
+    """Apply the screening rule once; returns (mask, report).
 
     Inputs must come from one consistent certificate: sigma the support value
     of -grad over `mask`, gap the duality gap at the same iterate, L the
-    smoothness constant. The incoming mask is not modified.
+    smoothness constant. Only the entries of grad that active atoms touch
+    are read. The incoming mask is not modified: the returned mask is a
+    pruned copy when the pass removes atoms and the incoming mask itself
+    when it removes none.
     """
     if not (math.isfinite(L) and L > 0):
         raise ContractViolationError(f"smoothness constant must be finite positive, got {L!r}")
@@ -52,18 +55,17 @@ def apply_rule(mask, atomic_set, grad, sigma, gap, L, t=None):
         )
     gap = max(gap, 0.0)
     threshold = 2.0 * math.sqrt(L * gap)
-    new_mask = mask.copy()
     if mask.active_count == 0:
-        report = ScreenReport(t, [], threshold, sigma, 0)
-        return new_mask, report
+        return mask, ScreenReport(t, [], threshold, sigma, 0)
     ids, dots = atomic_set.dots(grad, mask)
     scores = sigma + dots
     keep_id = ids[int(np.argmin(scores))]
     removable = (scores > threshold) & (ids != keep_id)
     removed = [int(i) for i in ids[removable]]
-    new_mask.deactivate(removed)
-    report = ScreenReport(t, removed, threshold, sigma, new_mask.active_count)
-    return new_mask, report
+    if removed:
+        mask = mask.copy()
+        mask.deactivate(removed)
+    return mask, ScreenReport(t, removed, threshold, sigma, mask.active_count)
 
 
 def delta(atomic_set, grad_star, support_ids):

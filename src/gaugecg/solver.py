@@ -4,9 +4,18 @@ Each step works at the current iterate x: take z = -gradient(x), ask the
 (mask-restricted) linear maximization oracle for the best atom and its
 score sigma, solve the scalar subproblem xi = xi_step(sigma), and move to
 the convex combination x <- (1 - theta) x + theta * xi * atom under a
-pre-set schedule theta. A primal-form duality gap is evaluated every
-iteration; optional gap-safe screening shrinks the active mask as atoms
-are certified out of the optimal support.
+pre-set schedule theta. Optional gap-safe screening shrinks the active
+mask as atoms are certified out of the optimal support.
+
+The state keeps the margins ax = A x alongside x and moves them with the
+iterate, ax <- (1 - theta) ax + theta * A s; for the signed basis A s is
+one scaled column of A, so the update costs O(n). The margins are re-synced
+to A x every _RESYNC_EVERY iterations. Everything per iteration comes from
+them: the loss link v with gradient = A'v, and the duality gap in the
+margins form v'(ax - A s) + h(x) - h(xi), which equals the primal form
+-grad'(s - x) + h(x) - h(s). Once screening has pruned a signed basis the
+gradient is computed only on the columns that still carry an active atom.
+The loss value is computed only for trace rows.
 
 The conic coefficient ledger is kept as raw weights plus one global decay
 multiplier, so the (1 - theta) rescale of every step is O(1).
@@ -29,6 +38,11 @@ from .errors import (
 
 _SCHEDULES = ("2t1", "4t2")
 _SCREEN_MODES = ("prune-lmo", "report-only")
+# Iterations between re-syncs of the incremental margins to A x. The update
+# ax <- (1 - theta) ax + theta A s damps old rounding errors, so drift stays
+# near machine precision; the re-sync costs one A x per this many steps.
+_RESYNC_EVERY = 1000
+_EPS = float(np.finfo(float).eps)
 
 
 def theta_schedule(schedule, t):
@@ -153,11 +167,6 @@ class SolverState:
         self.trace = []
         self.screen_events = []
         self.snapshots = []
-        # diagnostics from the most recent gap evaluation
-        self.last_atom_id = None
-        self.last_sigma = None
-        self.last_xi = None
-        self.last_gap = None
         self._aset = atomic_set
         self._ledger = {}
         self._ledger_scale = 1.0
@@ -168,6 +177,10 @@ class SolverState:
             self._ledger = {
                 int(i): float(w) for i, w in enumerate(witness) if w > 0.0
             }
+        # margins A x, kept incrementally by step (see _certificate)
+        self.ax = None
+        # (mask, coordinates, compact columns of A) for the active columns
+        self._columns = None
         self._smoothness = None
         self._started = time.perf_counter()
 
@@ -243,21 +256,93 @@ def problem_fingerprint(loss, penalty, atomic_set):
     return digest.hexdigest()
 
 
-def gap_primal(state, s, grad, h_x, h_s):
-    """Duality gap in primal form: -grad'(s - x) + h(x) - h(s).
+class _Certificate:
+    """Oracle answer and duality gap at one iterate.
 
-    s must be the exact minimizer produced by lmo + xi_step; h_x may be the
-    +inf sentinel when the iterate left the penalty domain.
+    xi and gap stay +inf, and error holds the abort to raise, when the
+    support value is not finite or the step subproblem is unbounded.
     """
-    if math.isinf(h_x):
-        return math.inf
-    return float(-(grad @ (s - state.x)) + h_x - h_s)
+
+    __slots__ = ("v", "grad", "atom_id", "sigma", "h_x", "xi", "image", "gap", "error")
+
+    def __init__(self, v, grad, atom_id, sigma, h_x):
+        self.v = v
+        self.grad = grad
+        self.atom_id = atom_id
+        self.sigma = sigma
+        self.h_x = h_x
+        self.xi = math.inf
+        self.image = None
+        self.gap = math.inf
+        self.error = None
 
 
-def _record(state, config, t, objective, gap, sigma, xi, force=False):
-    traced = force or t == 1 or t % config.trace_every == 0
-    if not traced:
-        return False
+def _gradient(state, loss, atomic_set, v):
+    """grad = A'v.
+
+    Once screening has pruned a signed basis, only the coordinates that
+    still carry an active atom are computed, from a compact copy of their
+    columns of A that is rebuilt when the mask changes; the other entries
+    are zero and nothing reads them.
+    """
+    features = loss.data.features
+    mask = state.mask
+    if atomic_set.kind != _atoms.SIGNED_BASIS or mask.is_full:
+        return features.T @ v
+    if state._columns is None or state._columns[0] is not mask:
+        state._columns = None  # free the old copy before building the new one
+        cols = atomic_set.coordinates(mask.active_ids())
+        state._columns = (mask, cols, features[:, cols])
+    _, cols, sub = state._columns
+    grad = np.zeros(atomic_set.dimension)
+    grad[cols] = sub.T @ v
+    return grad
+
+
+def _certificate(state, loss, penalty, atomic_set):
+    """Oracle answer and duality gap at the current iterate, from the margins.
+
+    With v = link(ax) and grad = A'v, the step's target s = xi * atom has
+    A s = xi * image(atom), so the gap -grad'(s - x) + h(x) - h(s) is
+    computed as v'(ax - A s) + h(x) - h(xi) without a full A'v or A x.
+    The margins are re-synced to A x every _RESYNC_EVERY iterations.
+    """
+    t = state.t
+    if state.ax is None or t % _RESYNC_EVERY == 0:
+        state.ax = loss.margins(state.x)
+    v = loss.link(state.ax)
+    grad = _gradient(state, loss, atomic_set, v)
+    atom_id, sigma = atomic_set.lmo(-grad, state.mask)
+    cert = _Certificate(v, grad, atom_id, sigma, penalty.value(state.kappa_bound))
+    if not math.isfinite(sigma):
+        cert.error = DivergenceError(f"support value {sigma!r} at iteration {t}")
+        return cert
+    try:
+        cert.xi = penalty.xi_step(sigma)
+    except UnboundedStepError as err:
+        cert.error = err
+        return cert
+    cert.image = cert.xi * atomic_set.image(loss.data.features, atom_id)
+    if not math.isinf(cert.h_x):
+        h_xi = penalty.value(cert.xi)
+        gap = float(v @ (state.ax - cert.image)) + cert.h_x - h_xi
+        if -math.inf < gap < 0.0:
+            # The gap is nonnegative by weak duality. A negative value within
+            # the rounding error of this evaluation (a length-n dot product
+            # over margins that carry their own rounding) has no sign and
+            # reads as zero; a larger one is kept, so corruption still shows.
+            scale = float(np.abs(v).sum()) * float(
+                np.abs(state.ax).max() + np.abs(cert.image).max()
+            )
+            if gap >= -v.size * _EPS * (scale + cert.h_x + h_xi):
+                gap = 0.0
+        if math.isnan(gap):
+            cert.error = DivergenceError(f"gap is NaN at iteration {t}")
+        cert.gap = gap
+    return cert
+
+
+def _record(state, t, objective, gap, sigma, xi):
     nonzeros = len(_screening.support_of(state.coeffs))
     state.trace.append(
         TraceRecord(
@@ -272,11 +357,11 @@ def _record(state, config, t, objective, gap, sigma, xi, force=False):
             elapsed_s=state.elapsed,
         )
     )
-    return True
 
 
-def _snapshot(state, t, grad):
+def _snapshot(state, loss, t, v):
     ids = frozenset(int(i) for i in state.mask.active_ids())
+    grad = loss.data.features.T @ v  # the full gradient, whatever the mask
     state.snapshots.append(Snapshot(t, state.x.copy(), grad, ids))
 
 
@@ -286,7 +371,7 @@ def _abort(state, loss, penalty, atomic_set, config, t, exc, sigma, xi, gap):
         objective = loss.value(state.x) + penalty.value(state.kappa_bound)
     except (ContractViolationError, OverflowError):
         objective = math.nan
-    _record(state, config, t, objective, gap, sigma, xi, force=True)
+    _record(state, t, objective, gap, sigma, xi)
     exc.t = t
     exc.result = RunResult(loss, penalty, atomic_set, config, state)
     raise exc
@@ -296,35 +381,13 @@ def step(state, loss, penalty, atomic_set, config):
     """Advance one iteration in place; returns the same state."""
     t = state.t
     x = state.x
-    grad = loss.gradient(x)
-    z = -grad
-    atom_id, sigma = atomic_set.lmo(z, state.mask)
-    if not math.isfinite(sigma):
+    cert = _certificate(state, loss, penalty, atomic_set)
+    if cert.error is not None:
         _abort(
-            state, loss, penalty, atomic_set, config, t,
-            DivergenceError(f"support value {sigma!r} at iteration {t}"),
-            sigma=sigma, xi=math.inf, gap=math.inf,
+            state, loss, penalty, atomic_set, config, t, cert.error,
+            sigma=cert.sigma, xi=cert.xi, gap=cert.gap,
         )
-    try:
-        xi = penalty.xi_step(sigma)
-    except UnboundedStepError as err:
-        _abort(
-            state, loss, penalty, atomic_set, config, t,
-            err, sigma=sigma, xi=math.inf, gap=math.inf,
-        )
-    s = xi * atomic_set.atom_vector(atom_id)
-    h_x = penalty.value(state.kappa_bound)
-    gap = gap_primal(state, s, grad, h_x, penalty.value(xi))
-    if math.isnan(gap):
-        _abort(
-            state, loss, penalty, atomic_set, config, t,
-            DivergenceError(f"gap is NaN at iteration {t}"),
-            sigma=sigma, xi=xi, gap=math.nan,
-        )
-    state.last_atom_id = atom_id
-    state.last_sigma = sigma
-    state.last_xi = xi
-    state.last_gap = gap
+    atom_id, sigma, xi, gap = cert.atom_id, cert.sigma, cert.xi, cert.gap
     if gap < state.min_gap:
         state.min_gap = gap
 
@@ -334,15 +397,16 @@ def step(state, loss, penalty, atomic_set, config):
             state._smoothness = loss.smoothness_wrt(sym)
         sigma_rule, gap_rule = sigma, gap
         if config.screen_full_recheck:
+            z = -(loss.data.features.T @ cert.v)
             sigma_rule = atomic_set.support_value(z)
             try:
                 gap_rule = (
-                    penalty.conjugate(max(sigma_rule, 0.0)) - float(z @ x) + h_x
+                    penalty.conjugate(max(sigma_rule, 0.0)) - float(z @ x) + cert.h_x
                 )
             except UnboundedConjugateError:
                 gap_rule = math.inf
         new_mask, report = _screening.apply_rule(
-            state.mask, atomic_set, grad, sigma_rule, gap_rule,
+            state.mask, atomic_set, cert.grad, sigma_rule, gap_rule,
             state._smoothness, t=t,
         )
         if report.removed_ids:
@@ -350,21 +414,19 @@ def step(state, loss, penalty, atomic_set, config):
             if config.screening_mode == "prune-lmo":
                 state.mask = new_mask
 
-    recorded = _record(
-        state, config, t,
-        objective=loss.value(x) + h_x,
-        gap=gap, sigma=sigma, xi=xi,
-    )
-    if recorded and config.keep_snapshots:
-        _snapshot(state, t, grad)
+    if t == 1 or t % config.trace_every == 0:
+        _record(state, t, loss.value(x) + cert.h_x, gap, sigma, xi)
+        if config.keep_snapshots:
+            _snapshot(state, loss, t, cert.v)
 
     theta = theta_schedule(config.step_schedule, t)
-    state.x = (1.0 - theta) * x + theta * s
+    state.x = (1.0 - theta) * x + theta * (xi * atomic_set.atom_vector(atom_id))
+    state.ax = (1.0 - theta) * state.ax + theta * cert.image
     state._ledger_decay(theta)
     state._ledger_add(atom_id, theta * xi)
     state.t = t + 1
 
-    new_inf = float(np.max(np.abs(state.x))) if state.x.size else 0.0
+    new_inf = float(np.abs(state.x).max()) if state.x.size else 0.0
     if not math.isfinite(new_inf) or new_inf > config.divergence_limit:
         _abort(
             state, loss, penalty, atomic_set, config, t,
@@ -380,32 +442,12 @@ def step(state, loss, penalty, atomic_set, config):
 def _final_diagnostic(state, loss, penalty, atomic_set, config):
     """Evaluate the terminal iterate and append one last trace row."""
     t = state.t
-    grad = loss.gradient(state.x)
-    atom_id, sigma = atomic_set.lmo(-grad, state.mask)
-    h_x = penalty.value(state.kappa_bound)
-    xi = math.inf
-    gap = math.inf
-    if math.isfinite(sigma):
-        try:
-            xi = penalty.xi_step(sigma)
-            s = xi * atomic_set.atom_vector(atom_id)
-            gap = gap_primal(state, s, grad, h_x, penalty.value(xi))
-        except UnboundedStepError:
-            pass
-    state.last_atom_id = atom_id
-    state.last_sigma = sigma
-    state.last_xi = xi
-    state.last_gap = gap
-    if gap < state.min_gap:
-        state.min_gap = gap
-    _record(
-        state, config, t,
-        objective=loss.value(state.x) + h_x,
-        gap=gap, sigma=sigma, xi=xi,
-        force=True,
-    )
+    cert = _certificate(state, loss, penalty, atomic_set)
+    if cert.gap < state.min_gap:
+        state.min_gap = cert.gap
+    _record(state, t, loss.value(state.x) + cert.h_x, cert.gap, cert.sigma, cert.xi)
     if config.keep_snapshots:
-        _snapshot(state, t, grad)
+        _snapshot(state, loss, t, cert.v)
 
 
 def run(loss, penalty, atomic_set, config, x0=None):
@@ -415,6 +457,12 @@ def run(loss, penalty, atomic_set, config, x0=None):
     final row for the terminal iterate (an extra gap evaluation, no update).
     Unbounded-step and divergence errors carry .t and a partial .result.
     """
+    if (config.screening_enabled or config.keep_snapshots) and not atomic_set.enumerable:
+        # both list active atom ids: refuse before the first step, not in it
+        raise ContractViolationError(
+            f"screening and snapshots need an enumerable atomic set; "
+            f"{atomic_set!r} is too large to enumerate"
+        )
     state = SolverState(atomic_set, x0=x0)
     while state.t <= config.max_iters:
         step(state, loss, penalty, atomic_set, config)

@@ -302,3 +302,62 @@ def test_lmo_value_bounds_every_atom(z):
     aset = gc.AtomicSet.explicit(vectors)
     _, value = aset.lmo(z)
     assert np.all(vectors @ z <= value + 1e-12)
+
+
+def test_mask_is_lazy_until_first_deactivate():
+    huge = gc.AtomMask(2**64)
+    assert huge.is_full and huge.active_count == 2**64
+    assert huge.is_active(2**63) and not huge.is_active(2**64)
+    with pytest.raises(ContractViolationError):
+        huge.deactivate([0])
+    mask = gc.AtomicSet.signed_basis(3).full_mask()
+    assert mask.is_full
+    mask.deactivate([2])
+    assert not mask.is_full and mask.active_count == 5
+
+
+def test_mask_active_ids_cached_and_shrink_only():
+    mask = gc.AtomicSet.signed_basis(3).full_mask()
+    ids = mask.active_ids()
+    assert mask.active_ids() is ids
+    assert not ids.flags.writeable
+    mask.deactivate([0, 4])
+    shrunk = mask.active_ids()
+    assert shrunk.tolist() == [1, 2, 3, 5]
+    assert ids.tolist() == list(range(6))  # earlier arrays stay as they were
+    assert mask.active_ids() is shrunk
+
+
+def test_hypercube_ids_beyond_64_bits():
+    d = 70
+    aset = gc.AtomicSet.hypercube(d, scale=2.0)
+    z = np.ones(d)
+    z[[3, 64, 69]] = -1.0
+    atom_id, value = aset.lmo(z, aset.full_mask())
+    assert atom_id == (1 << 3) | (1 << 64) | (1 << 69)
+    assert value == pytest.approx(2.0 * d)
+    np.testing.assert_array_equal(aset.atom_vector(atom_id), 2.0 * np.sign(z))
+
+
+def test_atom_image_is_features_times_atom():
+    rng = np.random.default_rng(11)
+    features = rng.standard_normal((5, 4))
+    sets = (
+        gc.AtomicSet.signed_basis(4, scale=1.5),
+        gc.AtomicSet.hypercube(4, scale=0.5),
+        gc.AtomicSet.explicit(rng.standard_normal((3, 4)), scale=2.0),
+    )
+    for aset in sets:
+        for atom_id in range(aset.num_atoms):
+            np.testing.assert_allclose(
+                aset.image(features, atom_id),
+                features @ aset.atom_vector(atom_id),
+                rtol=1e-15, atol=1e-15,
+            )
+
+
+def test_signed_basis_coordinates():
+    aset = gc.AtomicSet.signed_basis(4)
+    assert aset.coordinates([0, 4, 6, 7]).tolist() == [0, 2, 3]
+    with pytest.raises(ContractViolationError):
+        gc.AtomicSet.hypercube(2).coordinates([0])

@@ -183,6 +183,16 @@ def test_reference_is_deterministic():
     assert a.to_json() == b.to_json()
 
 
+def test_reference_certifies_past_a_stalled_newton_polish():
+    # on this instance the polish's value-monotone Newton loop stalls at a
+    # projected gradient near 3e-10, where the value is flat to its last bit;
+    # the retry that takes flat steps certifies at the first checkpoint
+    loss, penalty, aset = synthetic_problem(3, lam=0.01)
+    ref = gc.reference_solve(loss, penalty, aset, iters=10**6, tol=1e-10)
+    assert ref.reached and ref.gap <= 1e-10
+    assert ref.iters_used == 20_000
+
+
 def test_reference_validation():
     loss, penalty, aset = one_dim_problem()
     with pytest.raises(ContractViolationError):

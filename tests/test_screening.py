@@ -69,9 +69,11 @@ def test_zero_score_ties_are_not_removed():
     # scores sit exactly at the threshold boundary when grad = 0: keep all
     aset = gc.AtomicSet.signed_basis(2)
     grad = np.zeros(2)
-    mask, report = apply_rule(aset.full_mask(), aset, grad, 0.0, 0.0, 1.0)
+    incoming = aset.full_mask()
+    mask, report = apply_rule(incoming, aset, grad, 0.0, 0.0, 1.0)
     assert mask.active_count == 4
     assert report.removed_ids == []
+    assert mask is incoming  # nothing removed, nothing copied
 
 
 def test_small_negative_gap_is_clamped():

@@ -335,3 +335,122 @@ def test_problem_fingerprint_is_stable_and_sensitive():
     assert a == b
     other = gc.problem_fingerprint(loss, gc.Penalty.power(2.0, weight=0.5), aset)
     assert a != other
+
+
+# ------------------------------------------------- margins and the active set
+
+
+def _explicit_logistic(seed=0, n=60, d=20, count=12):
+    rng = np.random.default_rng(seed)
+    half = rng.standard_normal((count, d))
+    half /= np.linalg.norm(half, axis=1, keepdims=True)
+    loss = gc.LogisticLoss(gc.gen_synthetic(seed, n=n, d=d))
+    return loss, gc.AtomicSet.explicit(np.vstack([half, -half]))
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["logistic-signed", "logistic-explicit", "quadratic-signed", "quadratic-explicit"],
+)
+def test_margin_drift_is_bounded(kind):
+    # the incremental margins track A x to near machine precision over a
+    # long run, re-syncs included
+    if kind == "logistic-signed":
+        loss = gc.LogisticLoss(gc.gen_synthetic(0, n=60, d=20))
+        aset = gc.AtomicSet.signed_basis(20)
+    elif kind == "logistic-explicit":
+        loss, aset = _explicit_logistic()
+    else:
+        loss, aset = tame_quadratic(np.random.default_rng(1))
+        if kind == "quadratic-signed":
+            aset = gc.AtomicSet.signed_basis(aset.dimension)
+    penalty = gc.Penalty.power(2.0, weight=1.0)
+    cfg = gc.SolverConfig(max_iters=10_000, trace_every=10_000)
+    state = gc.SolverState(aset)
+    worst = 0.0
+    while state.t <= cfg.max_iters:
+        gc.step(state, loss, penalty, aset, cfg)
+        exact = loss.data.features @ state.x
+        drift = np.max(np.abs(state.ax - exact)) / (1.0 + np.max(np.abs(exact)))
+        worst = max(worst, drift)
+    assert worst <= 1e-12
+
+
+def test_screening_changes_nothing_but_the_work():
+    data = gc.gen_synthetic(2, n=100, d=300)
+    loss = gc.LogisticLoss(data)
+    penalty = gc.Penalty.power(2.0, weight=0.1)
+    aset = gc.AtomicSet.signed_basis(300)
+
+    def solve(screening):
+        cfg = gc.SolverConfig(
+            max_iters=3000, trace_every=50, screening_enabled=screening
+        )
+        return gc.run(loss, penalty, aset, cfg)
+
+    on, off = solve(True), solve(False)
+    # the pruned run computed its gradient on a few columns only
+    assert on.state.mask.active_count < 100
+    assert off.state.mask.active_count == 600
+    scale = 1.0 + np.max(np.abs(off.state.x))
+    assert np.max(np.abs(on.state.x - off.state.x)) <= 1e-9 * scale
+    assert set(on.state.coeffs) == set(off.state.coeffs)
+    assert len(on.trace) == len(off.trace)
+    for a, b in zip(on.trace, off.trace):
+        assert (a.t, a.nonzeros) == (b.t, b.nonzeros)
+        for name in ("objective", "gap", "min_gap", "sigma", "xi"):
+            assert getattr(a, name) == pytest.approx(
+                getattr(b, name), rel=1e-9, abs=1e-15
+            ), name
+
+
+@pytest.mark.parametrize("screening", [False, True])
+def test_loss_value_only_on_trace_rows(screening):
+    data = gc.gen_synthetic(3, n=40, d=10)
+    loss = gc.LogisticLoss(data)
+    original = loss.value
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return original(x)
+
+    loss.value = counted
+    penalty = gc.Penalty.power(2.0, weight=1.0)
+    aset = gc.AtomicSet.signed_basis(10)
+    cfg = gc.SolverConfig(max_iters=100, trace_every=7, screening_enabled=screening)
+    result = gc.run(loss, penalty, aset, cfg)
+    assert len(result.trace) == 16  # t = 1, 7, ..., 98 and the final row
+    assert len(calls) == len(result.trace)
+
+
+def _cube_problem(d=64, n=80):
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((n, d)) / np.sqrt(n * d)
+    b = rng.standard_normal(n)
+    loss = gc.QuadraticLoss(gc.DataMatrix(A, b))
+    return loss, gc.Penalty.power(2.0, weight=1.0), gc.AtomicSet.hypercube(d)
+
+
+def test_hypercube_run_beyond_enumeration():
+    # 2^64 atoms: the mask stays unmaterialized and the implicit sign
+    # oracle answers every query
+    loss, penalty, aset = _cube_problem()
+    result = gc.run(loss, penalty, aset, gc.SolverConfig(max_iters=400, trace_every=50))
+    trace = result.trace
+    assert [row.t for row in trace][-1] == 401
+    assert all(row.active_atoms == 2**64 for row in trace)
+    assert all(row.gap >= -1e-10 for row in trace)
+    assert trace[-1].gap < 1e-2 * trace[0].gap
+    state = result.state
+    assert state.mask.is_full
+    np.testing.assert_allclose(state.reconstruct(), state.x, atol=1e-12)
+    assert state.kappa_bound >= aset.gauge_value(state.x) - 1e-12
+
+
+@pytest.mark.parametrize("option", ["screening_enabled", "keep_snapshots"])
+def test_enumerating_options_refused_on_huge_sets(option):
+    loss, penalty, aset = _cube_problem()
+    cfg = gc.SolverConfig(max_iters=10, **{option: True})
+    with pytest.raises(ContractViolationError, match="enumerable"):
+        gc.run(loss, penalty, aset, cfg)
