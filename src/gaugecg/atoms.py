@@ -37,19 +37,6 @@ EXPLICIT = "explicit-list"
 _ENUM_LIMIT = 2 ** 22
 
 
-class Atom:
-    """A single atom: an integer id plus its (already scaled) vector."""
-
-    __slots__ = ("id", "vector")
-
-    def __init__(self, atom_id, vector):
-        self.id = int(atom_id)
-        self.vector = np.asarray(vector, dtype=float)
-
-    def __repr__(self):
-        return f"Atom(id={self.id}, vector={self.vector!r})"
-
-
 class AtomMask:
     """Activity mask over the atom ids of one set.
 
@@ -144,6 +131,7 @@ class AtomicSet:
         self.dimension = dimension
         self.scale = scale
         self._contains_zero = None
+        self._masked_factors = None
         if kind == EXPLICIT:
             mat = np.asarray(vectors, dtype=float)
             if mat.ndim != 2 or mat.shape[0] == 0 or mat.shape[1] != dimension:
@@ -253,9 +241,6 @@ class AtomicSet:
             raise ContractViolationError("atom coordinates exist for the signed basis only")
         return np.unique(np.asarray(ids, dtype=int) % self.dimension)
 
-    def atom(self, atom_id):
-        return Atom(atom_id, self.atom_vector(atom_id))
-
     def atoms_matrix(self):
         """All atoms as an (m, d) array. Guarded for huge hypercubes."""
         if self.kind == EXPLICIT:
@@ -287,20 +272,40 @@ class AtomicSet:
     def dots(self, z, mask=None):
         """Inner products of z with every (active) atom.
 
-        Returns ``(ids, values)`` with ids ascending. Hypercube sets are
-        enumerated and therefore desk-scale only on this path.
+        Returns ``(ids, values)`` with ids ascending. A masked signed basis
+        computes only the active values. Hypercube sets are enumerated and
+        therefore desk-scale only on this path.
         """
         z = self._check_point(z)
+        full = mask is None or mask.is_full
         if self.kind == SIGNED_BASIS:
-            values = self.scale * np.concatenate([z, -z])
-        elif self.kind == EXPLICIT:
+            if full:
+                return np.arange(self.num_atoms), self.scale * np.concatenate([z, -z])
+            ids = mask.active_ids()
+            coords, signed_scale = self._signed_factors(ids)
+            return ids, signed_scale * z[coords]
+        if self.kind == EXPLICIT:
             values = self._vectors @ z
         else:
             values = self.atoms_matrix() @ z
-        if mask is None or mask.is_full:
+        if full:
             return np.arange(self.num_atoms), values
         ids = mask.active_ids()
         return ids, values[ids]
+
+    def _signed_factors(self, ids):
+        """Coordinates and +/-C factors of signed-basis ids, so that the
+        value of atom ids[j] at z is factor[j] * z[coord[j]] (bit-identical
+        to C * z_k and C * -z_k). Kept for the last ids array seen: a mask's
+        cached ids array is replaced only when the mask shrinks. Runs on
+        threads that share the set replace the tuple whole, so a read of it
+        is never torn."""
+        cached = self._masked_factors
+        if cached is None or cached[0] is not ids:
+            d = self.dimension
+            cached = (ids, ids % d, np.where(ids < d, self.scale, -self.scale))
+            self._masked_factors = cached
+        return cached[1], cached[2]
 
     # -- the three core queries -------------------------------------------
 

@@ -125,7 +125,11 @@ def _build_parser():
     sub.add_argument("--reference", required=True, help="reference JSON path")
     subparsers["residuals"] = sub
 
-    sub = verbs.add_parser("rate", help="log-log slope of a CSV column")
+    sub = verbs.add_parser(
+        "rate",
+        help="log-log slope of a CSV column over [t-lo, t-hi], fitted up to "
+        "its first nonpositive value (an error at the reference's accuracy)",
+    )
     sub.add_argument("--csv", required=True)
     sub.add_argument("--column", default="objective_error")
     sub.add_argument("--t-lo", type=float, default=100.0)

@@ -48,6 +48,27 @@ def test_signed_basis_lmo_respects_mask():
         assert aset.lmo(z, mask) == brute_lmo(aset, z, mask)
 
 
+def test_signed_basis_masked_dots_match_the_full_computation():
+    # the masked path computes only the active values; they must equal, bit
+    # for bit, the full 2d computation indexed by the active ids
+    rng = np.random.default_rng(6)
+    aset = gc.AtomicSet.signed_basis(9, scale=0.3)
+    mask = aset.full_mask()
+    for drop in ([0, 17], [3, 9, 12], [1, 2, 5, 10, 14]):
+        mask.deactivate(drop)
+        for _ in range(5):
+            z = rng.standard_normal(9)
+            z[0] = -0.0
+            ids, values = aset.dots(z, mask)
+            np.testing.assert_array_equal(ids, mask.active_ids())
+            assert np.all(np.diff(ids) > 0)
+            full_ids, full_values = aset.dots(z)
+            np.testing.assert_array_equal(full_ids, np.arange(18))
+            expected = (0.3 * np.concatenate([z, -z]))[ids]
+            assert values.tobytes() == expected.tobytes()
+            assert values.tobytes() == full_values[ids].tobytes()
+
+
 def test_signed_basis_lmo_tie_breaks_to_lowest_id():
     aset = gc.AtomicSet.signed_basis(2)
     atom_id, value = aset.lmo(np.array([1.0, 1.0]))

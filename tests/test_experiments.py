@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gaugecg as gc
+from gaugecg import experiments
 from gaugecg.errors import (
     ContractViolationError,
     FileFormatError,
@@ -184,13 +185,46 @@ def test_reference_is_deterministic():
 
 
 def test_reference_certifies_past_a_stalled_newton_polish():
-    # on this instance the polish's value-monotone Newton loop stalls at a
-    # projected gradient near 3e-10, where the value is flat to its last bit;
-    # the retry that takes flat steps certifies at the first checkpoint
+    # on this instance the polish of the 20k-step iterate stalls (see the
+    # next test); the polish of the warm start certifies at the first
+    # checkpoint
     loss, penalty, aset = synthetic_problem(3, lam=0.01)
     ref = gc.reference_solve(loss, penalty, aset, iters=10**6, tol=1e-10)
     assert ref.reached and ref.gap <= 1e-10
-    assert ref.iters_used == 20_000
+    assert ref.iters_used == 200
+
+
+def test_polish_retries_a_stalled_newton_loop_with_flat_steps(monkeypatch):
+    # polished from the 20k-step iterate, the value-monotone Newton loop
+    # stalls at a projected gradient near 3e-10, where the value is flat to
+    # its last bit; the retry that takes flat steps certifies
+    loss, penalty, aset = synthetic_problem(3, lam=0.01)
+    config = gc.SolverConfig(max_iters=20_000, trace_every=20_000)
+    state = gc.SolverState(aset)
+    for _ in range(20_000):
+        gc.step(state, loss, penalty, aset, config)
+    passes = []
+    inner = experiments._restricted_minimize
+
+    def spy(loss, penalty, mat, c0, flat_steps=False):
+        passes.append(flat_steps)
+        return inner(loss, penalty, mat, c0, flat_steps)
+
+    monkeypatch.setattr(experiments, "_restricted_minimize", spy)
+    candidate = experiments._polish(loss, penalty, aset, state, 1e-10)
+    assert candidate["gap"] <= 1e-10
+    assert passes[0] is False and True in passes
+
+
+def test_reference_certifies_after_the_warm_start():
+    # the active-set fast path: the polish of the 200-step warm start
+    # certifies; a fall back to the long phases fails here
+    for seed in range(5):
+        for lam in (0.01, 1.0):
+            loss, penalty, aset = synthetic_problem(seed, lam=lam)
+            ref = gc.reference_solve(loss, penalty, aset, iters=10**6, tol=1e-10)
+            assert ref.reached and ref.gap <= 1e-10, (seed, lam)
+            assert ref.iters_used == 200, (seed, lam)
 
 
 def test_reference_validation():
@@ -320,6 +354,19 @@ def test_rate_slope_exact_powers():
     ts = np.arange(1, 2001)
     assert rate_slope((ts, 3.0 / ts), 100, 2000) == pytest.approx(-1.0, abs=1e-6)
     assert rate_slope((ts, 2.0 / np.sqrt(ts)), 100, 2000) == pytest.approx(-0.5, abs=1e-6)
+
+
+def test_rate_slope_stops_at_the_rounding_floor():
+    # an error series against a reference that hits the reference's own
+    # accuracy part-way through the window: 0 and +-1 ulp from there on
+    ts = np.arange(10, 2001, 10, dtype=float)
+    values = 1.0 / ts
+    ulp = float(np.spacing(1.0))
+    values[ts >= 300] = np.resize([0.0, ulp, -ulp, 0.0, ulp], int(np.sum(ts >= 300)))
+    assert rate_slope((ts, values), 100, 2000) == pytest.approx(-1.0, abs=1e-12)
+    # fewer than 5 positive values before the first nonpositive one
+    with pytest.raises(ContractViolationError):
+        rate_slope((ts, values), 260, 2000)
 
 
 def test_rate_slope_validation():
