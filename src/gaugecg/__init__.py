@@ -1,15 +1,12 @@
 """Conditional gradient solver over atomic sets with gauge-type penalties
-and gap-safe screening."""
+and gap-safe screening.
 
-from .atoms import (
-    EXPLICIT,
-    HYPERCUBE,
-    SIGNED_BASIS,
-    AtomicSet,
-    AtomMask,
-    load_atoms_file,
-    save_atoms_file,
-)
+The top level holds the names the README, the tests and the bench use,
+plus every exception a public call raises; every other name is imported
+from its own module (``gaugecg.solver``, ``gaugecg.experiments``, ...).
+"""
+
+from .atoms import AtomicSet, AtomMask, load_atoms_file, save_atoms_file
 from .errors import (
     CertificateCorruptionError,
     ContractViolationError,
@@ -21,23 +18,11 @@ from .errors import (
     UnboundedStepError,
 )
 from .experiments import (
-    ExperimentConfig,
-    ReferenceSolution,
-    ResidualSeries,
     build_certificate,
     gen_synthetic,
-    identified_at,
     load_mnist_pair,
-    load_reference,
-    rate_slope,
-    read_trace_csv,
     reference_solve,
-    residuals,
     run_experiment,
-    save_reference,
-    write_residuals_csv,
-    write_screen_csv,
-    write_trace_csv,
 )
 from .losses import (
     DataMatrix,
@@ -46,20 +31,11 @@ from .losses import (
     load_data_file,
     save_data_file,
 )
-from .penalties import INDICATOR, LOG_BARRIER, POWER, Penalty
-from .screening import (
-    ScreenReport,
-    SupportCertificate,
-    apply_rule,
-    delta,
-    support_of,
-)
+from .penalties import Penalty
+from .screening import SupportCertificate, support_of
 from .solver import (
-    RunResult,
-    Snapshot,
     SolverConfig,
     SolverState,
-    TraceRecord,
     problem_fingerprint,
     run,
     step,
@@ -75,53 +51,29 @@ __all__ = [
     "ContractViolationError",
     "DataMatrix",
     "DivergenceError",
-    "EXPLICIT",
-    "ExperimentConfig",
     "FileFormatError",
-    "HYPERCUBE",
-    "INDICATOR",
     "InfeasibleGaugeError",
-    "LOG_BARRIER",
     "LogisticLoss",
-    "POWER",
     "Penalty",
     "QuadraticLoss",
     "ReferenceMismatchError",
-    "ReferenceSolution",
-    "ResidualSeries",
-    "RunResult",
-    "SIGNED_BASIS",
-    "ScreenReport",
-    "Snapshot",
     "SolverConfig",
     "SolverState",
     "SupportCertificate",
-    "TraceRecord",
     "UnboundedConjugateError",
     "UnboundedStepError",
-    "apply_rule",
     "build_certificate",
-    "delta",
     "gen_synthetic",
-    "identified_at",
     "load_atoms_file",
     "load_data_file",
     "load_mnist_pair",
-    "load_reference",
     "problem_fingerprint",
-    "rate_slope",
-    "read_trace_csv",
     "reference_solve",
-    "residuals",
     "run",
     "run_experiment",
     "save_atoms_file",
     "save_data_file",
-    "save_reference",
     "step",
     "support_of",
     "theta_schedule",
-    "write_residuals_csv",
-    "write_screen_csv",
-    "write_trace_csv",
 ]

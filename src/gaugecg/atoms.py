@@ -297,9 +297,7 @@ class AtomicSet:
         """Coordinates and +/-C factors of signed-basis ids, so that the
         value of atom ids[j] at z is factor[j] * z[coord[j]] (bit-identical
         to C * z_k and C * -z_k). Kept for the last ids array seen: a mask's
-        cached ids array is replaced only when the mask shrinks. Runs on
-        threads that share the set replace the tuple whole, so a read of it
-        is never torn."""
+        cached ids array is replaced only when the mask shrinks."""
         cached = self._masked_factors
         if cached is None or cached[0] is not ids:
             d = self.dimension

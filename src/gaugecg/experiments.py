@@ -14,7 +14,6 @@ import json
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.optimize import minimize
@@ -27,7 +26,6 @@ from .errors import (
     DivergenceError,
     FileFormatError,
     ReferenceMismatchError,
-    UnboundedConjugateError,
     UnboundedStepError,
 )
 from .losses import DataMatrix, LogisticLoss
@@ -35,6 +33,7 @@ from .solver import (
     SolverConfig,
     SolverState,
     TraceRecord,
+    certificate,
     problem_fingerprint,
     run,
     step,
@@ -206,20 +205,6 @@ def load_reference(path):
 _REFERENCE_PHASES = (200, 1_000, 5_000, 20_000, 60_000, 150_000, 400_000, 1_000_000)
 
 
-def _full_gap_at(loss, penalty, atomic_set, x, kappa):
-    """Full-set gap certificate at a candidate point with known gauge bound."""
-    grad = loss.gradient(x)
-    z = -grad
-    sigma = atomic_set.support_value(z)
-    h_x = penalty.value(kappa)
-    try:
-        conj = penalty.conjugate(max(sigma, 0.0))
-    except UnboundedConjugateError:
-        conj = math.inf
-    gap = conj - float(z @ x) + h_x
-    return grad, gap, loss.value(x) + h_x
-
-
 def _restricted_minimize(loss, penalty, mat, c0, flat_steps=False):
     """Minimize f(Mc) + phi(1'c) over c >= 0 down to machine precision.
 
@@ -313,14 +298,12 @@ def _polish(loss, penalty, atomic_set, state, tol):
     )
     if not refinable:
         x = state.x.copy()
-        grad, gap, objective = _full_gap_at(
-            loss, penalty, atomic_set, x, state.kappa_bound
-        )
+        cert = certificate(loss, penalty, atomic_set, loss.margins(x), state.kappa_bound)
         return {
             "x": x,
-            "grad": grad,
-            "objective": objective,
-            "gap": gap,
+            "grad": cert.grad,
+            "objective": loss.value(x) + cert.h_x,
+            "gap": cert.gap,
             "support": _screening.support_of(coeffs),
         }
     c = np.array([coeffs[i] for i in support])
@@ -329,12 +312,10 @@ def _polish(loss, penalty, atomic_set, state, tol):
         mat = np.stack([atomic_set.atom_vector(i) for i in support], axis=1)
         c = _restricted_minimize(loss, penalty, mat, c, flat_steps)
         x = mat @ c
-        grad, gap, objective = _full_gap_at(
-            loss, penalty, atomic_set, x, float(np.sum(c))
-        )
-        if gap <= tol:
+        cert = certificate(loss, penalty, atomic_set, loss.margins(x), float(np.sum(c)))
+        if cert.gap <= tol:
             break
-        best_id, _ = atomic_set.lmo(-grad)
+        best_id = cert.atom_id
         if best_id in support:
             if flat_steps:
                 break  # the floor is optimizer precision, not a missing atom
@@ -345,9 +326,9 @@ def _polish(loss, penalty, atomic_set, state, tol):
         c = np.append(c, 0.0)
     return {
         "x": x,
-        "grad": grad,
-        "objective": objective,
-        "gap": gap,
+        "grad": cert.grad,
+        "objective": loss.value(x) + cert.h_x,
+        "gap": cert.gap,
         "support": _screening.support_of(dict(zip(support, c))),
     }
 
@@ -691,20 +672,19 @@ def _load_experiment_data(config):
 
 
 def run_experiment(config):
-    """Run every grid point, write its CSVs, and summarize the outcomes.
+    """Run the grid points one after another, write their CSVs, and
+    summarize the outcomes.
 
-    Grid points are independent and fan out over a thread pool; each owns
-    its solver state and output files. Divergence and unbounded-step exits
-    are reported in the summary (status 'divergence' / 'unbounded-step')
-    rather than raised, so one blown grid point does not kill a sweep.
+    Divergence and unbounded-step exits are reported in the summary (status
+    'divergence' / 'unbounded-step') rather than raised, so one blown grid
+    point does not kill a sweep.
     """
     data = _load_experiment_data(config)
     loss = LogisticLoss(data)
     atomic_set = _atoms.AtomicSet.signed_basis(data.d, scale=config.scale)
     os.makedirs(config.out_dir, exist_ok=True)
-
-    def one_point(point):
-        alpha, weight = point
+    summaries = []
+    for alpha, weight in config.grid():
         penalty = config.build_penalty(alpha, weight)
         stem = config.stem(alpha, weight)
         status, failed_at = "ok", None
@@ -732,11 +712,5 @@ def run_experiment(config):
             screen_path = os.path.join(config.out_dir, stem + ".screen.csv")
             write_screen_csv(result.screen_events, screen_path)
             summary["screen_path"] = screen_path
-        return summary
-
-    points = config.grid()
-    if len(points) == 1:
-        return [one_point(points[0])]
-    workers = min(len(points), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one_point, points))
+        summaries.append(summary)
+    return summaries

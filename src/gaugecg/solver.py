@@ -13,9 +13,11 @@ one scaled column of A, so the update costs O(n). The margins are re-synced
 to A x every _RESYNC_EVERY iterations. Everything per iteration comes from
 them: the loss link v with gradient = A'v, and the duality gap in the
 margins form v'(ax - A s) + h(x) - h(xi), which equals the primal form
--grad'(s - x) + h(x) - h(s). Once screening has pruned a signed basis the
-gradient is computed only on the columns that still carry an active atom.
-The loss value is computed only for trace rows.
+-grad'(s - x) + h(x) - h(s). The same function, certificate, gives the
+full-set gap of the screening recheck and of the reference oracle. Once
+screening has pruned a signed basis the gradient is computed only on the
+columns that still carry an active atom. The loss value is computed only
+for trace rows.
 
 The conic coefficient ledger is kept as raw weights plus one global decay
 multiplier, so the (1 - theta) rescale of every step is O(1).
@@ -32,7 +34,6 @@ from . import screening as _screening
 from .errors import (
     ContractViolationError,
     DivergenceError,
-    UnboundedConjugateError,
     UnboundedStepError,
 )
 
@@ -177,7 +178,7 @@ class SolverState:
             self._ledger = {
                 int(i): float(w) for i, w in enumerate(witness) if w > 0.0
             }
-        # margins A x, kept incrementally by step (see _certificate)
+        # margins A x, kept incrementally by step (see _margins)
         self.ax = None
         # (mask, coordinates, compact columns of A) for the active columns
         self._columns = None
@@ -257,7 +258,7 @@ def problem_fingerprint(loss, penalty, atomic_set):
 
 
 class _Certificate:
-    """Oracle answer and duality gap at one iterate.
+    """Oracle answer and duality gap at one point.
 
     xi and gap stay +inf, and error holds the abort to raise, when the
     support value is not finite or the step subproblem is unbounded.
@@ -299,23 +300,27 @@ def _gradient(state, loss, atomic_set, v):
     return grad
 
 
-def _certificate(state, loss, penalty, atomic_set):
-    """Oracle answer and duality gap at the current iterate, from the margins.
+def certificate(loss, penalty, atomic_set, ax, kappa, state=None):
+    """Oracle answer and duality gap at a point with margins ax = A x and
+    gauge bound kappa, the one gap computation of the package.
 
-    With v = link(ax) and grad = A'v, the step's target s = xi * atom has
+    With v = link(ax) and grad = A'v, the target s = xi * atom has
     A s = xi * image(atom), so the gap -grad'(s - x) + h(x) - h(s) is
-    computed as v'(ax - A s) + h(x) - h(xi) without a full A'v or A x.
-    The margins are re-synced to A x every _RESYNC_EVERY iterations.
+    computed as v'(ax - A s) + h(x) - h(xi) without A x. With no state the
+    oracle runs over the full atom set and grad is the full A'v; with the
+    solver state it runs over state.mask and grad is computed only where an
+    active atom reads it (see _gradient).
     """
-    t = state.t
-    if state.ax is None or t % _RESYNC_EVERY == 0:
-        state.ax = loss.margins(state.x)
-    v = loss.link(state.ax)
-    grad = _gradient(state, loss, atomic_set, v)
-    atom_id, sigma = atomic_set.lmo(-grad, state.mask)
-    cert = _Certificate(v, grad, atom_id, sigma, penalty.value(state.kappa_bound))
+    v = loss.link(ax)
+    if state is None:
+        mask, grad = None, loss.data.features.T @ v
+    else:
+        mask, grad = state.mask, _gradient(state, loss, atomic_set, v)
+    atom_id, sigma = atomic_set.lmo(-grad, mask)
+    cert = _Certificate(v, grad, atom_id, sigma, penalty.value(kappa))
+    where = "" if state is None else f" at iteration {state.t}"
     if not math.isfinite(sigma):
-        cert.error = DivergenceError(f"support value {sigma!r} at iteration {t}")
+        cert.error = DivergenceError(f"support value {sigma!r}{where}")
         return cert
     try:
         cert.xi = penalty.xi_step(sigma)
@@ -325,21 +330,29 @@ def _certificate(state, loss, penalty, atomic_set):
     cert.image = cert.xi * atomic_set.image(loss.data.features, atom_id)
     if not math.isinf(cert.h_x):
         h_xi = penalty.value(cert.xi)
-        gap = float(v @ (state.ax - cert.image)) + cert.h_x - h_xi
+        gap = float(v @ (ax - cert.image)) + cert.h_x - h_xi
         if -math.inf < gap < 0.0:
             # The gap is nonnegative by weak duality. A negative value within
             # the rounding error of this evaluation (a length-n dot product
             # over margins that carry their own rounding) has no sign and
             # reads as zero; a larger one is kept, so corruption still shows.
             scale = float(np.abs(v).sum()) * float(
-                np.abs(state.ax).max() + np.abs(cert.image).max()
+                np.abs(ax).max() + np.abs(cert.image).max()
             )
             if gap >= -v.size * _EPS * (scale + cert.h_x + h_xi):
                 gap = 0.0
         if math.isnan(gap):
-            cert.error = DivergenceError(f"gap is NaN at iteration {t}")
+            cert.error = DivergenceError(f"gap is NaN{where}")
         cert.gap = gap
     return cert
+
+
+def _margins(state, loss):
+    """The incremental margins, re-synced to A x every _RESYNC_EVERY
+    iterations."""
+    if state.ax is None or state.t % _RESYNC_EVERY == 0:
+        state.ax = loss.margins(state.x)
+    return state.ax
 
 
 def _record(state, t, objective, gap, sigma, xi):
@@ -381,7 +394,8 @@ def step(state, loss, penalty, atomic_set, config):
     """Advance one iteration in place; returns the same state."""
     t = state.t
     x = state.x
-    cert = _certificate(state, loss, penalty, atomic_set)
+    ax = _margins(state, loss)
+    cert = certificate(loss, penalty, atomic_set, ax, state.kappa_bound, state)
     if cert.error is not None:
         _abort(
             state, loss, penalty, atomic_set, config, t, cert.error,
@@ -395,18 +409,11 @@ def step(state, loss, penalty, atomic_set, config):
         if state._smoothness is None:
             sym = atomic_set if atomic_set.symmetric else atomic_set.symmetrize()
             state._smoothness = loss.smoothness_wrt(sym)
-        sigma_rule, gap_rule = sigma, gap
+        rule = cert
         if config.screen_full_recheck:
-            z = -(loss.data.features.T @ cert.v)
-            sigma_rule = atomic_set.support_value(z)
-            try:
-                gap_rule = (
-                    penalty.conjugate(max(sigma_rule, 0.0)) - float(z @ x) + cert.h_x
-                )
-            except UnboundedConjugateError:
-                gap_rule = math.inf
+            rule = certificate(loss, penalty, atomic_set, ax, state.kappa_bound)
         new_mask, report = _screening.apply_rule(
-            state.mask, atomic_set, cert.grad, sigma_rule, gap_rule,
+            state.mask, atomic_set, rule.grad, rule.sigma, rule.gap,
             state._smoothness, t=t,
         )
         if report.removed_ids:
@@ -421,7 +428,7 @@ def step(state, loss, penalty, atomic_set, config):
 
     theta = theta_schedule(config.step_schedule, t)
     state.x = (1.0 - theta) * x + theta * (xi * atomic_set.atom_vector(atom_id))
-    state.ax = (1.0 - theta) * state.ax + theta * cert.image
+    state.ax = (1.0 - theta) * ax + theta * cert.image
     state._ledger_decay(theta)
     state._ledger_add(atom_id, theta * xi)
     state.t = t + 1
@@ -442,7 +449,9 @@ def step(state, loss, penalty, atomic_set, config):
 def _final_diagnostic(state, loss, penalty, atomic_set, config):
     """Evaluate the terminal iterate and append one last trace row."""
     t = state.t
-    cert = _certificate(state, loss, penalty, atomic_set)
+    cert = certificate(
+        loss, penalty, atomic_set, _margins(state, loss), state.kappa_bound, state
+    )
     if cert.gap < state.min_gap:
         state.min_gap = cert.gap
     _record(state, t, loss.value(state.x) + cert.h_x, cert.gap, cert.sigma, cert.xi)

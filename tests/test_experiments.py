@@ -35,7 +35,7 @@ from gaugecg.experiments import (
 )
 from gaugecg.solver import TraceRecord
 
-from conftest import one_dim_problem, synthetic_problem, write_idx_pair
+from conftest import get_reference, one_dim_problem, synthetic_problem, write_idx_pair
 
 
 # -------------------------------------------------------------- synthetic data
@@ -225,6 +225,35 @@ def test_reference_certifies_after_the_warm_start():
             ref = gc.reference_solve(loss, penalty, aset, iters=10**6, tol=1e-10)
             assert ref.reached and ref.gap <= 1e-10, (seed, lam)
             assert ref.iters_used == 200, (seed, lam)
+
+
+def test_reference_gap_is_nonnegative_at_an_exact_optimum():
+    # the one-atom optimum of this instance is met exactly: the gap's
+    # rounding-level negative value reads as 0, like the solver's
+    data = gc.gen_synthetic(5, n=40, d=12)
+    ref = gc.reference_solve(
+        gc.LogisticLoss(data), gc.Penalty.power(2.0, weight=1.0),
+        gc.AtomicSet.signed_basis(12),
+    )
+    assert ref.reached
+    assert ref.gap >= 0.0
+
+
+def test_reference_gap_matches_the_conjugate_form():
+    # the conjugate form phi*(sigma) + grad'x + phi(kappa), assembled here
+    # from Penalty.conjugate, is an independent oracle for the margins-form
+    # gap that the reference certifies with
+    for seed in range(5):
+        for lam in (0.01, 1.0):
+            _, penalty, aset = synthetic_problem(seed, lam=lam)
+            ref = get_reference(seed, lam)
+            sigma = aset.support_value(-ref.grad)
+            conjugate_gap = (
+                penalty.conjugate(max(sigma, 0.0))
+                + float(ref.grad @ ref.x)
+                + penalty.value(aset.gauge_value(ref.x))
+            )
+            assert abs(ref.gap - conjugate_gap) <= 1e-12, (seed, lam)
 
 
 def test_reference_validation():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import gaugecg as gc
 from gaugecg.errors import ContractViolationError, DivergenceError, UnboundedStepError
 
-from conftest import one_dim_problem, tame_quadratic
+from conftest import get_reference, one_dim_problem, synthetic_problem, tame_quadratic
 
 
 # --------------------------------------------------------------- step schedule
@@ -259,6 +259,25 @@ def test_screen_every_gates_passes():
 def test_full_recheck_mode_runs_and_prunes():
     result = synthetic_run(screen_full_recheck=True)
     assert result.state.mask.active_count < 40
+
+
+def test_full_recheck_mode_never_prunes_the_reference_support():
+    # the recheck screens with the full-set certificate; like the default
+    # rule it must never remove an atom of the optimal support
+    removals = 0
+    for seed in (0, 1):
+        for lam in (0.01, 1.0):
+            loss, penalty, aset = synthetic_problem(seed, lam=lam)
+            config = gc.SolverConfig(
+                max_iters=10**4, trace_every=10**4,
+                screening_enabled=True, screen_full_recheck=True,
+            )
+            result = gc.run(loss, penalty, aset, config)
+            support = get_reference(seed, lam).support_ids
+            for event in result.screen_events:
+                removals += len(event.removed_ids)
+                assert not set(event.removed_ids) & support, (seed, lam, event.t)
+    assert removals > 0
 
 
 def test_screening_off_keeps_everything():
