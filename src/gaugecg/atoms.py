@@ -57,10 +57,6 @@ class AtomMask:
         self._active = None  # None: every atom active, nothing stored
         self._ids = None
 
-    @classmethod
-    def full(cls, atomic_set):
-        return cls(atomic_set.num_atoms)
-
     @property
     def num_atoms(self):
         return self._num_atoms
@@ -426,7 +422,7 @@ class AtomicSet:
         return out
 
     def full_mask(self):
-        return AtomMask.full(self)
+        return AtomMask(self.num_atoms)
 
     def fingerprint_bytes(self):
         """Stable byte description, used for problem fingerprints."""

@@ -11,7 +11,6 @@ import os
 import sys
 
 from . import penalties as _penalties
-from .atoms import AtomicSet
 from .errors import (
     ContractViolationError,
     DivergenceError,
@@ -22,8 +21,6 @@ from .errors import (
 from .experiments import (
     ExperimentConfig,
     build_certificate,
-    gen_synthetic,
-    load_mnist_pair,
     load_reference,
     rate_slope,
     read_csv_columns,
@@ -33,7 +30,6 @@ from .experiments import (
     save_reference,
     write_residuals_csv,
 )
-from .losses import LogisticLoss
 from .solver import SolverConfig, run
 
 _PENALTY_CHOICES = {
@@ -173,19 +169,6 @@ def _parse(parser, argv):
     return args
 
 
-def _solver_config(args, keep_snapshots=False):
-    return SolverConfig(
-        max_iters=args.iters,
-        gap_tolerance=args.gap_tol,
-        step_schedule=args.theta,
-        screening_enabled=args.screen != "off",
-        screening_mode="report-only" if args.screen == "report" else "prune-lmo",
-        screen_every=args.screen_every,
-        trace_every=args.trace_every,
-        keep_snapshots=keep_snapshots,
-    )
-
-
 def _experiment_config(args, experiment, keep_snapshots=False):
     return ExperimentConfig(
         experiment=experiment,
@@ -198,7 +181,16 @@ def _experiment_config(args, experiment, keep_snapshots=False):
         capacity=args.capacity,
         growth=args.beta,
         scale=args.scale,
-        solver=_solver_config(args, keep_snapshots=keep_snapshots),
+        solver=SolverConfig(
+            max_iters=args.iters,
+            gap_tolerance=args.gap_tol,
+            step_schedule=args.theta,
+            screening_enabled=args.screen != "off",
+            screening_mode="report-only" if args.screen == "report" else "prune-lmo",
+            screen_every=args.screen_every,
+            trace_every=args.trace_every,
+            keep_snapshots=keep_snapshots,
+        ),
         out_dir=args.out,
         images_path=getattr(args, "images", None),
         labels_path=getattr(args, "labels", None),
@@ -206,23 +198,17 @@ def _experiment_config(args, experiment, keep_snapshots=False):
     )
 
 
-def _single_problem(args, experiment):
-    """(loss, penalty, atomic_set) for verbs that need one grid point."""
+def _single_point(args, keep_snapshots=False):
+    """(config, loss, penalty, atomic_set, stem) for verbs that need one
+    grid point."""
     if len(args.alpha) != 1 or len(args.weights) != 1:
         raise ContractViolationError(
             "this verb needs a single --alpha and --lambda value, not a grid"
         )
-    if experiment == "synthetic":
-        data = gen_synthetic(args.seed, n=args.n, d=args.d)
-    else:
-        if not (getattr(args, "images", None) and getattr(args, "labels", None)):
-            raise ContractViolationError("mnist needs --images and --labels")
-        data = load_mnist_pair(args.images, args.labels, args.digits)
-    loss = LogisticLoss(data)
-    atomic_set = AtomicSet.signed_basis(data.d, scale=args.scale)
-    cfg = _experiment_config(args, experiment)
-    penalty = cfg.build_penalty(args.alpha[0], args.weights[0])
-    return loss, penalty, atomic_set, cfg
+    cfg = _experiment_config(args, args.experiment, keep_snapshots=keep_snapshots)
+    loss, atomic_set = cfg.build_problem()
+    (point,) = cfg.grid()
+    return cfg, loss, cfg.build_penalty(*point), atomic_set, cfg.stem(*point)
 
 
 def _cmd_experiment(args, experiment):
@@ -245,12 +231,11 @@ def _cmd_experiment(args, experiment):
 
 
 def _cmd_reference(args):
-    loss, penalty, atomic_set, cfg = _single_problem(args, args.experiment)
+    _, loss, penalty, atomic_set, stem = _single_point(args)
     reference = reference_solve(
         loss, penalty, atomic_set, iters=args.iters, tol=args.gap_tol
     )
     os.makedirs(args.out, exist_ok=True)
-    stem = cfg.stem(args.alpha[0], args.weights[0])
     path = os.path.join(args.out, f"reference-{stem}.json")
     save_reference(reference, path)
     note = "" if reference.reached else " (tolerance NOT reached)"
@@ -263,14 +248,12 @@ def _cmd_reference(args):
 
 
 def _cmd_residuals(args):
-    loss, penalty, atomic_set, cfg = _single_problem(args, args.experiment)
+    cfg, loss, penalty, atomic_set, stem = _single_point(args, keep_snapshots=True)
     reference = load_reference(args.reference)
-    config = _solver_config(args, keep_snapshots=True)
-    result = run(loss, penalty, atomic_set, config)
+    result = run(loss, penalty, atomic_set, cfg.solver)
     series = residuals(result, reference)
     certificate = build_certificate(result, reference)
     os.makedirs(args.out, exist_ok=True)
-    stem = cfg.stem(args.alpha[0], args.weights[0])
     res_path = os.path.join(args.out, f"residuals-{stem}.csv")
     cert_path = os.path.join(args.out, f"certificate-{stem}.json")
     write_residuals_csv(series, res_path)
@@ -313,12 +296,8 @@ def main(argv=None):
         return 3
 
     try:
-        if args.verb == "synthetic":
-            return _cmd_experiment(args, "synthetic")
-        if args.verb == "mnist":
-            if not (args.images and args.labels):
-                raise ContractViolationError("mnist needs --images and --labels")
-            return _cmd_experiment(args, "mnist")
+        if args.verb in ("synthetic", "mnist"):
+            return _cmd_experiment(args, args.verb)
         if args.verb == "reference":
             return _cmd_reference(args)
         if args.verb == "residuals":

@@ -637,38 +637,24 @@ class ExperimentConfig:
             return [(a, w) for a in self.alphas for w in self.weights]
         return [(self.alphas[0], w) for w in self.weights]
 
+    def build_problem(self):
+        """(loss, atomic_set): the logistic loss on the experiment's data
+        and the signed basis of its dimension."""
+        if self.experiment == "synthetic":
+            data = gen_synthetic(self.seed, n=self.n, d=self.d)
+        else:
+            data = load_mnist_pair(self.images_path, self.labels_path, self.digits)
+        return LogisticLoss(data), _atoms.AtomicSet.signed_basis(data.d, scale=self.scale)
+
     def stem(self, alpha, weight):
-        sc = self.solver
-        canon = "|".join(
-            [
-                self.experiment,
-                str(self.seed),
-                str(self.n),
-                str(self.d),
-                self.penalty_kind,
-                repr(float(alpha)),
-                repr(float(weight)),
-                repr(self.capacity),
-                repr(self.growth),
-                repr(self.scale),
-                str(sc.max_iters),
-                repr(sc.gap_tolerance),
-                sc.step_schedule,
-                str(sc.screening_enabled),
-                sc.screening_mode,
-                str(sc.screen_every),
-                str(sc.trace_every),
-                "-".join(str(v) for v in self.digits),
-            ]
-        )
+        """File stem of one grid point: the experiment name and a hash of
+        the point and of every field but out_dir, solver knobs included."""
+        fields = dict(vars(self), solver=vars(self.solver))
+        del fields["out_dir"]
+        fields["point"] = (float(alpha), float(weight))
+        canon = json.dumps(fields, sort_keys=True, default=str)
         digest = hashlib.sha256(canon.encode()).hexdigest()[:12]
         return f"{self.experiment}-{digest}"
-
-
-def _load_experiment_data(config):
-    if config.experiment == "synthetic":
-        return gen_synthetic(config.seed, n=config.n, d=config.d)
-    return load_mnist_pair(config.images_path, config.labels_path, config.digits)
 
 
 def run_experiment(config):
@@ -679,9 +665,7 @@ def run_experiment(config):
     'divergence' / 'unbounded-step') rather than raised, so one blown grid
     point does not kill a sweep.
     """
-    data = _load_experiment_data(config)
-    loss = LogisticLoss(data)
-    atomic_set = _atoms.AtomicSet.signed_basis(data.d, scale=config.scale)
+    loss, atomic_set = config.build_problem()
     os.makedirs(config.out_dir, exist_ok=True)
     summaries = []
     for alpha, weight in config.grid():

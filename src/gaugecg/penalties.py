@@ -119,10 +119,6 @@ class Penalty:
         sublinear gap rate applies)."""
         return self.mu > 0
 
-    @property
-    def bounded_domain(self):
-        return self.kind in (LOG_BARRIER, INDICATOR)
-
     # -- the three evaluations ---------------------------------------------
 
     def value(self, xi):

@@ -14,10 +14,9 @@ to A x every _RESYNC_EVERY iterations. Everything per iteration comes from
 them: the loss link v with gradient = A'v, and the duality gap in the
 margins form v'(ax - A s) + h(x) - h(xi), which equals the primal form
 -grad'(s - x) + h(x) - h(s). The same function, certificate, gives the
-full-set gap of the screening recheck and of the reference oracle. Once
-screening has pruned a signed basis the gradient is computed only on the
-columns that still carry an active atom. The loss value is computed only
-for trace rows.
+full-set gap of the reference oracle. Once screening has pruned a signed
+basis the gradient is computed only on the columns that still carry an
+active atom. The loss value is computed only for trace rows.
 
 The conic coefficient ledger is kept as raw weights plus one global decay
 multiplier, so the (1 - theta) rescale of every step is O(1).
@@ -43,6 +42,8 @@ _SCREEN_MODES = ("prune-lmo", "report-only")
 # ax <- (1 - theta) ax + theta A s damps old rounding errors, so drift stays
 # near machine precision; the re-sync costs one A x per this many steps.
 _RESYNC_EVERY = 1000
+# A step that leaves |x|_inf above this bound aborts with DivergenceError.
+_DIVERGENCE_LIMIT = 1e12
 _EPS = float(np.finfo(float).eps)
 
 
@@ -67,10 +68,8 @@ class SolverConfig:
         screening_enabled=False,
         screening_mode="prune-lmo",
         screen_every=1,
-        screen_full_recheck=False,
         trace_every=1,
         keep_snapshots=False,
-        divergence_limit=1e12,
     ):
         if max_iters != int(max_iters) or max_iters < 1:
             raise ContractViolationError("max_iters must be an integer >= 1")
@@ -88,18 +87,14 @@ class SolverConfig:
             raise ContractViolationError("screen_every must be an integer >= 1")
         if trace_every != int(trace_every) or trace_every < 1:
             raise ContractViolationError("trace_every must be an integer >= 1")
-        if not divergence_limit > 0:
-            raise ContractViolationError("divergence_limit must be positive")
         self.max_iters = int(max_iters)
         self.gap_tolerance = float(gap_tolerance)
         self.step_schedule = step_schedule
         self.screening_enabled = bool(screening_enabled)
         self.screening_mode = screening_mode
         self.screen_every = int(screen_every)
-        self.screen_full_recheck = bool(screen_full_recheck)
         self.trace_every = int(trace_every)
         self.keep_snapshots = bool(keep_snapshots)
-        self.divergence_limit = float(divergence_limit)
 
 
 class TraceRecord:
@@ -409,11 +404,8 @@ def step(state, loss, penalty, atomic_set, config):
         if state._smoothness is None:
             sym = atomic_set if atomic_set.symmetric else atomic_set.symmetrize()
             state._smoothness = loss.smoothness_wrt(sym)
-        rule = cert
-        if config.screen_full_recheck:
-            rule = certificate(loss, penalty, atomic_set, ax, state.kappa_bound)
         new_mask, report = _screening.apply_rule(
-            state.mask, atomic_set, rule.grad, rule.sigma, rule.gap,
+            state.mask, atomic_set, cert.grad, sigma, gap,
             state._smoothness, t=t,
         )
         if report.removed_ids:
@@ -434,12 +426,12 @@ def step(state, loss, penalty, atomic_set, config):
     state.t = t + 1
 
     new_inf = float(np.abs(state.x).max()) if state.x.size else 0.0
-    if not math.isfinite(new_inf) or new_inf > config.divergence_limit:
+    if not math.isfinite(new_inf) or new_inf > _DIVERGENCE_LIMIT:
         _abort(
             state, loss, penalty, atomic_set, config, t,
             DivergenceError(
                 f"iterate magnitude {new_inf!r} exceeded "
-                f"{config.divergence_limit:g} at iteration {t}"
+                f"{_DIVERGENCE_LIMIT:g} at iteration {t}"
             ),
             sigma=sigma, xi=xi, gap=gap,
         )

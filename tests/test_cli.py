@@ -185,6 +185,20 @@ def test_reference_rejects_grids(capsys):
     assert "single" in capsys.readouterr().err
 
 
+def test_reference_on_mnist(tmp_path, mnist_fixture, capsys):
+    img, lbl, _ = mnist_fixture
+    code = main([
+        "reference", "--experiment", "mnist", "--images", img, "--labels", lbl,
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    (ref_path,) = glob.glob(str(tmp_path / "reference-mnist-*.json"))
+    assert load_reference(ref_path).reached
+    capsys.readouterr()
+    assert main(["reference", "--experiment", "mnist", "--labels", lbl]) == 3
+    assert "images" in capsys.readouterr().err
+
+
 def test_rate_missing_column(tmp_path, capsys):
     path = tmp_path / "x.csv"
     path.write_text("t,foo\n1,1.0\n2,0.5\n3,0.3\n4,0.2\n5,0.1\n")

@@ -509,6 +509,65 @@ def test_experiment_config_grid_and_stem():
     ).stem(2.0, 1.0)
 
 
+# One changed value per configuration field; the stem must see each of them.
+_SOLVER_CHANGES = {
+    "max_iters": 7,
+    "gap_tolerance": 1e-3,
+    "step_schedule": "4t2",
+    "screening_enabled": True,
+    "screening_mode": "report-only",
+    "screen_every": 3,
+    "trace_every": 10,
+    "keep_snapshots": True,
+}
+_EXPERIMENT_CHANGES = {
+    "experiment": "synthetic",
+    "seed": 1,
+    "n": 40,
+    "d": 10,
+    "penalty_kind": "log-barrier",
+    "alphas": (2.0, 3.0),
+    "weights": (0.5,),
+    "capacity": 2.0,
+    "growth": 2.0,
+    "scale": 2.0,
+    "images_path": "other-images.idx",
+    "labels_path": "other-labels.idx",
+    "digits": (3, 8),
+}
+
+
+def _stem_config(**changes):
+    kwargs = dict(
+        experiment="mnist", images_path="images.idx", labels_path="labels.idx",
+        weights=(1.0,), out_dir="runs",
+    )
+    kwargs.update(changes)
+    return ExperimentConfig(**kwargs)
+
+
+def test_stem_changes_cover_every_field():
+    assert set(_SOLVER_CHANGES) == set(vars(gc.SolverConfig()))
+    assert set(_EXPERIMENT_CHANGES) == set(vars(_stem_config())) - {"out_dir", "solver"}
+    # the output directory is where the files go, not part of their name
+    assert _stem_config(out_dir="a").stem(2.0, 1.0) == _stem_config().stem(2.0, 1.0)
+
+
+@pytest.mark.parametrize("field", sorted(_EXPERIMENT_CHANGES))
+def test_every_experiment_field_changes_the_stem(field):
+    base = _stem_config().stem(2.0, 1.0)
+    assert _stem_config().stem(2.0, 1.0) == base
+    assert _stem_config(**{field: _EXPERIMENT_CHANGES[field]}).stem(2.0, 1.0) != base
+
+
+@pytest.mark.parametrize("field", sorted(_SOLVER_CHANGES))
+def test_every_solver_field_changes_the_stem(field):
+    base = _stem_config(solver=gc.SolverConfig()).stem(2.0, 1.0)
+    assert _stem_config(solver=gc.SolverConfig()).stem(2.0, 1.0) == base
+    changed = gc.SolverConfig(**{field: _SOLVER_CHANGES[field]})
+    assert _stem_config(solver=changed).stem(2.0, 1.0) != base
+
+
 def test_experiment_config_validation(tmp_path):
     with pytest.raises(ContractViolationError):
         ExperimentConfig("other")
@@ -561,10 +620,11 @@ def test_run_experiment_sweep_and_unbounded_point(tmp_path):
     assert rows[-1].xi == math.inf and rows[-1].gap == math.inf
 
 
-def test_run_experiment_divergence_status(tmp_path):
+def test_run_experiment_divergence_status(tmp_path, monkeypatch):
+    monkeypatch.setattr("gaugecg.solver._DIVERGENCE_LIMIT", 1e-6)
     cfg = ExperimentConfig(
         "synthetic", seed=1, n=40, d=10,
-        solver=gc.SolverConfig(max_iters=40, divergence_limit=1e-6),
+        solver=gc.SolverConfig(max_iters=40),
         out_dir=str(tmp_path),
     )
     (summary,) = gc.run_experiment(cfg)
