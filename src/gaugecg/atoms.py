@@ -37,6 +37,16 @@ EXPLICIT = "explicit-list"
 _ENUM_LIMIT = 2 ** 22
 
 
+def best_atom(ids, values):
+    """The linear oracle's answer from its scores: ``(atom_id, value)`` of
+    the first maximum of values, so with ids ascending ties go to the
+    lowest id. Raises when there is no atom to choose."""
+    if not len(ids):
+        raise ContractViolationError("linear oracle over an empty mask")
+    best = int(np.argmax(values))
+    return int(ids[best]), float(values[best])
+
+
 class AtomMask:
     """Activity mask over the atom ids of one set.
 
@@ -127,7 +137,6 @@ class AtomicSet:
         self.dimension = dimension
         self.scale = scale
         self._contains_zero = None
-        self._masked_factors = None
         if kind == EXPLICIT:
             mat = np.asarray(vectors, dtype=float)
             if mat.ndim != 2 or mat.shape[0] == 0 or mat.shape[1] != dimension:
@@ -278,8 +287,9 @@ class AtomicSet:
             if full:
                 return np.arange(self.num_atoms), self.scale * np.concatenate([z, -z])
             ids = mask.active_ids()
-            coords, signed_scale = self._signed_factors(ids)
-            return ids, signed_scale * z[coords]
+            d = self.dimension
+            # +/-C times z_k: bit-identical to C * z_k and C * -z_k
+            return ids, np.where(ids < d, self.scale, -self.scale) * z[ids % d]
         if self.kind == EXPLICIT:
             values = self._vectors @ z
         else:
@@ -288,18 +298,6 @@ class AtomicSet:
             return np.arange(self.num_atoms), values
         ids = mask.active_ids()
         return ids, values[ids]
-
-    def _signed_factors(self, ids):
-        """Coordinates and +/-C factors of signed-basis ids, so that the
-        value of atom ids[j] at z is factor[j] * z[coord[j]] (bit-identical
-        to C * z_k and C * -z_k). Kept for the last ids array seen: a mask's
-        cached ids array is replaced only when the mask shrinks."""
-        cached = self._masked_factors
-        if cached is None or cached[0] is not ids:
-            d = self.dimension
-            cached = (ids, ids % d, np.where(ids < d, self.scale, -self.scale))
-            self._masked_factors = cached
-        return cached[1], cached[2]
 
     # -- the three core queries -------------------------------------------
 
@@ -317,11 +315,7 @@ class AtomicSet:
             bits = np.packbits(z < 0, bitorder="little")
             atom_id = int.from_bytes(bits.tobytes(), "little")
             return atom_id, self.scale * float(np.sum(np.abs(z)))
-        if not full and mask.active_count == 0:
-            raise ContractViolationError("linear oracle over an empty mask")
-        ids, values = self.dots(z, mask)
-        best = int(np.argmax(values))  # first maximum -> lowest id
-        return int(ids[best]), float(values[best])
+        return best_atom(*self.dots(z, mask))
 
     def support_value(self, z, mask=None):
         """Max of <p, z> over active atoms (the support function of their hull)."""

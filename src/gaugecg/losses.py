@@ -188,6 +188,7 @@ class LogisticLoss(_Loss):
         super().__init__(data)
         if not np.all(np.isin(self.data.targets, (-1.0, 1.0))):
             raise ContractViolationError("logistic targets must be -1 or +1")
+        self._neg_targets = -self.data.targets
 
     def value(self, x):
         margins = self.data.targets * self.margins(x)
@@ -198,8 +199,12 @@ class LogisticLoss(_Loss):
         return self.data.features.T @ self.link(self.margins(x))
 
     def link(self, ax):
-        w = expit(-self.data.targets * ax)  # = 1 - sigmoid(m), saturates cleanly
-        return -(self.data.targets * w) / self.data.n
+        # -(b * expit(-b * ax)) / n to the bit (negation is exact), with two
+        # temporaries; expit(-m) = 1 - sigmoid(m) saturates cleanly
+        w = expit(self._neg_targets * ax)
+        w *= self._neg_targets
+        w /= self.data.n
+        return w
 
     def curvature_weights(self, x):
         """Per-row weights w with hessian(x) = A' diag(w) A."""

@@ -5,6 +5,9 @@ an active atom p is removed when sigma + p'grad > 2*sqrt(L*gap), where sigma
 is the support value of -grad over the active mask and L the curvature
 constant of the loss relative to the symmetrized atomic set. The atom that
 achieves sigma scores exactly zero and is additionally protected outright.
+The scores are not recomputed here: the certificate's linear oracle has
+already scored every active atom, values <p, -grad>, and the rule takes
+sigma - values (negation is exact, so this is sigma + p'grad to the bit).
 
 Also here: the degeneracy margin delta of a reference solution, support
 extraction from a coefficient ledger, and the JSON support certificate.
@@ -37,15 +40,17 @@ class ScreenReport:
         )
 
 
-def apply_rule(mask, atomic_set, grad, sigma, gap, L, t=None):
+def apply_rule(mask, ids, values, sigma, gap, L, t=None):
     """Apply the screening rule once; returns (mask, report).
 
-    Inputs must come from one consistent certificate: sigma the support value
-    of -grad over `mask`, gap the duality gap at the same iterate, L the
-    smoothness constant. Only the entries of grad that active atoms touch
-    are read. The incoming mask is not modified: the returned mask is a
-    pruned copy when the pass removes atoms and the incoming mask itself
-    when it removes none.
+    Inputs must come from one consistent certificate: ids and values the
+    oracle's scores <p, -grad> of the atoms active in `mask`, sigma their
+    maximum (the support value), gap the duality gap at the same iterate,
+    L the smoothness constant. The rule scores are sigma - values, so the
+    pass makes no inner products of its own. The incoming mask is not
+    modified: the returned mask is a pruned copy when the pass removes
+    atoms and the incoming mask itself when it removes none; when no score
+    exceeds the radius it returns at once, with an empty report.
     """
     if not (math.isfinite(L) and L > 0):
         raise ContractViolationError(f"smoothness constant must be finite positive, got {L!r}")
@@ -55,10 +60,9 @@ def apply_rule(mask, atomic_set, grad, sigma, gap, L, t=None):
         )
     gap = max(gap, 0.0)
     threshold = 2.0 * math.sqrt(L * gap)
-    if mask.active_count == 0:
-        return mask, ScreenReport(t, [], threshold, sigma, 0)
-    ids, dots = atomic_set.dots(grad, mask)
-    scores = sigma + dots
+    scores = sigma - values
+    if not scores.size or scores.max() <= threshold:
+        return mask, ScreenReport(t, [], threshold, sigma, mask.active_count)
     keep_id = ids[int(np.argmin(scores))]
     removable = (scores > threshold) & (ids != keep_id)
     removed = [int(i) for i in ids[removable]]

@@ -14,9 +14,17 @@ to A x every _RESYNC_EVERY iterations. Everything per iteration comes from
 them: the loss link v with gradient = A'v, and the duality gap in the
 margins form v'(ax - A s) + h(x) - h(xi), which equals the primal form
 -grad'(s - x) + h(x) - h(s). The same function, certificate, gives the
-full-set gap of the reference oracle. Once screening has pruned a signed
-basis the gradient is computed only on the columns that still carry an
-active atom. The loss value is computed only for trace rows.
+full-set gap of the reference oracle. The loss value is computed only for
+trace rows.
+
+One score vector serves each step: the certificate's oracle scores the
+active atoms, values <p, -grad>, takes the argmax atom from them, and the
+screening rule reads the same pair. Once screening has pruned a signed
+basis the scores come straight from the columns of A that still carry an
+active atom, with no d-length gradient. The step then moves x and ax in
+place: x *= 1 - theta, plus theta * xi * C at the one coordinate a
+signed-basis atom touches, and ax *= 1 - theta, ax += theta * A s. Both
+are bit-identical to the convex-combination formulas above.
 
 The conic coefficient ledger is kept as raw weights plus one global decay
 multiplier, so the (1 - theta) rescale of every step is O(1).
@@ -255,15 +263,25 @@ def problem_fingerprint(loss, penalty, atomic_set):
 class _Certificate:
     """Oracle answer and duality gap at one point.
 
-    xi and gap stay +inf, and error holds the abort to raise, when the
-    support value is not finite or the step subproblem is unbounded.
+    ids and values are the oracle's scores <p, -grad> over the active atoms,
+    ids ascending; the screening rule reads the same pair. They stay None
+    for a full-mask hypercube, whose implicit sign oracle scores no atom,
+    until scores() enumerates them. grad is A'v, None once a pruned signed
+    basis scores straight from its active columns. xi and gap stay +inf,
+    and error holds the abort to raise, when the support value is not
+    finite or the step subproblem is unbounded.
     """
 
-    __slots__ = ("v", "grad", "atom_id", "sigma", "h_x", "xi", "image", "gap", "error")
+    __slots__ = (
+        "v", "grad", "ids", "values", "atom_id", "sigma", "h_x", "xi", "image",
+        "gap", "error",
+    )
 
-    def __init__(self, v, grad, atom_id, sigma, h_x):
+    def __init__(self, v, grad, ids, values, atom_id, sigma, h_x):
         self.v = v
         self.grad = grad
+        self.ids = ids
+        self.values = values
         self.atom_id = atom_id
         self.sigma = sigma
         self.h_x = h_x
@@ -272,27 +290,37 @@ class _Certificate:
         self.gap = math.inf
         self.error = None
 
+    def scores(self, atomic_set, mask):
+        """(ids, values) over mask, the mask the oracle ran over; enumerated
+        here on first use when the oracle was the implicit one."""
+        if self.ids is None:
+            self.ids, self.values = atomic_set.dots(-self.grad, mask)
+        return self.ids, self.values
 
-def _gradient(state, loss, atomic_set, v):
-    """grad = A'v.
 
-    Once screening has pruned a signed basis, only the coordinates that
-    still carry an active atom are computed, from a compact copy of their
-    columns of A that is rebuilt when the mask changes; the other entries
-    are zero and nothing reads them.
+def _active_scores(state, loss, atomic_set, v):
+    """Scores <p, -grad> of the active atoms of a pruned signed basis.
+
+    They come from a compact copy of the columns of A that an active atom
+    touches, rebuilt when the mask changes: the value of atom +/-C e_k is
+    -/+C * (A'v)_k, bit-identical to +/-C * (-grad)_k, and the other d
+    entries of the gradient are never formed.
     """
-    features = loss.data.features
     mask = state.mask
-    if atomic_set.kind != _atoms.SIGNED_BASIS or mask.is_full:
-        return features.T @ v
     if state._columns is None or state._columns[0] is not mask:
         state._columns = None  # free the old copy before building the new one
-        cols = atomic_set.coordinates(mask.active_ids())
-        state._columns = (mask, cols, features[:, cols])
-    _, cols, sub = state._columns
-    grad = np.zeros(atomic_set.dimension)
-    grad[cols] = sub.T @ v
-    return grad
+        ids = mask.active_ids()
+        d = atomic_set.dimension
+        cols = atomic_set.coordinates(ids)
+        pos = np.searchsorted(cols, ids % d)
+        neg_factor = np.where(ids < d, -atomic_set.scale, atomic_set.scale)
+        state._columns = (mask, ids, pos, neg_factor, loss.data.features[:, cols])
+    _, ids, pos, neg_factor, sub = state._columns
+    return ids, neg_factor * (sub.T @ v)[pos]
+
+
+def _at(state):
+    return "" if state is None else f" at iteration {state.t}"
 
 
 def certificate(loss, penalty, atomic_set, ax, kappa, state=None):
@@ -302,20 +330,29 @@ def certificate(loss, penalty, atomic_set, ax, kappa, state=None):
     With v = link(ax) and grad = A'v, the target s = xi * atom has
     A s = xi * image(atom), so the gap -grad'(s - x) + h(x) - h(s) is
     computed as v'(ax - A s) + h(x) - h(xi) without A x. With no state the
-    oracle runs over the full atom set and grad is the full A'v; with the
-    solver state it runs over state.mask and grad is computed only where an
-    active atom reads it (see _gradient).
+    oracle runs over the full atom set; with the solver state it runs over
+    state.mask. It scores the atoms once, keeps the scores for the
+    screening rule, and takes the first maximum (see atoms.best_atom). A
+    pruned signed basis scores only its active atoms, from their columns
+    of A (see _active_scores); a full-mask hypercube keeps the implicit
+    sign oracle.
     """
     v = loss.link(ax)
-    if state is None:
-        mask, grad = None, loss.data.features.T @ v
+    mask = None if state is None else state.mask
+    grad = ids = values = None
+    if mask is not None and not mask.is_full and atomic_set.kind == _atoms.SIGNED_BASIS:
+        ids, values = _active_scores(state, loss, atomic_set, v)
+        atom_id, sigma = _atoms.best_atom(ids, values)
     else:
-        mask, grad = state.mask, _gradient(state, loss, atomic_set, v)
-    atom_id, sigma = atomic_set.lmo(-grad, mask)
-    cert = _Certificate(v, grad, atom_id, sigma, penalty.value(kappa))
-    where = "" if state is None else f" at iteration {state.t}"
+        grad = loss.data.features.T @ v
+        if atomic_set.kind == _atoms.HYPERCUBE and (mask is None or mask.is_full):
+            atom_id, sigma = atomic_set.lmo(-grad)
+        else:
+            ids, values = atomic_set.dots(-grad, mask)
+            atom_id, sigma = _atoms.best_atom(ids, values)
+    cert = _Certificate(v, grad, ids, values, atom_id, sigma, penalty.value(kappa))
     if not math.isfinite(sigma):
-        cert.error = DivergenceError(f"support value {sigma!r}{where}")
+        cert.error = DivergenceError(f"support value {sigma!r}{_at(state)}")
         return cert
     try:
         cert.xi = penalty.xi_step(sigma)
@@ -337,7 +374,7 @@ def certificate(loss, penalty, atomic_set, ax, kappa, state=None):
             if gap >= -v.size * _EPS * (scale + cert.h_x + h_xi):
                 gap = 0.0
         if math.isnan(gap):
-            cert.error = DivergenceError(f"gap is NaN{where}")
+            cert.error = DivergenceError(f"gap is NaN{_at(state)}")
         cert.gap = gap
     return cert
 
@@ -385,6 +422,24 @@ def _abort(state, loss, penalty, atomic_set, config, t, exc, sigma, xi, gap):
     raise exc
 
 
+def _move(x, atomic_set, theta, xi, atom_id):
+    """x <- (1 - theta) x + theta * xi * atom, in place and bit-identical to
+    that formula. For the signed basis only x_k meets a nonzero atom entry;
+    every other entry gets the formula's zero term theta * (xi * 0), which
+    turns a -0 into +0 as the formula does."""
+    if atomic_set.kind != _atoms.SIGNED_BASIS:
+        x *= 1.0 - theta
+        x += theta * (xi * atomic_set.atom_vector(atom_id))
+        return
+    d = atomic_set.dimension
+    k = atom_id % d
+    entry = atomic_set.scale if atom_id < d else -atomic_set.scale
+    x_k = x[k]
+    x *= 1.0 - theta
+    x += theta * (xi * 0.0)
+    x[k] = (1.0 - theta) * x_k + theta * (xi * entry)
+
+
 def step(state, loss, penalty, atomic_set, config):
     """Advance one iteration in place; returns the same state."""
     t = state.t
@@ -404,9 +459,9 @@ def step(state, loss, penalty, atomic_set, config):
         if state._smoothness is None:
             sym = atomic_set if atomic_set.symmetric else atomic_set.symmetrize()
             state._smoothness = loss.smoothness_wrt(sym)
+        ids, values = cert.scores(atomic_set, state.mask)
         new_mask, report = _screening.apply_rule(
-            state.mask, atomic_set, cert.grad, sigma, gap,
-            state._smoothness, t=t,
+            state.mask, ids, values, sigma, gap, state._smoothness, t=t,
         )
         if report.removed_ids:
             state.screen_events.append(report)
@@ -419,13 +474,14 @@ def step(state, loss, penalty, atomic_set, config):
             _snapshot(state, loss, t, cert.v)
 
     theta = theta_schedule(config.step_schedule, t)
-    state.x = (1.0 - theta) * x + theta * (xi * atomic_set.atom_vector(atom_id))
-    state.ax = (1.0 - theta) * ax + theta * cert.image
+    _move(x, atomic_set, theta, xi, atom_id)
+    ax *= 1.0 - theta
+    ax += theta * cert.image
     state._ledger_decay(theta)
     state._ledger_add(atom_id, theta * xi)
     state.t = t + 1
 
-    new_inf = float(np.abs(state.x).max()) if state.x.size else 0.0
+    new_inf = float(np.abs(x).max()) if x.size else 0.0
     if not math.isfinite(new_inf) or new_inf > _DIVERGENCE_LIMIT:
         _abort(
             state, loss, penalty, atomic_set, config, t,

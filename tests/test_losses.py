@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import expit
 
 import gaugecg as gc
 from gaugecg.errors import ContractViolationError, FileFormatError
@@ -124,6 +125,20 @@ def test_logistic_stays_finite_at_extreme_margins():
     margins = loss.data.targets * (loss.data.features @ x)
     expected = float(np.mean(np.maximum(0.0, -margins)))
     assert value == pytest.approx(expected, rel=1e-9)
+
+
+def test_logistic_link_is_the_closed_form_to_the_bit():
+    rng = np.random.default_rng(3)
+    n = 40
+    b = np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
+    b[:4] = [1.0, 1.0, -1.0, -1.0]
+    loss = gc.LogisticLoss(gc.DataMatrix(rng.standard_normal((n, 3)), b))
+    ax = 5.0 * rng.standard_normal(n)
+    ax[:6] = [1e3, -1e3, 1e3, -1e3, 0.0, -0.0]  # saturated margins, both signs
+    expected = -(b * expit(-b * ax)) / n
+    got = loss.link(ax)
+    assert np.array_equal(got, expected)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_curvature_weights_factor_the_hessian():

@@ -12,6 +12,13 @@ from gaugecg.errors import CertificateCorruptionError, ContractViolationError
 from gaugecg.screening import ScreenReport, apply_rule, delta, support_of
 
 
+def rule(mask, aset, grad, sigma, gap, L, t=None):
+    """apply_rule fed the oracle scores <p, -grad> over mask, as the
+    solver's certificate feeds it."""
+    ids, values = aset.dots(-grad, mask)
+    return apply_rule(mask, ids, values, sigma, gap, L, t)
+
+
 def brute_removals(atoms, active, grad, sigma, gap, L):
     """Independent evaluation: remove active p with sigma + p'grad beyond the
     radius, never the score minimizer."""
@@ -39,7 +46,7 @@ def test_rule_matches_brute_force(seed, gap):
     sigma = float(np.max(dots))
     L = float(rng.uniform(0.1, 5.0))
 
-    new_mask, report = apply_rule(mask, aset, grad, sigma, gap, L, t=3)
+    new_mask, report = rule(mask, aset, grad, sigma, gap, L, t=3)
     expected = brute_removals(atoms, list(ids), grad, sigma, gap, L)
 
     assert set(report.removed_ids) == expected
@@ -58,7 +65,7 @@ def test_achiever_survives_zero_gap():
     grad = np.array([-2.0, 1.0, 0.5])
     ids, dots = aset.dots(-grad)
     sigma = float(np.max(dots))
-    mask, report = apply_rule(aset.full_mask(), aset, grad, sigma, 0.0, 1.0)
+    mask, report = rule(aset.full_mask(), aset, grad, sigma, 0.0, 1.0)
     assert mask.active_count == 1
     assert report.threshold == 0.0
     survivor = next(i for i in range(6) if mask.is_active(i))
@@ -70,7 +77,7 @@ def test_zero_score_ties_are_not_removed():
     aset = gc.AtomicSet.signed_basis(2)
     grad = np.zeros(2)
     incoming = aset.full_mask()
-    mask, report = apply_rule(incoming, aset, grad, 0.0, 0.0, 1.0)
+    mask, report = rule(incoming, aset, grad, 0.0, 0.0, 1.0)
     assert mask.active_count == 4
     assert report.removed_ids == []
     assert mask is incoming  # nothing removed, nothing copied
@@ -79,7 +86,7 @@ def test_zero_score_ties_are_not_removed():
 def test_small_negative_gap_is_clamped():
     aset = gc.AtomicSet.signed_basis(2)
     grad = np.array([-1.0, 0.0])
-    mask, report = apply_rule(aset.full_mask(), aset, grad, 1.0, -5e-11, 1.0)
+    mask, report = rule(aset.full_mask(), aset, grad, 1.0, -5e-11, 1.0)
     assert report.threshold == 0.0
     assert mask.active_count == 1
 
@@ -88,7 +95,7 @@ def test_negative_gap_beyond_tolerance_raises():
     aset = gc.AtomicSet.signed_basis(2)
     grad = np.array([-1.0, 0.0])
     with pytest.raises(CertificateCorruptionError):
-        apply_rule(aset.full_mask(), aset, grad, 1.0, -1e-6, 1.0, t=17)
+        rule(aset.full_mask(), aset, grad, 1.0, -1e-6, 1.0, t=17)
 
 
 def test_negative_gap_tolerance_scales_with_sigma():
@@ -96,7 +103,7 @@ def test_negative_gap_tolerance_scales_with_sigma():
     grad = np.array([-1e6, 0.0])
     sigma = 1e6
     # -5e-5 is within 1e-10 * (1 + sigma) of zero here
-    mask, _ = apply_rule(aset.full_mask(), aset, grad, sigma, -5e-5, 1.0)
+    mask, _ = rule(aset.full_mask(), aset, grad, sigma, -5e-5, 1.0)
     assert mask.active_count >= 1
 
 
@@ -104,14 +111,14 @@ def test_negative_gap_tolerance_scales_with_sigma():
 def test_bad_smoothness_constant(L):
     aset = gc.AtomicSet.signed_basis(2)
     with pytest.raises(ContractViolationError):
-        apply_rule(aset.full_mask(), aset, np.zeros(2), 0.0, 1.0, L)
+        rule(aset.full_mask(), aset, np.zeros(2), 0.0, 1.0, L)
 
 
 def test_rule_on_empty_mask():
     aset = gc.AtomicSet.signed_basis(2)
     mask = aset.full_mask()
     mask.deactivate(range(4))
-    new_mask, report = apply_rule(mask, aset, np.zeros(2), 0.0, 1.0, 1.0)
+    new_mask, report = rule(mask, aset, np.zeros(2), 0.0, 1.0, 1.0)
     assert new_mask.active_count == 0
     assert report.removed_ids == []
     assert report.remaining == 0
@@ -125,9 +132,61 @@ def test_rule_respects_incoming_mask():
     grad = np.array([-3.0, 0.0, 0.1])
     ids, dots = aset.dots(-grad, mask)
     sigma = float(np.max(dots))
-    new_mask, report = apply_rule(mask, aset, grad, sigma, 1e-8, 2.0)
+    new_mask, report = rule(mask, aset, grad, sigma, 1e-8, 2.0)
     assert 1 not in report.removed_ids and 4 not in report.removed_ids
     assert new_mask.active_count == 1
+
+
+def _screened_problem(kind):
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((30, 6)) * 0.4
+    b = np.where(rng.standard_normal(30) > 0, 1.0, -1.0)
+    loss = gc.LogisticLoss(gc.DataMatrix(A, b))
+    if kind == "signed-basis":
+        aset = gc.AtomicSet.signed_basis(6)
+    elif kind == "hypercube":
+        aset = gc.AtomicSet.hypercube(6)
+    else:
+        # not closed under negation: L comes from the symmetrized set
+        aset = gc.AtomicSet.explicit(rng.standard_normal((9, 6)))
+    return loss, aset
+
+
+@pytest.mark.parametrize("mode", ["prune-lmo", "report-only"])
+@pytest.mark.parametrize("kind", ["signed-basis", "hypercube", "explicit-list"])
+def test_solver_screening_matches_brute_force_on_every_set_kind(kind, mode):
+    # each pass of a run is rebuilt from its snapshot: the full gradient,
+    # the trace row's sigma and gap, and the ids active when it ran
+    loss, aset = _screened_problem(kind)
+    cfg = gc.SolverConfig(
+        max_iters=150, screening_enabled=True, screening_mode=mode,
+        keep_snapshots=True, trace_every=1,
+    )
+    result = gc.run(loss, gc.Penalty.power(2.0, weight=0.05), aset, cfg)
+    sym = aset if aset.symmetric else aset.symmetrize()
+    L = loss.smoothness_wrt(sym)
+    atoms = aset.atoms_matrix()
+    rows = {row.t: row for row in result.trace}
+    snaps = {snap.t: snap for snap in result.snapshots}
+    events = {event.t: event for event in result.screen_events}
+    assert events, "the run never screened: the check would be empty"
+    active = list(range(aset.num_atoms))
+    for t in range(1, cfg.max_iters + 1):
+        row, snap = rows[t], snaps[t]
+        expected = brute_removals(atoms, active, snap.grad, row.sigma, row.gap, L)
+        event = events.get(t)
+        if event is None:
+            assert expected == set(), t
+            continue
+        assert set(event.removed_ids) == expected, t
+        assert event.threshold == 2.0 * math.sqrt(L * max(row.gap, 0.0))
+        assert event.sigma == row.sigma
+        assert event.remaining == len(active) - len(expected)
+        if mode == "prune-lmo":
+            active = sorted(snap.active_ids)
+            assert len(active) == event.remaining
+    if mode == "report-only":
+        assert all(len(snap.active_ids) == aset.num_atoms for snap in result.snapshots)
 
 
 def test_report_repr_mentions_counts():

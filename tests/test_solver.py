@@ -159,6 +159,63 @@ def test_run_from_optimum_sees_zero_gap_immediately():
     assert warm.state.x[0] == 1.0
 
 
+@pytest.mark.parametrize("kind", ["signed-basis", "hypercube", "explicit-list"])
+def test_in_place_move_is_the_formula_to_the_bit(kind):
+    # x <- (1 - theta) x + theta * xi * atom, signed zeros included: a -0
+    # entry (theta = 1 on a negative warm start) meets the formula's +0 term
+    from gaugecg.solver import _move
+
+    rng = np.random.default_rng(8)
+    if kind == "signed-basis":
+        aset = gc.AtomicSet.signed_basis(4, scale=1.5)
+    elif kind == "hypercube":
+        aset = gc.AtomicSet.hypercube(3, scale=0.5)
+    else:
+        aset = gc.AtomicSet.explicit(rng.standard_normal((5, 4)))
+    d = aset.dimension
+    start = np.array([-0.7, -0.0, 0.0, 2.5][:d])
+    for atom_id in range(aset.num_atoms):
+        for theta in (1.0, 2.0 / 3.0, 0.1):
+            for xi in (0.0, 1.3):
+                expected = (1.0 - theta) * start + theta * (xi * aset.atom_vector(atom_id))
+                x = start.copy()
+                _move(x, aset, theta, xi, atom_id)
+                assert x.tobytes() == expected.tobytes(), (atom_id, theta, xi)
+
+
+@pytest.mark.parametrize("kind", ["signed-basis", "explicit-list"])
+def test_in_place_steps_leave_x0_and_snapshots_alone(kind):
+    # the step updates x in place: the caller's x0 must not move, and each
+    # snapshot must hold the iterate of its own t, not the final one
+    rng = np.random.default_rng(4)
+    if kind == "signed-basis":
+        data = gc.gen_synthetic(3, n=20, d=5)
+        loss, aset = gc.LogisticLoss(data), gc.AtomicSet.signed_basis(5)
+        x0 = np.array([0.0, -0.4, 0.0, 0.2, 0.0])
+    else:
+        loss, aset = tame_quadratic(rng)
+        x0 = 0.3 * aset.atom_vector(0) + 0.2 * aset.atom_vector(5)
+    penalty = gc.Penalty.power(2.0, weight=1.0)
+    kept = x0.copy()
+    cfg = gc.SolverConfig(max_iters=30, trace_every=1, keep_snapshots=True)
+    result = gc.run(loss, penalty, aset, cfg, x0=x0)
+    assert x0.tobytes() == kept.tobytes()
+
+    state = gc.SolverState(aset, x0=x0)
+    ledger = {}
+    while state.t <= cfg.max_iters:
+        ledger[state.t] = state.reconstruct()
+        gc.step(state, loss, penalty, aset, cfg)
+    ledger[state.t] = state.reconstruct()
+    assert [snap.t for snap in result.snapshots] == sorted(ledger)
+    for snap in result.snapshots:
+        assert snap.x is not result.state.x
+        scale = 1.0 + np.max(np.abs(snap.x))
+        assert np.max(np.abs(snap.x - ledger[snap.t])) <= 1e-12 * scale, snap.t
+    # the iterates move, so a snapshot aliased to the final x would fail
+    assert np.max(np.abs(ledger[2] - ledger[cfg.max_iters + 1])) > 1e-3
+
+
 # --------------------------------------------------------------- failure paths
 
 
