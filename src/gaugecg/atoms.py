@@ -10,6 +10,9 @@ optionally magnified by a positive scale. Three kinds are supported:
 The scale C is folded into the atom vectors themselves, so every quantity
 computed here (support values, gauges, linear oracles) is already in the
 magnified geometry and downstream code never multiplies by C again.
+No set is symmetrized: the curvature constant L and the residual norms
+are taken over the set's own atoms (the symmetrized set gives the same
+constant, since they read only |<A p, A q>| and |<p, z>|).
 
 Atom ids are stable integers:
 
@@ -124,7 +127,7 @@ class AtomMask:
 class AtomicSet:
     """A scaled finite atomic set with linear-oracle and gauge queries."""
 
-    def __init__(self, kind, dimension, scale=1.0, vectors=None, _symmetric=None):
+    def __init__(self, kind, dimension, scale=1.0, vectors=None):
         if kind not in (SIGNED_BASIS, HYPERCUBE, EXPLICIT):
             raise ContractViolationError(f"unknown atomic-set kind {kind!r}")
         dimension = int(dimension)
@@ -136,7 +139,6 @@ class AtomicSet:
         self.kind = kind
         self.dimension = dimension
         self.scale = scale
-        self._contains_zero = None
         if kind == EXPLICIT:
             mat = np.asarray(vectors, dtype=float)
             if mat.ndim != 2 or mat.shape[0] == 0 or mat.shape[1] != dimension:
@@ -151,8 +153,7 @@ class AtomicSet:
         else:
             if vectors is not None:
                 raise ContractViolationError(f"{kind} does not take explicit vectors")
-            self._vectors = None
-        self._symmetric = _symmetric
+            self._vectors = None  # the implicit kinds build it on first use
 
     # -- constructors ---------------------------------------------------
 
@@ -183,33 +184,6 @@ class AtomicSet:
         if self.kind == HYPERCUBE:
             return 2 ** self.dimension
         return self._vectors.shape[0]
-
-    @property
-    def symmetric(self):
-        """True when the atom list is closed under negation."""
-        if self.kind in (SIGNED_BASIS, HYPERCUBE):
-            return True
-        if self._symmetric is None:
-            rows = {row.tobytes() for row in self._vectors}
-            self._symmetric = all((-row).tobytes() in rows for row in self._vectors)
-        return self._symmetric
-
-    @property
-    def contains_zero(self):
-        """True when the origin lies in the convex hull of the atoms."""
-        if self.kind in (SIGNED_BASIS, HYPERCUBE):
-            return True
-        if self._contains_zero is None:
-            m = self.num_atoms
-            res = linprog(
-                c=np.zeros(m),
-                A_eq=np.vstack([self._vectors.T, np.ones((1, m))]),
-                b_eq=np.concatenate([np.zeros(self.dimension), [1.0]]),
-                bounds=(0, None),
-                method="highs",
-            )
-            self._contains_zero = res.status == 0
-        return self._contains_zero
 
     def atom_vector(self, atom_id):
         """The (scaled) vector of one atom."""
@@ -247,19 +221,24 @@ class AtomicSet:
         return np.unique(np.asarray(ids, dtype=int) % self.dimension)
 
     def atoms_matrix(self):
-        """All atoms as an (m, d) array. Guarded for huge hypercubes."""
-        if self.kind == EXPLICIT:
+        """All atoms as a read-only (m, d) array, built once per set and
+        kept. Guarded for huge hypercubes."""
+        if self._vectors is not None:
             return self._vectors
         if self.kind == SIGNED_BASIS:
             eye = np.eye(self.dimension) * self.scale
-            return np.vstack([eye, -eye])
-        if not self.enumerable:
+            mat = np.vstack([eye, -eye])
+        elif not self.enumerable:
             raise ContractViolationError(
                 "hypercube vertex enumeration is limited to desk scale"
             )
-        ids = np.arange(self.num_atoms)
-        bits = (ids[:, None] >> np.arange(self.dimension)[None, :]) & 1
-        return self.scale * (1.0 - 2.0 * bits)
+        else:
+            ids = np.arange(self.num_atoms)
+            bits = (ids[:, None] >> np.arange(self.dimension)[None, :]) & 1
+            mat = self.scale * (1.0 - 2.0 * bits)
+        mat.setflags(write=False)
+        self._vectors = mat
+        return mat
 
     def _check_point(self, z):
         z = np.asarray(z, dtype=float)
@@ -277,24 +256,17 @@ class AtomicSet:
     def dots(self, z, mask=None):
         """Inner products of z with every (active) atom.
 
-        Returns ``(ids, values)`` with ids ascending. A masked signed basis
-        computes only the active values. Hypercube sets are enumerated and
-        therefore desk-scale only on this path.
+        Returns ``(ids, values)`` with ids ascending. Every value is
+        computed and the active ones are indexed out. Hypercube sets are
+        enumerated (once, see atoms_matrix) and therefore desk-scale only
+        on this path.
         """
         z = self._check_point(z)
-        full = mask is None or mask.is_full
         if self.kind == SIGNED_BASIS:
-            if full:
-                return np.arange(self.num_atoms), self.scale * np.concatenate([z, -z])
-            ids = mask.active_ids()
-            d = self.dimension
-            # +/-C times z_k: bit-identical to C * z_k and C * -z_k
-            return ids, np.where(ids < d, self.scale, -self.scale) * z[ids % d]
-        if self.kind == EXPLICIT:
-            values = self._vectors @ z
+            values = self.scale * np.concatenate([z, -z])
         else:
             values = self.atoms_matrix() @ z
-        if full:
+        if mask is None or mask.is_full:
             return np.arange(self.num_atoms), values
         ids = mask.active_ids()
         return ids, values[ids]
@@ -389,31 +361,6 @@ class AtomicSet:
                 if polished.sum() <= coeffs.sum() + 1e-9:
                     coeffs = polished
         return float(coeffs.sum()), coeffs
-
-    def symmetrize(self):
-        """The union of the atoms and their negations (deduplicated).
-
-        Implicit kinds are already symmetric and return themselves.
-        Original atom ids are preserved as a prefix of the new id range.
-        """
-        if self.kind in (SIGNED_BASIS, HYPERCUBE):
-            return self
-        if self.symmetric:
-            return self
-        seen = {row.tobytes() for row in self._vectors}
-        extra = []
-        for row in self._vectors:
-            neg = -row
-            key = neg.tobytes()
-            if key not in seen:
-                seen.add(key)
-                extra.append(neg)
-        stacked = np.vstack([self._vectors, np.asarray(extra)])
-        # vectors already carry the scale; build the new set with scale 1
-        # applied to the scaled rows, but remember the original magnification
-        out = AtomicSet(EXPLICIT, self.dimension, 1.0, vectors=stacked, _symmetric=True)
-        out.scale = self.scale
-        return out
 
     def full_mask(self):
         return AtomMask(self.num_atoms)

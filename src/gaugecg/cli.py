@@ -97,29 +97,24 @@ def _build_parser():
         description="Conditional gradient solver with gap-safe screening.",
     )
     verbs = parser.add_subparsers(dest="verb", required=True)
-    subparsers = {}
 
     sub = verbs.add_parser("synthetic", help="seeded Gaussian logistic experiment")
     _add_run_flags(sub)
-    subparsers["synthetic"] = sub
 
     sub = verbs.add_parser("mnist", help="MNIST two-digit logistic experiment")
     _add_run_flags(sub)
     _add_mnist_flags(sub)
-    subparsers["mnist"] = sub
 
     sub = verbs.add_parser("reference", help="high-accuracy reference solution")
     _add_run_flags(sub, iters_default=1_000_000, gap_tol_default=1e-10)
     _add_mnist_flags(sub)
     sub.add_argument("--experiment", choices=("synthetic", "mnist"), default="synthetic")
-    subparsers["reference"] = sub
 
     sub = verbs.add_parser("residuals", help="rerun and compare against a reference")
     _add_run_flags(sub)
     _add_mnist_flags(sub)
     sub.add_argument("--experiment", choices=("synthetic", "mnist"), default="synthetic")
     sub.add_argument("--reference", required=True, help="reference JSON path")
-    subparsers["residuals"] = sub
 
     sub = verbs.add_parser(
         "rate",
@@ -130,9 +125,8 @@ def _build_parser():
     sub.add_argument("--column", default="objective_error")
     sub.add_argument("--t-lo", type=float, default=100.0)
     sub.add_argument("--t-hi", type=float, default=10_000.0)
-    subparsers["rate"] = sub
 
-    return parser, subparsers
+    return parser
 
 
 def _config_file_flags(path):
@@ -283,7 +277,7 @@ def _cmd_rate(args):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser, _ = _build_parser()
+    parser = _build_parser()
     try:
         args = _parse(parser, list(argv))
     except SystemExit as exc:

@@ -39,10 +39,7 @@ from .solver import (
     step,
 )
 
-TRACE_COLUMNS = (
-    "t", "objective", "gap", "min_gap", "sigma",
-    "active_atoms", "nonzeros", "xi", "elapsed_s",
-)
+TRACE_COLUMNS = TraceRecord.__slots__
 SCREEN_COLUMNS = ("t", "removed_ids", "threshold", "sigma", "remaining")
 RESIDUAL_COLUMNS = ("t", "objective_error", "gap", "gradient_error", "support_error")
 
@@ -74,49 +71,30 @@ def _read_maybe_gzip(path):
     return raw
 
 
-def _parse_idx_images(data, path):
-    if len(data) < 16:
+def _parse_idx(data, path, kind, magic_expected, dims):
+    """Check an IDX file's header, magic and payload length; returns the
+    dimension fields and the payload as uint8. kind names the file in the
+    error texts."""
+    header = 4 + 4 * dims
+    if len(data) < header:
         raise FileFormatError(
-            f"{path}: images header truncated at byte offset {len(data)}",
+            f"{path}: {kind} header truncated at byte offset {len(data)}",
             offset=len(data),
         )
-    magic, count, rows, cols = struct.unpack_from(">IIII", data, 0)
-    if magic != _IDX_IMAGES_MAGIC:
+    magic, *shape = struct.unpack_from(">" + "I" * (1 + dims), data, 0)
+    if magic != magic_expected:
         raise FileFormatError(
-            f"{path}: bad images magic 0x{magic:08x} at byte offset 0 "
-            f"(expected 0x{_IDX_IMAGES_MAGIC:08x})",
+            f"{path}: bad {kind} magic 0x{magic:08x} at byte offset 0 "
+            f"(expected 0x{magic_expected:08x})",
             offset=0,
         )
-    expected = 16 + count * rows * cols
+    expected = header + math.prod(shape)
     if len(data) != expected:
         raise FileFormatError(
-            f"{path}: images payload ends at byte offset {len(data)}, expected {expected}",
+            f"{path}: {kind} payload ends at byte offset {len(data)}, expected {expected}",
             offset=min(len(data), expected),
         )
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=16)
-    return pixels.reshape(count, rows * cols)
-
-
-def _parse_idx_labels(data, path):
-    if len(data) < 8:
-        raise FileFormatError(
-            f"{path}: labels header truncated at byte offset {len(data)}",
-            offset=len(data),
-        )
-    magic, count = struct.unpack_from(">II", data, 0)
-    if magic != _IDX_LABELS_MAGIC:
-        raise FileFormatError(
-            f"{path}: bad labels magic 0x{magic:08x} at byte offset 0 "
-            f"(expected 0x{_IDX_LABELS_MAGIC:08x})",
-            offset=0,
-        )
-    expected = 8 + count
-    if len(data) != expected:
-        raise FileFormatError(
-            f"{path}: labels payload ends at byte offset {len(data)}, expected {expected}",
-            offset=min(len(data), expected),
-        )
-    return np.frombuffer(data, dtype=np.uint8, offset=8)
+    return shape, np.frombuffer(data, dtype=np.uint8, offset=header)
 
 
 def load_mnist_pair(images_path, labels_path, digits=(4, 9)):
@@ -129,8 +107,13 @@ def load_mnist_pair(images_path, labels_path, digits=(4, 9)):
         0 <= int(v) <= 9 for v in digits
     ):
         raise ContractViolationError("digits must be two distinct values in 0..9")
-    images = _parse_idx_images(_read_maybe_gzip(images_path), images_path)
-    labels = _parse_idx_labels(_read_maybe_gzip(labels_path), labels_path)
+    (count, rows, cols), pixels = _parse_idx(
+        _read_maybe_gzip(images_path), images_path, "images", _IDX_IMAGES_MAGIC, 3
+    )
+    images = pixels.reshape(count, rows * cols)
+    _, labels = _parse_idx(
+        _read_maybe_gzip(labels_path), labels_path, "labels", _IDX_LABELS_MAGIC, 1
+    )
     if images.shape[0] != labels.shape[0]:
         raise FileFormatError(
             f"{images_path} holds {images.shape[0]} images but {labels_path} "
@@ -402,9 +385,11 @@ class ResidualSeries:
 def residuals(result, reference):
     """Objective error, gap, gradient error, and support error per traced t.
 
-    The run must have been made with keep_snapshots=True (gradient and
-    active-set errors need the stored iterate data) and on the same problem
-    as the reference (fingerprints are compared).
+    The gradient error is the max over atoms of |<p, grad - grad*>|, the
+    support value of the symmetrized set. The run must have been made with
+    keep_snapshots=True (gradient and active-set errors need the stored
+    iterate data) and on the same problem as the reference (fingerprints
+    are compared).
     """
     if reference.fingerprint and result.fingerprint != reference.fingerprint:
         raise ReferenceMismatchError(
@@ -418,7 +403,6 @@ def residuals(result, reference):
     if len(result.snapshots) != len(result.trace):
         raise ContractViolationError("trace and snapshots are misaligned")
     aset = result.atomic_set
-    sym = aset if aset.symmetric else aset.symmetrize()
     ts, obj_err, gaps, grad_err, supp_err = [], [], [], [], []
     for row, snap in zip(result.trace, result.snapshots):
         if row.t != snap.t:
@@ -426,7 +410,8 @@ def residuals(result, reference):
         ts.append(row.t)
         obj_err.append(row.objective - reference.objective)
         gaps.append(row.gap)
-        grad_err.append(sym.support_value(snap.grad - reference.grad))
+        g = snap.grad - reference.grad
+        grad_err.append(max(aset.support_value(g), aset.support_value(-g)))
         supp_err.append(len(snap.active_ids ^ reference.support_ids))
     return ResidualSeries(ts, obj_err, gaps, grad_err, supp_err)
 
@@ -441,9 +426,7 @@ def identified_at(trace, L, margin):
 
 def build_certificate(result, reference):
     """Assemble the JSON-able support certificate for a finished run."""
-    aset = result.atomic_set
-    sym = aset if aset.symmetric else aset.symmetrize()
-    L = result.loss.smoothness_wrt(sym)
+    L = result.loss.smoothness_wrt(result.atomic_set)
     found_at = identified_at(result.trace, L, reference.delta)
     if result.config.screening_enabled:
         support = [int(i) for i in result.state.mask.active_ids()]

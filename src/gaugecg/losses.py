@@ -7,9 +7,11 @@ Two losses are provided over a dense data matrix (features A, targets b):
               targets restricted to {-1, +1}, evaluated with a stable
               softplus so huge margins neither overflow nor lose the value.
 
-``smoothness_wrt`` returns an upper curvature constant relative to a
-symmetrized atomic set: the largest |<A p, A q>| over atom pairs (times the
-scalar curvature bound of the link function). For the implicit kinds this
+``smoothness_wrt`` returns an upper curvature constant L over the set's
+own atoms (the symmetrized set gives the same constant): the largest
+|<A p, A q>| over atom pairs, times the scalar curvature bound of the link
+function. Negating an atom only flips signs in that Gram matrix, so the
+paper's symmetrized set needs no copy. For the implicit kinds this
 collapses to closed forms in the feature column norms.
 """
 
@@ -127,19 +129,14 @@ class _Loss:
         return self.data.features @ self._check_x(x)
 
     def smoothness_wrt(self, atomic_set):
-        """Curvature constant relative to a symmetrized atomic set.
+        """Curvature constant L over the set's own atoms (the symmetrized
+        set gives the same constant).
 
-        The set must be closed under negation (symmetrize it first); the
-        constant bounds <p, H q> over atom pairs for every Hessian H of the
+        L bounds |<p, H q>| over atom pairs for every Hessian H of the
         loss, which is what the gap certificates and screening need.
         """
         if atomic_set.dimension != self.data.d:
             raise ContractViolationError("atomic set dimension does not match data")
-        if not atomic_set.symmetric:
-            raise ContractViolationError(
-                "smoothness is defined against a symmetrized set; call "
-                "symmetrize() first"
-            )
         A = self.data.features
         scale = atomic_set.scale
         if atomic_set.kind == _atoms.SIGNED_BASIS:

@@ -3,7 +3,8 @@
 The rule is evaluated at the current iterate from a duality-gap certificate:
 an active atom p is removed when sigma + p'grad > 2*sqrt(L*gap), where sigma
 is the support value of -grad over the active mask and L the curvature
-constant of the loss relative to the symmetrized atomic set. The atom that
+constant of the loss over the set's own atoms (the symmetrized set gives
+the same constant). The atom that
 achieves sigma scores exactly zero and is additionally protected outright.
 The scores are not recomputed here: the certificate's linear oracle has
 already scored every active atom, values <p, -grad>, and the rule takes

@@ -457,8 +457,7 @@ def step(state, loss, penalty, atomic_set, config):
 
     if config.screening_enabled and t % config.screen_every == 0:
         if state._smoothness is None:
-            sym = atomic_set if atomic_set.symmetric else atomic_set.symmetrize()
-            state._smoothness = loss.smoothness_wrt(sym)
+            state._smoothness = loss.smoothness_wrt(atomic_set)
         ids, values = cert.scores(atomic_set, state.mask)
         new_mask, report = _screening.apply_rule(
             state.mask, ids, values, sigma, gap, state._smoothness, t=t,

@@ -194,26 +194,6 @@ def test_explicit_zero_point_has_zero_gauge():
     assert aset.gauge_value(np.zeros(2)) == 0.0
 
 
-def test_contains_zero():
-    assert gc.AtomicSet.signed_basis(2).contains_zero
-    assert not gc.AtomicSet.explicit(np.array([[1.0, 0.0], [0.0, 1.0]])).contains_zero
-    sym = gc.AtomicSet.explicit(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    assert sym.contains_zero
-
-
-def test_symmetrize_adds_negations_and_is_idempotent():
-    vectors = np.array([[1.0, 2.0], [0.5, -1.0]])
-    aset = gc.AtomicSet.explicit(vectors)
-    assert not aset.symmetric
-    sym = aset.symmetrize()
-    assert sym.symmetric
-    assert sym.num_atoms == 4
-    again = sym.symmetrize()
-    assert again is sym or again.num_atoms == sym.num_atoms
-    for impl in (gc.AtomicSet.signed_basis(3), gc.AtomicSet.hypercube(3)):
-        assert impl.symmetrize() is impl
-
-
 def test_support_value_is_lmo_value():
     rng = np.random.default_rng(10)
     aset = gc.AtomicSet.signed_basis(4)

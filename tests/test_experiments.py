@@ -335,6 +335,32 @@ def test_residuals_from_reference_start_are_tiny():
     assert series.gradient_error[0] <= 1e-9
 
 
+def test_residual_gradient_error_is_the_max_over_atoms_of_the_abs_dot():
+    # a lopsided explicit set: the error is max_p |<p, g - g*>|, which no
+    # one-sided support value gives
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((20, 5))
+    b = np.where(rng.standard_normal(20) > 0, 1.0, -1.0)
+    loss = gc.LogisticLoss(gc.DataMatrix(A, b))
+    atoms = rng.standard_normal((7, 5))
+    aset = gc.AtomicSet.explicit(atoms)
+    cfg = gc.SolverConfig(max_iters=40, keep_snapshots=True, trace_every=1)
+    result = gc.run(loss, gc.Penalty.power(2.0, weight=0.1), aset, cfg)
+    one_sided = 0
+    direction = rng.standard_normal(5)
+    for grad_star in (direction, -direction):
+        ref = ReferenceSolution(
+            x=np.zeros(5), grad=grad_star, objective=0.0, support_ids=[],
+            delta=0.0, gap=0.0, iters_used=0, reached=True, fingerprint="",
+        )
+        series = residuals(result, ref)
+        for snap, err in zip(result.snapshots, series.gradient_error):
+            dots = atoms @ (snap.grad - grad_star)
+            assert err == pytest.approx(float(np.max(np.abs(dots))), rel=1e-14, abs=0.0)
+            one_sided += float(np.max(dots)) < err
+    assert one_sided > 0, "no row needed the negations: the check shows nothing"
+
+
 def test_residuals_fingerprint_mismatch():
     loss, penalty, aset, ref, result = residual_inputs()
     other_loss, other_penalty, other_aset = one_dim_problem(c=3.0)

@@ -180,11 +180,17 @@ def test_smoothness_explicit_is_gram_max():
     assert loss.smoothness_wrt(aset) == pytest.approx(expected)
 
 
-def test_smoothness_requires_symmetric_atoms():
-    loss, _ = small_quadratic()
-    lopsided = gc.AtomicSet.explicit(np.eye(5))
-    with pytest.raises(ContractViolationError):
-        loss.smoothness_wrt(lopsided)
+def test_smoothness_over_own_atoms_equals_the_symmetrized_set():
+    # negating an atom only flips signs in the Gram matrix of the A p, so
+    # the set's own atoms give the constant of V and -V together
+    for seed in range(5):
+        loss, rng = small_quadratic(seed=seed)
+        vectors = rng.standard_normal((4, 5))
+        lopsided = gc.AtomicSet.explicit(vectors, scale=1.5)
+        both = gc.AtomicSet.explicit(np.vstack([vectors, -vectors]), scale=1.5)
+        assert loss.smoothness_wrt(lopsided) == pytest.approx(
+            loss.smoothness_wrt(both), rel=1e-14, abs=0.0
+        )
 
 
 def test_logistic_smoothness_scales_quadratic_by_quarter_n():

@@ -147,7 +147,7 @@ def _screened_problem(kind):
     elif kind == "hypercube":
         aset = gc.AtomicSet.hypercube(6)
     else:
-        # not closed under negation: L comes from the symmetrized set
+        # not closed under negation: L comes from the set's own atoms
         aset = gc.AtomicSet.explicit(rng.standard_normal((9, 6)))
     return loss, aset
 
@@ -163,8 +163,7 @@ def test_solver_screening_matches_brute_force_on_every_set_kind(kind, mode):
         keep_snapshots=True, trace_every=1,
     )
     result = gc.run(loss, gc.Penalty.power(2.0, weight=0.05), aset, cfg)
-    sym = aset if aset.symmetric else aset.symmetrize()
-    L = loss.smoothness_wrt(sym)
+    L = loss.smoothness_wrt(aset)
     atoms = aset.atoms_matrix()
     rows = {row.t: row for row in result.trace}
     snaps = {snap.t: snap for snap in result.snapshots}

@@ -506,3 +506,24 @@ def test_enumerating_options_refused_on_huge_sets(option):
     cfg = gc.SolverConfig(max_iters=10, **{option: True})
     with pytest.raises(ContractViolationError, match="enumerable"):
         gc.run(loss, penalty, aset, cfg)
+
+
+def test_screened_hypercube_enumerates_its_vertices_once(monkeypatch):
+    # every screening pass scores the vertices; the 2^d x d matrix behind
+    # the scores is built on the first pass and kept
+    loss, penalty, aset = _cube_problem(d=10)
+    built, calls = [], []
+    enumerate_vertices = gc.AtomicSet.atoms_matrix
+
+    def spy(self):
+        calls.append(1)
+        mat = enumerate_vertices(self)
+        if not any(mat is seen for seen in built):
+            built.append(mat)
+        return mat
+
+    monkeypatch.setattr(gc.AtomicSet, "atoms_matrix", spy)
+    cfg = gc.SolverConfig(max_iters=300, screening_enabled=True)
+    gc.run(loss, penalty, aset, cfg)
+    assert len(calls) >= cfg.max_iters  # one scoring per pass at least
+    assert len(built) <= 1
