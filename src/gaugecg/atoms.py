@@ -46,7 +46,7 @@ def best_atom(ids, values):
     lowest id. Raises when there is no atom to choose."""
     if not len(ids):
         raise ContractViolationError("linear oracle over an empty mask")
-    best = int(np.argmax(values))
+    best = int(values.argmax())
     return int(ids[best]), float(values[best])
 
 
@@ -93,15 +93,20 @@ class AtomMask:
         return self._ids
 
     def is_active(self, atom_id):
-        if self._active is None:
-            return 0 <= atom_id < self._num_atoms
-        return bool(self._active[atom_id])
+        """False for an id outside 0..num_atoms-1, whatever the state."""
+        if not 0 <= atom_id < self._num_atoms:
+            return False
+        return self._active is None or bool(self._active[atom_id])
 
     def deactivate(self, ids):
-        """Switch the given ids off. Already-inactive ids are ignored."""
+        """Switch the given ids off. Already-inactive ids are ignored; an id
+        outside 0..num_atoms-1 is refused."""
+        ids = np.asarray(ids, dtype=int)
+        if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= self._num_atoms):
+            raise ContractViolationError(f"atom ids outside 0..{self._num_atoms - 1}")
         if self._active is None:
             self._active = np.ones(self._enumerable_count(), dtype=bool)
-        self._active[np.asarray(ids, dtype=int)] = False
+        self._active[ids] = False
         self._ids = np.flatnonzero(self._active)
         self._ids.setflags(write=False)
 
@@ -277,7 +282,10 @@ class AtomicSet:
         """Best atom for the linear form z: argmax over active atoms of <p, z>.
 
         Returns ``(atom_id, value)``; ties go to the lowest id. With no mask
-        every atom is active. Raises when the mask has no active atom.
+        every atom is active. Raises when the mask has no active atom. With
+        a full mask the implicit kinds score no atom list: the hypercube
+        takes the signs of z, the signed basis the extremes of C*z, both
+        bit-identical to best_atom over dots.
         """
         z = self._check_point(z)
         full = mask is None or mask.is_full
@@ -287,6 +295,16 @@ class AtomicSet:
             bits = np.packbits(z < 0, bitorder="little")
             atom_id = int.from_bytes(bits.tobytes(), "little")
             return atom_id, self.scale * float(np.sum(np.abs(z)))
+        if full and self.kind == SIGNED_BASIS:
+            # the scores are w = C*z, then -w (negation is exact): +e_hi
+            # wins unless -w_lo is strictly larger, so a cross-sign tie goes
+            # to the lower id; a NaN is the first max and min of w and fails
+            # the comparison, so its + atom wins, as in best_atom
+            w = self.scale * z
+            hi, lo = int(w.argmax()), int(w.argmin())
+            if w[hi] < -w[lo]:
+                return self.dimension + lo, float(-w[lo])
+            return hi, float(w[hi])
         return best_atom(*self.dots(z, mask))
 
     def support_value(self, z, mask=None):

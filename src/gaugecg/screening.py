@@ -61,9 +61,10 @@ def apply_rule(mask, ids, values, sigma, gap, L, t=None):
         )
     gap = max(gap, 0.0)
     threshold = 2.0 * math.sqrt(L * gap)
-    scores = sigma - values
-    if not scores.size or scores.max() <= threshold:
+    # rounding is monotone, so sigma - min(values) is max(sigma - values)
+    if not values.size or sigma - values.min() <= threshold:
         return mask, ScreenReport(t, [], threshold, sigma, mask.active_count)
+    scores = sigma - values
     keep_id = ids[int(np.argmin(scores))]
     removable = (scores > threshold) & (ids != keep_id)
     removed = [int(i) for i in ids[removable]]

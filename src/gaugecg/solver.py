@@ -17,14 +17,18 @@ margins form v'(ax - A s) + h(x) - h(xi), which equals the primal form
 full-set gap of the reference oracle. The loss value is computed only for
 trace rows.
 
-One score vector serves each step: the certificate's oracle scores the
-active atoms, values <p, -grad>, takes the argmax atom from them, and the
-screening rule reads the same pair. Once screening has pruned a signed
-basis the scores come straight from the columns of A that still carry an
-active atom, with no d-length gradient. The step then moves x and ax in
+At most one score vector serves each step: the certificate's oracle
+scores the active atoms, values <p, -grad>, takes the argmax atom from
+them, and the screening rule reads the same pair. Once screening has
+pruned a signed basis the scores come straight from the columns of A that
+still carry an active atom, with no d-length gradient. At full mask a
+signed basis or a hypercube answers from an implicit oracle and scores
+the atoms only for a screening pass. The step then moves x and ax in
 place: x *= 1 - theta, plus theta * xi * C at the one coordinate a
 signed-basis atom touches, and ax *= 1 - theta, ax += theta * A s. Both
-are bit-identical to the convex-combination formulas above.
+are bit-identical to the convex-combination formulas above. On a
+signed-basis step after the first only that coordinate can grow, so the
+divergence check reads it alone.
 
 The conic coefficient ledger is kept as raw weights plus one global decay
 multiplier, so the (1 - theta) rescale of every step is O(1).
@@ -265,11 +269,11 @@ class _Certificate:
 
     ids and values are the oracle's scores <p, -grad> over the active atoms,
     ids ascending; the screening rule reads the same pair. They stay None
-    for a full-mask hypercube, whose implicit sign oracle scores no atom,
-    until scores() enumerates them. grad is A'v, None once a pruned signed
-    basis scores straight from its active columns. xi and gap stay +inf,
-    and error holds the abort to raise, when the support value is not
-    finite or the step subproblem is unbounded.
+    at full mask on a signed basis or a hypercube, whose implicit oracles
+    score no atom, until scores() enumerates them. grad is A'v, None once
+    a pruned signed basis scores straight from its active columns. xi and
+    gap stay +inf, and error holds the abort to raise, when the support
+    value is not finite or the step subproblem is unbounded.
     """
 
     __slots__ = (
@@ -334,8 +338,8 @@ def certificate(loss, penalty, atomic_set, ax, kappa, state=None):
     state.mask. It scores the atoms once, keeps the scores for the
     screening rule, and takes the first maximum (see atoms.best_atom). A
     pruned signed basis scores only its active atoms, from their columns
-    of A (see _active_scores); a full-mask hypercube keeps the implicit
-    sign oracle.
+    of A (see _active_scores); at full mask a signed basis or a hypercube
+    takes the implicit oracle of AtomicSet.lmo and scores no atom.
     """
     v = loss.link(ax)
     mask = None if state is None else state.mask
@@ -345,7 +349,7 @@ def certificate(loss, penalty, atomic_set, ax, kappa, state=None):
         atom_id, sigma = _atoms.best_atom(ids, values)
     else:
         grad = loss.data.features.T @ v
-        if atomic_set.kind == _atoms.HYPERCUBE and (mask is None or mask.is_full):
+        if atomic_set.kind != _atoms.EXPLICIT and (mask is None or mask.is_full):
             atom_id, sigma = atomic_set.lmo(-grad)
         else:
             ids, values = atomic_set.dots(-grad, mask)
@@ -480,8 +484,14 @@ def step(state, loss, penalty, atomic_set, config):
     state._ledger_add(atom_id, theta * xi)
     state.t = t + 1
 
-    new_inf = float(np.abs(x).max()) if x.size else 0.0
-    if not math.isfinite(new_inf) or new_inf > _DIVERGENCE_LIMIT:
+    if t > 1 and atomic_set.kind == _atoms.SIGNED_BASIS:
+        # only x_k can grow (see _move), and every other entry passed the
+        # check a step ago; t = 1 checks all of x, as x0 is never checked
+        peak = abs(float(x[atom_id % atomic_set.dimension]))
+    else:
+        peak = float(np.abs(x).max())
+    if not math.isfinite(peak) or peak > _DIVERGENCE_LIMIT:
+        new_inf = float(np.abs(x).max())
         _abort(
             state, loss, penalty, atomic_set, config, t,
             DivergenceError(

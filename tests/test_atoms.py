@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import gaugecg as gc
+from gaugecg import atoms
 from gaugecg.errors import ContractViolationError, FileFormatError, InfeasibleGaugeError
 
 
@@ -73,6 +74,40 @@ def test_signed_basis_lmo_tie_breaks_to_lowest_id():
     aset = gc.AtomicSet.signed_basis(2)
     atom_id, value = aset.lmo(np.array([1.0, 1.0]))
     assert atom_id == 0 and value == 1.0
+    assert aset.lmo(np.array([-1.0, 1.0])) == (1, 1.0)  # +e_1 before -e_0
+    atom_id, value = aset.lmo(np.array([-1.0, np.nan]))
+    assert atom_id == 1 and np.isnan(value)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(8)
+    for scale in (1.0, 0.3):
+        for _ in range(20):
+            yield scale, rng.standard_normal(7)
+            yield scale, rng.integers(-2, 3, size=6).astype(float)  # many ties
+    # |z| differ but 0.3 * |z| round to one value: a cross-sign tie only
+    # in the scaled scores, so the lower id, +e_1, must win
+    wide, narrow = 1.6734693877551023, 1.6734693877551021
+    yield 0.3, np.array([-wide, narrow])
+    yield 0.3, np.array([wide, -narrow])
+    for z in (
+        [2.0], [-2.0], [0.0], [-0.0], [np.nan],  # d = 1
+        [-1.0, 1.0], [1.0, -1.0],  # cross-sign ties
+        [0.0, 0.0, 0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, -0.0],
+        [1.0, np.nan, -5.0], [-3.0, np.nan, np.nan], [-np.inf, 2.0],
+    ):
+        yield 1.0, np.array(z)
+
+
+@pytest.mark.parametrize("scale, z", list(_oracle_cases()))
+def test_signed_basis_implicit_lmo_matches_scoring_bit_for_bit(scale, z):
+    # the full-mask oracle scores no atom; its id and value must be those
+    # of the first maximum over the 2d scores, -0 and NaN included
+    aset = gc.AtomicSet.signed_basis(z.size, scale=scale)
+    atom_id, value = aset.lmo(z)
+    best_id, best_value = atoms.best_atom(*aset.dots(z))
+    assert atom_id == best_id
+    assert np.float64(value).tobytes() == np.float64(best_value).tobytes()
 
 
 def test_signed_basis_gauge_is_scaled_l1():
@@ -327,6 +362,24 @@ def test_mask_active_ids_cached_and_shrink_only():
     assert shrunk.tolist() == [1, 2, 3, 5]
     assert ids.tolist() == list(range(6))  # earlier arrays stay as they were
     assert mask.active_ids() is shrunk
+
+
+def test_mask_range_is_the_same_before_and_after_materializing():
+    full = gc.AtomicSet.signed_basis(3).full_mask()
+    pruned = full.copy()
+    pruned.deactivate([2])
+    for mask in (full, pruned):
+        assert not mask.is_active(-1) and not mask.is_active(6)
+        assert mask.is_active(0) and mask.is_active(5)
+    assert not pruned.is_active(2)
+    for bad in ([-1], [6], [0, 7]):
+        with pytest.raises(ContractViolationError):
+            full.copy().deactivate(bad)
+        with pytest.raises(ContractViolationError):
+            pruned.deactivate(bad)
+    assert pruned.active_ids().tolist() == [0, 1, 3, 4, 5]
+    full.deactivate([])
+    assert full.active_count == 6
 
 
 def test_hypercube_ids_beyond_64_bits():

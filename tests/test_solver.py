@@ -250,6 +250,36 @@ def test_divergence_aborts_with_partial_result(monkeypatch):
     assert err.result.state.x[0] == 2.0
 
 
+def test_signed_basis_divergence_after_the_first_step(monkeypatch):
+    # open-loop steps overshoot after t = 1; a signed-basis step checks only
+    # the coordinate it moved, and must abort exactly where, and with what,
+    # a check of all of x does
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((30, 10))
+    loss = gc.QuadraticLoss(gc.DataMatrix(A, A @ (3.0 * rng.standard_normal(10))))
+    penalty = gc.Penalty.power(2.0, weight=10.0)
+    aset = gc.AtomicSet.signed_basis(10)
+    cfg = gc.SolverConfig(max_iters=50)
+    state, iterates = gc.SolverState(aset), []
+    for _ in range(50):
+        gc.step(state, loss, penalty, aset, cfg)
+        iterates.append(state.x.copy())
+    peaks = [float(np.abs(x).max()) for x in iterates]
+    limit = 0.5 * (peaks[0] + max(peaks))
+    t = next(i for i, peak in enumerate(peaks, 1) if peak > limit)
+    assert t >= 2
+    monkeypatch.setattr("gaugecg.solver._DIVERGENCE_LIMIT", limit)
+    with pytest.raises(DivergenceError) as info:
+        gc.run(loss, penalty, aset, cfg)
+    err = info.value
+    assert err.t == t
+    assert str(err) == (
+        f"iterate magnitude {peaks[t - 1]!r} exceeded {limit:g} at iteration {t}"
+    )
+    assert err.result.state.x.tobytes() == iterates[t - 1].tobytes()
+    assert err.result.trace[-1].t == t
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_divergence_on_overflowing_steps():
     loss, penalty, aset = one_dim_problem(c=2.0, lam=1e-3)
