@@ -58,8 +58,9 @@ class AtomMask:
     exists at any set size, hypercubes beyond enumeration included. The
     first deactivate materializes it, which is limited to enumerable sets.
     The ascending array of active ids is cached and refreshed only by
-    deactivate, so it only ever shrinks; it is read-only. The solver owns
-    and mutates the mask; everything else treats it as read-only.
+    deactivate, so it only ever shrinks; it is read-only. Deactivate drops,
+    and copy leaves behind, the columns AtomicSet.oracle caches on the mask.
+    The solver owns and mutates the mask; everything else treats it as read-only.
     """
 
     def __init__(self, num_atoms):
@@ -69,6 +70,7 @@ class AtomMask:
         self._num_atoms = num_atoms
         self._active = None  # None: every atom active, nothing stored
         self._ids = None
+        self._columns = None  # see AtomicSet._column_scores
 
     @property
     def num_atoms(self):
@@ -109,6 +111,7 @@ class AtomMask:
         self._active[ids] = False
         self._ids = np.flatnonzero(self._active)
         self._ids.setflags(write=False)
+        self._columns = None
 
     def copy(self):
         out = AtomMask(self._num_atoms)
@@ -196,11 +199,9 @@ class AtomicSet:
         if atom_id < 0 or atom_id >= self.num_atoms:
             raise ContractViolationError(f"atom id {atom_id} out of range")
         if self.kind == SIGNED_BASIS:
+            k, entry = self._signed(atom_id)
             v = np.zeros(self.dimension)
-            if atom_id < self.dimension:
-                v[atom_id] = self.scale
-            else:
-                v[atom_id - self.dimension] = -self.scale
+            v[k] = entry
             return v
         if self.kind == HYPERCUBE:
             # ids may exceed 64 bits, so the bits go through bytes
@@ -209,21 +210,18 @@ class AtomicSet:
             return self.scale * (1.0 - 2.0 * bits[: self.dimension])
         return self._vectors[atom_id].copy()
 
+    def _signed(self, atom_id):
+        """``(k, entry)`` of a signed-basis atom: its coordinate, +/-C."""
+        d = self.dimension
+        return atom_id % d, (self.scale if atom_id < d else -self.scale)
+
     def image(self, features, atom_id):
         """``features @ p`` for one atom p: for the signed basis one scaled
         column of features, O(n) instead of O(n d)."""
         if self.kind != SIGNED_BASIS:
             return features @ self.atom_vector(atom_id)
-        atom_id = int(atom_id)
-        if atom_id < self.dimension:
-            return self.scale * features[:, atom_id]
-        return -self.scale * features[:, atom_id - self.dimension]
-
-    def coordinates(self, ids):
-        """Ascending coordinates that the given signed-basis atoms touch."""
-        if self.kind != SIGNED_BASIS:
-            raise ContractViolationError("atom coordinates exist for the signed basis only")
-        return np.unique(np.asarray(ids, dtype=int) % self.dimension)
+        k, entry = self._signed(int(atom_id))
+        return entry * features[:, k]
 
     def atoms_matrix(self):
         """All atoms as a read-only (m, d) array, built once per set and
@@ -283,9 +281,10 @@ class AtomicSet:
 
         Returns ``(atom_id, value)``; ties go to the lowest id. With no mask
         every atom is active. Raises when the mask has no active atom. With
-        a full mask the implicit kinds score no atom list: the hypercube
-        takes the signs of z, the signed basis the extremes of C*z, both
-        bit-identical to best_atom over dots.
+        a full mask the implicit kinds score no atom list: the signed basis
+        takes the extremes of C*z, bit-identical to best_atom over dots; the
+        hypercube the signs of z, whose value C*|z|_1 can differ from dots' in
+        the last bit, as the two sum in different orders.
         """
         z = self._check_point(z)
         full = mask is None or mask.is_full
@@ -307,6 +306,60 @@ class AtomicSet:
             return hi, float(w[hi])
         return best_atom(*self.dots(z, mask))
 
+    def oracle(self, features, v, mask=None):
+        """The linear oracle at grad = features' v over mask (None: every
+        atom): ``(grad, scores, (atom_id, sigma))``. scores is ``(ids,
+        values)``, values <p, -grad> over the active atoms, ids ascending,
+        and the answer is its first maximum (best_atom). At full mask the
+        implicit kinds answer through lmo and score no atom: scores is None.
+        A pruned signed basis scores from its active columns and forms no
+        gradient: grad is None (see _column_scores)."""
+        full = mask is None or mask.is_full
+        if self.kind == SIGNED_BASIS and not full:
+            ids, values = self._column_scores(features, v, mask)
+            return None, (ids, values), best_atom(ids, values)
+        grad = features.T @ v
+        if full and self.kind != EXPLICIT:
+            return grad, None, self.lmo(-grad)
+        scores = self.dots(-grad, mask)
+        return grad, scores, best_atom(*scores)
+
+    def _column_scores(self, features, v, mask):
+        """Scores of the atoms active in mask on a pruned signed basis: atom
+        +/-C e_k has -/+C (features' v)_k, +/-C (-grad)_k up to the order of
+        summation, from a copy of the columns an active atom touches, cached
+        on the mask and keyed on this set and the features object."""
+        cache = mask._columns
+        if cache is None or cache[0] is not self or cache[1] is not features:
+            mask._columns = None  # free the old copy before building the new one
+            ids = mask.active_ids()
+            d = self.dimension
+            coords = ids % d
+            cols = np.unique(coords)
+            pos = np.searchsorted(cols, coords)
+            neg_factor = np.where(ids < d, -self.scale, self.scale)
+            cache = (self, features, ids, pos, neg_factor, features[:, cols])
+            mask._columns = cache
+        _, _, ids, pos, neg_factor, sub = cache
+        return ids, neg_factor * (sub.T @ v)[pos]
+
+    def move(self, x, theta, xi, atom_id):
+        """x <- (1 - theta) x + theta * xi * atom, in place and bit-identical
+        to that formula; returns the one coordinate whose magnitude can have
+        grown, or None when any can. On the signed basis every entry but x_k
+        becomes (1 - theta) x_j plus the formula's zero term theta * (xi * 0),
+        which turns a -0 into +0 as the formula does."""
+        if self.kind != SIGNED_BASIS:
+            x *= 1.0 - theta
+            x += theta * (xi * self.atom_vector(atom_id))
+            return None
+        k, entry = self._signed(atom_id)
+        x_k = x[k]
+        x *= 1.0 - theta
+        x += theta * (xi * 0.0)
+        x[k] = (1.0 - theta) * x_k + theta * (xi * entry)
+        return k
+
     def support_value(self, z, mask=None):
         """Max of <p, z> over active atoms (the support function of their hull)."""
         return self.lmo(z, mask)[1]
@@ -320,10 +373,30 @@ class AtomicSet:
         """
         x = self._check_point(x)
         if self.kind == SIGNED_BASIS:
-            return float(np.sum(np.abs(x)) / self.scale)
+            return self.iterate_gauge(x)
         if self.kind == HYPERCUBE:
             return float(np.max(np.abs(x)) / self.scale)
         return self._gauge_lp(x)[0]
+
+    def iterate_gauge(self, x):
+        """|x|_1 / C, the gauge of x, on the signed basis; None elsewhere,
+        where the solver bounds the gauge by its ledger sum. (The hypercube's
+        max|x| / C is tighter, and would move the objectives in its traces.)"""
+        if self.kind != SIGNED_BASIS:
+            return None
+        return float(np.abs(x).sum()) / self.scale
+
+    def gram_bound(self, features):
+        """Upper bound on |<A p, A q>| over the set's own atom pairs, A =
+        features, in closed form from the column norms of A for the implicit
+        kinds: C^2 max|a_k|^2 (signed basis), C^2 (sum_k |a_k|)^2 (hypercube)."""
+        if self.kind == SIGNED_BASIS:
+            return self.scale**2 * float(np.max(np.sum(features * features, axis=0)))
+        if self.kind == HYPERCUBE:
+            return self.scale**2 * float(np.sum(np.sqrt(np.sum(features**2, axis=0)))) ** 2
+        mapped = features @ self.atoms_matrix().T  # columns are A p
+        gram = mapped.T @ mapped
+        return float(np.max(np.abs(gram)))
 
     def gauge_decomposition(self, x):
         """Gauge value together with one witness decomposition.
@@ -336,7 +409,7 @@ class AtomicSet:
         if self.kind == SIGNED_BASIS:
             coeffs = np.concatenate([np.maximum(x, 0.0), np.maximum(-x, 0.0)])
             coeffs /= self.scale
-            return float(np.sum(np.abs(x)) / self.scale), coeffs
+            return self.iterate_gauge(x), coeffs
         if self.kind == HYPERCUBE:
             raise ContractViolationError(
                 "hypercube sets have no materialized decomposition witness"
@@ -426,7 +499,10 @@ def _parse_atoms(fh, scale):
         ) from None
     if m <= 0 or d <= 0:
         raise FileFormatError("atom counts must be positive", offset=0)
-    rows = np.loadtxt(io.StringIO(fh.read()), ndmin=2)
+    try:
+        rows = np.loadtxt(io.StringIO(fh.read()), ndmin=2)
+    except ValueError as err:
+        raise FileFormatError(f"atom coordinates are not numbers: {err}", offset=1) from None
     if rows.shape != (m, d):
         raise FileFormatError(
             f"expected {m} rows of {d} coordinates, got shape {tuple(rows.shape)}",

@@ -329,9 +329,9 @@ def reference_solve(loss, penalty, atomic_set, iters=1_000_000, tol=1e-10):
     can skip. iters_used is the number of CG steps behind the returned
     candidate.
     """
-    if iters < 1:
-        raise ContractViolationError("iters must be >= 1")
-    if not (math.isnan(tol) is False and tol >= 0):
+    if not 1 <= iters < math.inf:
+        raise ContractViolationError("iters must be a finite number >= 1")
+    if not tol >= 0:
         raise ContractViolationError("tol must be nonnegative")
     if not penalty.guarantees_convergence:
         raise ContractViolationError(

@@ -8,11 +8,8 @@ Two losses are provided over a dense data matrix (features A, targets b):
               softplus so huge margins neither overflow nor lose the value.
 
 ``smoothness_wrt`` returns an upper curvature constant L over the set's
-own atoms (the symmetrized set gives the same constant): the largest
-|<A p, A q>| over atom pairs, times the scalar curvature bound of the link
-function. Negating an atom only flips signs in that Gram matrix, so the
-paper's symmetrized set needs no copy. For the implicit kinds this
-collapses to closed forms in the feature column norms.
+own atoms: the set's bound on |<A p, A q>| over atom pairs
+(AtomicSet.gram_bound) times the scalar curvature bound of the link function.
 """
 
 import io
@@ -20,7 +17,6 @@ import io
 import numpy as np
 from scipy.special import expit
 
-from . import atoms as _atoms
 from .errors import ContractViolationError, FileFormatError
 
 
@@ -75,7 +71,10 @@ def load_data_file(path):
         except ValueError:
             raise FileFormatError("data header entries are not integers", offset=0) from None
         body = fh.read().replace(",", " ")
-    rows = np.loadtxt(io.StringIO(body), ndmin=2)
+    try:
+        rows = np.loadtxt(io.StringIO(body), ndmin=2)
+    except ValueError as err:
+        raise FileFormatError(f"data values are not numbers: {err}", offset=1) from None
     if rows.shape != (n, d + 1):
         raise FileFormatError(
             f"expected {n} rows of {d} features + target, got shape {tuple(rows.shape)}",
@@ -137,17 +136,7 @@ class _Loss:
         """
         if atomic_set.dimension != self.data.d:
             raise ContractViolationError("atomic set dimension does not match data")
-        A = self.data.features
-        scale = atomic_set.scale
-        if atomic_set.kind == _atoms.SIGNED_BASIS:
-            base = scale**2 * float(np.max(np.sum(A * A, axis=0)))
-        elif atomic_set.kind == _atoms.HYPERCUBE:
-            base = scale**2 * float(np.sum(np.sqrt(np.sum(A * A, axis=0)))) ** 2
-        else:
-            mapped = A @ atomic_set.atoms_matrix().T  # columns are A p
-            gram = mapped.T @ mapped
-            base = float(np.max(np.abs(gram)))
-        return self._curvature(base)
+        return self._curvature(atomic_set.gram_bound(self.data.features))
 
 
 class QuadraticLoss(_Loss):

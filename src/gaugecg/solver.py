@@ -8,27 +8,17 @@ pre-set schedule theta. Optional gap-safe screening shrinks the active
 mask as atoms are certified out of the optimal support.
 
 The state keeps the margins ax = A x alongside x and moves them with the
-iterate, ax <- (1 - theta) ax + theta * A s; for the signed basis A s is
-one scaled column of A, so the update costs O(n). The margins are re-synced
-to A x every _RESYNC_EVERY iterations. Everything per iteration comes from
-them: the loss link v with gradient = A'v, and the duality gap in the
+iterate, ax <- (1 - theta) ax + theta * A s (AtomicSet.image), and re-syncs
+them to A x every _RESYNC_EVERY iterations. Everything per iteration comes
+from them: the loss link v with gradient = A'v, and the duality gap in the
 margins form v'(ax - A s) + h(x) - h(xi), which equals the primal form
 -grad'(s - x) + h(x) - h(s). The same function, certificate, gives the
 full-set gap of the reference oracle. The loss value is computed only for
 trace rows.
 
-At most one score vector serves each step: the certificate's oracle
-scores the active atoms, values <p, -grad>, takes the argmax atom from
-them, and the screening rule reads the same pair. Once screening has
-pruned a signed basis the scores come straight from the columns of A that
-still carry an active atom, with no d-length gradient. At full mask a
-signed basis or a hypercube answers from an implicit oracle and scores
-the atoms only for a screening pass. The step then moves x and ax in
-place: x *= 1 - theta, plus theta * xi * C at the one coordinate a
-signed-basis atom touches, and ax *= 1 - theta, ax += theta * A s. Both
-are bit-identical to the convex-combination formulas above. On a
-signed-basis step after the first only that coordinate can grow, so the
-divergence check reads it alone.
+At most one score vector serves each step: the screening rule reads the
+scores of the certificate's oracle (AtomicSet.oracle). The step moves x
+(AtomicSet.move) and ax in place, bit-identical to the formulas above.
 
 The conic coefficient ledger is kept as raw weights plus one global decay
 multiplier, so the (1 - theta) rescale of every step is O(1).
@@ -36,11 +26,11 @@ multiplier, so the (1 - theta) rescale of every step is O(1).
 
 import hashlib
 import math
+import numbers
 import time
 
 import numpy as np
 
-from . import atoms as _atoms
 from . import screening as _screening
 from .errors import (
     ContractViolationError,
@@ -83,9 +73,12 @@ class SolverConfig:
         trace_every=1,
         keep_snapshots=False,
     ):
-        if max_iters != int(max_iters) or max_iters < 1:
-            raise ContractViolationError("max_iters must be an integer >= 1")
-        if math.isnan(gap_tolerance) or gap_tolerance < 0:
+        counts = dict(max_iters=max_iters, screen_every=screen_every, trace_every=trace_every)
+        for name, count in counts.items():
+            real = isinstance(count, numbers.Real)  # int(count) needs a finite real
+            if not (real and 1 <= count < math.inf and count == int(count)):
+                raise ContractViolationError(f"{name} must be an integer >= 1")
+        if not isinstance(gap_tolerance, numbers.Real) or not gap_tolerance >= 0:
             raise ContractViolationError("gap_tolerance must be >= 0")
         if step_schedule not in _SCHEDULES:
             raise ContractViolationError(
@@ -95,10 +88,6 @@ class SolverConfig:
             raise ContractViolationError(
                 f"screening_mode must be one of {_SCREEN_MODES}, got {screening_mode!r}"
             )
-        if screen_every != int(screen_every) or screen_every < 1:
-            raise ContractViolationError("screen_every must be an integer >= 1")
-        if trace_every != int(trace_every) or trace_every < 1:
-            raise ContractViolationError("trace_every must be an integer >= 1")
         self.max_iters = int(max_iters)
         self.gap_tolerance = float(gap_tolerance)
         self.step_schedule = step_schedule
@@ -187,8 +176,6 @@ class SolverState:
             }
         # margins A x, kept incrementally by step (see _margins)
         self.ax = None
-        # (mask, coordinates, compact columns of A) for the active columns
-        self._columns = None
         self._smoothness = None
         self._started = time.perf_counter()
 
@@ -204,10 +191,11 @@ class SolverState:
 
     @property
     def kappa_bound(self):
-        """Upper bound on the gauge of x: the ledger sum, tightened to the
-        exact closed form for the signed basis."""
-        if self._aset.kind == _atoms.SIGNED_BASIS:
-            return float(np.abs(self.x).sum()) / self._aset.scale
+        """Upper bound on the gauge of x: the ledger sum, unless the set
+        reads the gauge off x itself (see AtomicSet.iterate_gauge)."""
+        gauge = self._aset.iterate_gauge(self.x)
+        if gauge is not None:
+            return gauge
         return self._ledger_scale * math.fsum(self._ledger.values())
 
     def reconstruct(self):
@@ -267,25 +255,21 @@ def problem_fingerprint(loss, penalty, atomic_set):
 class _Certificate:
     """Oracle answer and duality gap at one point.
 
-    ids and values are the oracle's scores <p, -grad> over the active atoms,
-    ids ascending; the screening rule reads the same pair. They stay None
-    at full mask on a signed basis or a hypercube, whose implicit oracles
-    score no atom, until scores() enumerates them. grad is A'v, None once
-    a pruned signed basis scores straight from its active columns. xi and
+    grad is A'v and _scores the oracle's (ids, values), as AtomicSet.oracle
+    returns them: either may be None when the oracle did without it. xi and
     gap stay +inf, and error holds the abort to raise, when the support
     value is not finite or the step subproblem is unbounded.
     """
 
     __slots__ = (
-        "v", "grad", "ids", "values", "atom_id", "sigma", "h_x", "xi", "image",
-        "gap", "error",
+        "v", "grad", "_scores", "atom_id", "sigma", "h_x", "xi", "image", "gap",
+        "error",
     )
 
-    def __init__(self, v, grad, ids, values, atom_id, sigma, h_x):
+    def __init__(self, v, grad, scores, atom_id, sigma, h_x):
         self.v = v
         self.grad = grad
-        self.ids = ids
-        self.values = values
+        self._scores = scores
         self.atom_id = atom_id
         self.sigma = sigma
         self.h_x = h_x
@@ -296,31 +280,10 @@ class _Certificate:
 
     def scores(self, atomic_set, mask):
         """(ids, values) over mask, the mask the oracle ran over; enumerated
-        here on first use when the oracle was the implicit one."""
-        if self.ids is None:
-            self.ids, self.values = atomic_set.dots(-self.grad, mask)
-        return self.ids, self.values
-
-
-def _active_scores(state, loss, atomic_set, v):
-    """Scores <p, -grad> of the active atoms of a pruned signed basis.
-
-    They come from a compact copy of the columns of A that an active atom
-    touches, rebuilt when the mask changes: the value of atom +/-C e_k is
-    -/+C * (A'v)_k, bit-identical to +/-C * (-grad)_k, and the other d
-    entries of the gradient are never formed.
-    """
-    mask = state.mask
-    if state._columns is None or state._columns[0] is not mask:
-        state._columns = None  # free the old copy before building the new one
-        ids = mask.active_ids()
-        d = atomic_set.dimension
-        cols = atomic_set.coordinates(ids)
-        pos = np.searchsorted(cols, ids % d)
-        neg_factor = np.where(ids < d, -atomic_set.scale, atomic_set.scale)
-        state._columns = (mask, ids, pos, neg_factor, loss.data.features[:, cols])
-    _, ids, pos, neg_factor, sub = state._columns
-    return ids, neg_factor * (sub.T @ v)[pos]
+        here on first use when the oracle scored no atom."""
+        if self._scores is None:
+            self._scores = atomic_set.dots(-self.grad, mask)
+        return self._scores
 
 
 def _at(state):
@@ -335,26 +298,13 @@ def certificate(loss, penalty, atomic_set, ax, kappa, state=None):
     A s = xi * image(atom), so the gap -grad'(s - x) + h(x) - h(s) is
     computed as v'(ax - A s) + h(x) - h(xi) without A x. With no state the
     oracle runs over the full atom set; with the solver state it runs over
-    state.mask. It scores the atoms once, keeps the scores for the
-    screening rule, and takes the first maximum (see atoms.best_atom). A
-    pruned signed basis scores only its active atoms, from their columns
-    of A (see _active_scores); at full mask a signed basis or a hypercube
-    takes the implicit oracle of AtomicSet.lmo and scores no atom.
+    state.mask. It scores the atoms at most once, keeps the scores for the
+    screening rule, and takes the first maximum (see AtomicSet.oracle).
     """
     v = loss.link(ax)
     mask = None if state is None else state.mask
-    grad = ids = values = None
-    if mask is not None and not mask.is_full and atomic_set.kind == _atoms.SIGNED_BASIS:
-        ids, values = _active_scores(state, loss, atomic_set, v)
-        atom_id, sigma = _atoms.best_atom(ids, values)
-    else:
-        grad = loss.data.features.T @ v
-        if atomic_set.kind != _atoms.EXPLICIT and (mask is None or mask.is_full):
-            atom_id, sigma = atomic_set.lmo(-grad)
-        else:
-            ids, values = atomic_set.dots(-grad, mask)
-            atom_id, sigma = _atoms.best_atom(ids, values)
-    cert = _Certificate(v, grad, ids, values, atom_id, sigma, penalty.value(kappa))
+    grad, scores, (atom_id, sigma) = atomic_set.oracle(loss.data.features, v, mask)
+    cert = _Certificate(v, grad, scores, atom_id, sigma, penalty.value(kappa))
     if not math.isfinite(sigma):
         cert.error = DivergenceError(f"support value {sigma!r}{_at(state)}")
         return cert
@@ -426,24 +376,6 @@ def _abort(state, loss, penalty, atomic_set, config, t, exc, sigma, xi, gap):
     raise exc
 
 
-def _move(x, atomic_set, theta, xi, atom_id):
-    """x <- (1 - theta) x + theta * xi * atom, in place and bit-identical to
-    that formula. For the signed basis only x_k meets a nonzero atom entry;
-    every other entry gets the formula's zero term theta * (xi * 0), which
-    turns a -0 into +0 as the formula does."""
-    if atomic_set.kind != _atoms.SIGNED_BASIS:
-        x *= 1.0 - theta
-        x += theta * (xi * atomic_set.atom_vector(atom_id))
-        return
-    d = atomic_set.dimension
-    k = atom_id % d
-    entry = atomic_set.scale if atom_id < d else -atomic_set.scale
-    x_k = x[k]
-    x *= 1.0 - theta
-    x += theta * (xi * 0.0)
-    x[k] = (1.0 - theta) * x_k + theta * (xi * entry)
-
-
 def step(state, loss, penalty, atomic_set, config):
     """Advance one iteration in place; returns the same state."""
     t = state.t
@@ -477,17 +409,17 @@ def step(state, loss, penalty, atomic_set, config):
             _snapshot(state, loss, t, cert.v)
 
     theta = theta_schedule(config.step_schedule, t)
-    _move(x, atomic_set, theta, xi, atom_id)
+    grown = atomic_set.move(x, theta, xi, atom_id)
     ax *= 1.0 - theta
     ax += theta * cert.image
     state._ledger_decay(theta)
     state._ledger_add(atom_id, theta * xi)
     state.t = t + 1
 
-    if t > 1 and atomic_set.kind == _atoms.SIGNED_BASIS:
-        # only x_k can grow (see _move), and every other entry passed the
-        # check a step ago; t = 1 checks all of x, as x0 is never checked
-        peak = abs(float(x[atom_id % atomic_set.dimension]))
+    if t > 1 and grown is not None:
+        # only x[grown] can grow (AtomicSet.move), the rest passed the check
+        # a step ago; t = 1 checks all of x, as x0 is never checked
+        peak = abs(float(x[grown]))
     else:
         peak = float(np.abs(x).max())
     if not math.isfinite(peak) or peak > _DIVERGENCE_LIMIT:

@@ -288,9 +288,15 @@ def test_atoms_file_round_trip(tmp_path):
 
 def test_atoms_file_errors_name_offsets(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("not a header\n")
-    with pytest.raises(FileFormatError):
-        gc.load_atoms_file(str(path))
+    for text, offset in (
+        ("not a header\n", 0),
+        ("atoms 2 2\n1.0 2.0\n", 1),
+        ("atoms 2 2\n1.0 2.0\n3 x\n", 1),
+    ):
+        path.write_text(text)
+        with pytest.raises(FileFormatError) as info:
+            gc.load_atoms_file(str(path))
+        assert info.value.offset == offset, text
 
 
 def test_fingerprints_distinguish_sets():
@@ -410,8 +416,75 @@ def test_atom_image_is_features_times_atom():
             )
 
 
-def test_signed_basis_coordinates():
-    aset = gc.AtomicSet.signed_basis(4)
-    assert aset.coordinates([0, 4, 6, 7]).tolist() == [0, 2, 3]
-    with pytest.raises(ContractViolationError):
-        gc.AtomicSet.hypercube(2).coordinates([0])
+def _oracle_matches_scoring(aset, features, v, mask):
+    """The oracle against best_atom over dots(-(A'v), mask): to the byte
+    where it scores through dots or lmo; the active columns of a pruned
+    signed basis sum A'v in another order, so there to within rounding."""
+    full_grad = features.T @ v
+    ids, values = aset.dots(-full_grad, mask)
+    grad, scores, best = aset.oracle(features, v, mask)
+    pruned_basis = aset.kind == atoms.SIGNED_BASIS and not mask.is_full
+    assert (grad is None) == pruned_basis
+    assert (scores is None) == (mask.is_full and aset.kind != atoms.EXPLICIT)
+    if scores is None:  # the implicit oracle (see AtomicSet.lmo)
+        assert best == aset.lmo(-full_grad)
+        assert best[0] == atoms.best_atom(ids, values)[0]
+        return
+    assert scores[0].tobytes() == ids.tobytes()
+    if not pruned_basis:
+        assert grad.tobytes() == full_grad.tobytes()
+        assert scores[1].tobytes() == values.tobytes()
+        assert best == atoms.best_atom(ids, values)
+        return
+    coords = ids % aset.dimension
+    rounding = 8 * np.finfo(float).eps * aset.scale * (np.abs(features).T @ np.abs(v))
+    assert np.all(np.abs(scores[1] - values) <= rounding[coords])
+    assert best[0] == atoms.best_atom(ids, values)[0]
+    assert best == atoms.best_atom(*scores)
+
+
+def test_oracle_scores_match_dots_on_every_kind():
+    # a pruned signed basis scores from its active columns, an explicit set
+    # or a pruned hypercube through dots, a full implicit set through lmo
+    rng = np.random.default_rng(31)
+    d = 6
+    features = rng.standard_normal((9, d))
+    sets = (
+        gc.AtomicSet.signed_basis(d, scale=0.3),
+        gc.AtomicSet.hypercube(d, scale=0.3),
+        gc.AtomicSet.explicit(rng.standard_normal((7, d)), scale=0.3),
+    )
+    for aset in sets:
+        for trial in range(40):
+            v = rng.standard_normal(9)
+            mask = aset.full_mask()
+            if trial:
+                off = rng.random(aset.num_atoms) < rng.uniform(0.1, 0.7)
+                off[int(rng.integers(aset.num_atoms))] = False  # keep one atom
+                mask.deactivate(np.flatnonzero(off))
+            _oracle_matches_scoring(aset, features, v, mask)
+    # one-sided (+e_0 only, -e_1 only), two-sided (e_2) and gone (e_3..e_5)
+    aset = sets[0]
+    mask = aset.full_mask()
+    mask.deactivate([3, 4, 5, d + 0, d + 3, d + 4, d + 5])
+    _oracle_matches_scoring(aset, features, rng.standard_normal(9), mask)
+
+
+def test_column_cache_never_outlives_its_mask():
+    # the compact columns are cached on the mask: a copy, a deactivated
+    # mask, another features object or another set must not read them
+    rng = np.random.default_rng(32)
+    features = rng.standard_normal((8, 5))
+    aset = gc.AtomicSet.signed_basis(5, scale=0.3)
+    v = rng.standard_normal(8)
+    mask = aset.full_mask()
+    mask.deactivate([0, 7])
+    _oracle_matches_scoring(aset, features, v, mask)  # builds the cache
+    copy = mask.copy()
+    copy.deactivate([3, 4])
+    _oracle_matches_scoring(aset, features, v, copy)
+    mask.deactivate([1, 9])
+    _oracle_matches_scoring(aset, features, v, mask)
+    _oracle_matches_scoring(aset, features.copy() * 2.0, v, mask)
+    _oracle_matches_scoring(gc.AtomicSet.signed_basis(5, scale=2.0), features, v, mask)
+    _oracle_matches_scoring(aset, features, v, copy)

@@ -258,8 +258,9 @@ def test_reference_gap_matches_the_conjugate_form():
 
 def test_reference_validation():
     loss, penalty, aset = one_dim_problem()
-    with pytest.raises(ContractViolationError):
-        gc.reference_solve(loss, penalty, aset, iters=0)
+    for iters in (0, math.nan, math.inf):
+        with pytest.raises(ContractViolationError):
+            gc.reference_solve(loss, penalty, aset, iters=iters)
     with pytest.raises(ContractViolationError):
         gc.reference_solve(loss, penalty, aset, tol=-1.0)
     linear = gc.Penalty.power(1.0, weight=10.0)

@@ -69,12 +69,15 @@ def test_data_file_round_trip(tmp_path):
 
 def test_data_file_errors(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("2 2\n1.0 2.0 1.0\n")
-    with pytest.raises(FileFormatError):
-        gc.load_data_file(str(path))
-    path.write_text("nope\n")
-    with pytest.raises(FileFormatError):
-        gc.load_data_file(str(path))
+    for text, offset in (
+        ("2 2\n1.0 2.0 1.0\n", 1),
+        ("nope\n", 0),
+        ("2 2\n1.0 2.0 1.0\n3 x 1.0\n", 1),
+    ):
+        path.write_text(text)
+        with pytest.raises(FileFormatError) as info:
+            gc.load_data_file(str(path))
+        assert info.value.offset == offset, text
 
 
 # ------------------------------------------------------------------- quadratic

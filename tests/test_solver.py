@@ -37,6 +37,12 @@ def test_theta_schedule_values():
         {"screening_mode": "prune"},
         {"screen_every": 0},
         {"trace_every": 0},
+        {"max_iters": math.nan},
+        {"max_iters": math.inf},
+        {"max_iters": "3"},
+        {"gap_tolerance": "x"},
+        {"screen_every": math.nan},
+        {"trace_every": math.inf},
     ],
 )
 def test_config_validation(kwargs):
@@ -162,9 +168,8 @@ def test_run_from_optimum_sees_zero_gap_immediately():
 @pytest.mark.parametrize("kind", ["signed-basis", "hypercube", "explicit-list"])
 def test_in_place_move_is_the_formula_to_the_bit(kind):
     # x <- (1 - theta) x + theta * xi * atom, signed zeros included: a -0
-    # entry (theta = 1 on a negative warm start) meets the formula's +0 term
-    from gaugecg.solver import _move
-
+    # entry (theta = 1 on a negative warm start) meets the formula's +0 term;
+    # the signed basis names the one coordinate that can grow, x_k
     rng = np.random.default_rng(8)
     if kind == "signed-basis":
         aset = gc.AtomicSet.signed_basis(4, scale=1.5)
@@ -179,8 +184,14 @@ def test_in_place_move_is_the_formula_to_the_bit(kind):
             for xi in (0.0, 1.3):
                 expected = (1.0 - theta) * start + theta * (xi * aset.atom_vector(atom_id))
                 x = start.copy()
-                _move(x, aset, theta, xi, atom_id)
+                grown = aset.move(x, theta, xi, atom_id)
                 assert x.tobytes() == expected.tobytes(), (atom_id, theta, xi)
+                if kind != "signed-basis":
+                    assert grown is None
+                    continue
+                assert grown == atom_id % d
+                others = np.arange(d) != grown
+                assert np.all(np.abs(x[others]) <= np.abs(start[others]))
 
 
 @pytest.mark.parametrize("kind", ["signed-basis", "explicit-list"])
