@@ -27,7 +27,6 @@ Ties in the linear oracle always resolve to the lowest atom id.
 import io
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import ContractViolationError, FileFormatError, InfeasibleGaugeError
 
@@ -417,6 +416,10 @@ class AtomicSet:
         return self._gauge_lp(x)
 
     def _gauge_lp(self, x):
+        # imported on first use: no other path of the package needs
+        # scipy.optimize, and loading it is a large share of the import time
+        from scipy.optimize import linprog
+
         m = self.num_atoms
         if not np.any(x):
             return 0.0, np.zeros(m)

@@ -16,7 +16,6 @@ import os
 import struct
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import atoms as _atoms
 from . import penalties as _penalties
@@ -34,6 +33,8 @@ from .solver import (
     SolverState,
     TraceRecord,
     certificate,
+    check_count,
+    check_tolerance,
     problem_fingerprint,
     run,
     step,
@@ -199,6 +200,8 @@ def _restricted_minimize(loss, penalty, mat, c0, flat_steps=False):
     search can only shrink below rounding is taken in full instead, when
     the value stays within a few ulps and the projected gradient shrinks.
     """
+    from scipy.optimize import minimize  # on first use, as in atoms._gauge_lp
+
     alpha, weight = penalty.alpha, penalty.weight
 
     def fun(c):
@@ -329,10 +332,8 @@ def reference_solve(loss, penalty, atomic_set, iters=1_000_000, tol=1e-10):
     can skip. iters_used is the number of CG steps behind the returned
     candidate.
     """
-    if not 1 <= iters < math.inf:
-        raise ContractViolationError("iters must be a finite number >= 1")
-    if not tol >= 0:
-        raise ContractViolationError("tol must be nonnegative")
+    check_count("iters", iters)
+    check_tolerance("tol", tol)
     if not penalty.guarantees_convergence:
         raise ContractViolationError(
             "reference oracle requires a penalty with quadratic growth"

@@ -4,7 +4,8 @@ The rule is evaluated at the current iterate from a duality-gap certificate:
 an active atom p is removed when sigma + p'grad > 2*sqrt(L*gap), where sigma
 is the support value of -grad over the active mask and L the curvature
 constant of the loss over the set's own atoms (the symmetrized set gives
-the same constant). The atom that
+the same constant); a gap below its rounding bound is raised to the bound
+(see apply_rule). The atom that
 achieves sigma scores exactly zero and is additionally protected outright.
 The scores are not recomputed here: the certificate's linear oracle has
 already scored every active atom, values <p, -grad>, and the rule takes
@@ -41,7 +42,7 @@ class ScreenReport:
         )
 
 
-def apply_rule(mask, ids, values, sigma, gap, L, t=None):
+def apply_rule(mask, ids, values, sigma, gap, L, t=None, rounding=None):
     """Apply the screening rule once; returns (mask, report).
 
     Inputs must come from one consistent certificate: ids and values the
@@ -52,6 +53,12 @@ def apply_rule(mask, ids, values, sigma, gap, L, t=None):
     modified: the returned mask is a pruned copy when the pass removes
     atoms and the incoming mask itself when it removes none; when no score
     exceeds the radius it returns at once, with an empty report.
+
+    rounding, when given, returns the rounding bound b of gap. It is
+    called only when some score exceeds the radius, and the pass then
+    removes at the radius 2*sqrt(L*max(gap, b)): a gap within rounding of
+    zero (an exact optimum reads 0) certifies nothing, and at radius 0 the
+    support atoms, which score 0 only up to rounding, would go.
     """
     if not (math.isfinite(L) and L > 0):
         raise ContractViolationError(f"smoothness constant must be finite positive, got {L!r}")
@@ -64,6 +71,10 @@ def apply_rule(mask, ids, values, sigma, gap, L, t=None):
     # rounding is monotone, so sigma - min(values) is max(sigma - values)
     if not values.size or sigma - values.min() <= threshold:
         return mask, ScreenReport(t, [], threshold, sigma, mask.active_count)
+    if rounding is not None:
+        floor = rounding()
+        if floor > gap:
+            threshold = 2.0 * math.sqrt(L * floor)
     scores = sigma - values
     keep_id = ids[int(np.argmin(scores))]
     removable = (scores > threshold) & (ids != keep_id)

@@ -59,6 +59,19 @@ def theta_schedule(schedule, t):
     raise ContractViolationError(f"unknown step schedule {schedule!r}")
 
 
+def check_count(name, count):
+    """Refuse anything but a finite real with an integer value >= 1."""
+    real = isinstance(count, numbers.Real)  # int(count) needs a finite real
+    if not (real and 1 <= count < math.inf and count == int(count)):
+        raise ContractViolationError(f"{name} must be an integer >= 1")
+
+
+def check_tolerance(name, tol):
+    """Refuse anything but a real >= 0, so NaN too."""
+    if not isinstance(tol, numbers.Real) or not tol >= 0:
+        raise ContractViolationError(f"{name} must be >= 0")
+
+
 class SolverConfig:
     """Knobs for a single run."""
 
@@ -75,11 +88,8 @@ class SolverConfig:
     ):
         counts = dict(max_iters=max_iters, screen_every=screen_every, trace_every=trace_every)
         for name, count in counts.items():
-            real = isinstance(count, numbers.Real)  # int(count) needs a finite real
-            if not (real and 1 <= count < math.inf and count == int(count)):
-                raise ContractViolationError(f"{name} must be an integer >= 1")
-        if not isinstance(gap_tolerance, numbers.Real) or not gap_tolerance >= 0:
-            raise ContractViolationError("gap_tolerance must be >= 0")
+            check_count(name, count)
+        check_tolerance("gap_tolerance", gap_tolerance)
         if step_schedule not in _SCHEDULES:
             raise ContractViolationError(
                 f"step_schedule must be one of {_SCHEDULES}, got {step_schedule!r}"
@@ -263,10 +273,10 @@ class _Certificate:
 
     __slots__ = (
         "v", "grad", "_scores", "atom_id", "sigma", "h_x", "xi", "image", "gap",
-        "error",
+        "error", "_ax", "_h_xi",
     )
 
-    def __init__(self, v, grad, scores, atom_id, sigma, h_x):
+    def __init__(self, v, grad, scores, atom_id, sigma, h_x, ax):
         self.v = v
         self.grad = grad
         self._scores = scores
@@ -277,6 +287,8 @@ class _Certificate:
         self.image = None
         self.gap = math.inf
         self.error = None
+        self._ax = ax
+        self._h_xi = math.inf
 
     def scores(self, atomic_set, mask):
         """(ids, values) over mask, the mask the oracle ran over; enumerated
@@ -284,6 +296,17 @@ class _Certificate:
         if self._scores is None:
             self._scores = atomic_set.dots(-self.grad, mask)
         return self._scores
+
+    def rounding(self):
+        """Bound on the rounding error of a finite gap: the error of the
+        length-n dot product v'(ax - A s) over margins that carry their own
+        rounding, plus the penalty values. A gap within it has no sign.
+        Reads the margins, so it holds only until the step moves them."""
+        v = self.v
+        scale = float(np.abs(v).sum()) * float(
+            np.abs(self._ax).max() + np.abs(self.image).max()
+        )
+        return v.size * _EPS * (scale + self.h_x + self._h_xi)
 
 
 def _at(state):
@@ -304,7 +327,7 @@ def certificate(loss, penalty, atomic_set, ax, kappa, state=None):
     v = loss.link(ax)
     mask = None if state is None else state.mask
     grad, scores, (atom_id, sigma) = atomic_set.oracle(loss.data.features, v, mask)
-    cert = _Certificate(v, grad, scores, atom_id, sigma, penalty.value(kappa))
+    cert = _Certificate(v, grad, scores, atom_id, sigma, penalty.value(kappa), ax)
     if not math.isfinite(sigma):
         cert.error = DivergenceError(f"support value {sigma!r}{_at(state)}")
         return cert
@@ -315,18 +338,13 @@ def certificate(loss, penalty, atomic_set, ax, kappa, state=None):
         return cert
     cert.image = cert.xi * atomic_set.image(loss.data.features, atom_id)
     if not math.isinf(cert.h_x):
-        h_xi = penalty.value(cert.xi)
-        gap = float(v @ (ax - cert.image)) + cert.h_x - h_xi
-        if -math.inf < gap < 0.0:
-            # The gap is nonnegative by weak duality. A negative value within
-            # the rounding error of this evaluation (a length-n dot product
-            # over margins that carry their own rounding) has no sign and
-            # reads as zero; a larger one is kept, so corruption still shows.
-            scale = float(np.abs(v).sum()) * float(
-                np.abs(ax).max() + np.abs(cert.image).max()
-            )
-            if gap >= -v.size * _EPS * (scale + cert.h_x + h_xi):
-                gap = 0.0
+        cert._h_xi = penalty.value(cert.xi)
+        gap = float(v @ (ax - cert.image)) + cert.h_x - cert._h_xi
+        # The gap is nonnegative by weak duality. A negative value within its
+        # rounding error has no sign and reads as zero; a larger one is kept,
+        # so corruption still shows.
+        if -math.inf < gap < 0.0 and gap >= -cert.rounding():
+            gap = 0.0
         if math.isnan(gap):
             cert.error = DivergenceError(f"gap is NaN{_at(state)}")
         cert.gap = gap
@@ -397,6 +415,7 @@ def step(state, loss, penalty, atomic_set, config):
         ids, values = cert.scores(atomic_set, state.mask)
         new_mask, report = _screening.apply_rule(
             state.mask, ids, values, sigma, gap, state._smoothness, t=t,
+            rounding=cert.rounding,
         )
         if report.removed_ids:
             state.screen_events.append(report)

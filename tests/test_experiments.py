@@ -268,6 +268,16 @@ def test_reference_validation():
         gc.reference_solve(loss, linear, aset)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"iters": 1.5}, {"iters": "3"}, {"iters": None}, {"tol": "x"}, {"tol": None}],
+)
+def test_reference_rejects_non_numbers(kwargs):
+    loss, penalty, aset = one_dim_problem()
+    with pytest.raises(ContractViolationError):
+        gc.reference_solve(loss, penalty, aset, **kwargs)
+
+
 def test_reference_unreached_flag():
     # indicator penalties admit no restricted polish, and this optimum sits
     # strictly inside a face, reached only in the limit of the open-loop

@@ -1,0 +1,85 @@
+"""What importing and running the package loads.
+
+A screened signed-basis solve, a CLI sweep and the trace files need only
+numpy and scipy.special; scipy.optimize (the LP gauge of an explicit atom
+list and the reference solver's polish) is imported on first use. Each
+check runs in a fresh interpreter: inside the test session any earlier test
+that reached scipy.optimize leaves it in sys.modules.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import gaugecg as gc
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(gc.__file__)))
+
+
+def run_fresh(code, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_solver_sweep_and_traces_do_not_load_scipy_optimize(tmp_path):
+    out = run_fresh(
+        f"""
+        import glob, sys
+        import gaugecg as gc
+        from gaugecg import cli
+        from gaugecg.experiments import read_trace_csv
+
+        data = gc.gen_synthetic(0, n=40, d=30)
+        cfg = gc.SolverConfig(max_iters=200, screening_enabled=True)
+        result = gc.run(
+            gc.LogisticLoss(data), gc.Penalty.power(2.0, weight=0.1),
+            gc.AtomicSet.signed_basis(30), cfg,
+        )
+        assert result.screen_events, "the run never screened"
+        code = cli.main([
+            "synthetic", "--seed", "1", "--n", "40", "--d", "10",
+            "--lambda", "0.1,1.0", "--iters", "50", "--screen", "prune",
+            "--out", {str(tmp_path)!r},
+        ])
+        assert code == 0
+        traces = sorted(glob.glob({str(tmp_path / "*.csv")!r}))
+        assert len(traces) == 4
+        for path in traces:
+            if not path.endswith(".screen.csv"):
+                assert read_trace_csv(path)
+        print("scipy.optimize" in sys.modules, "scipy.special" in sys.modules)
+        """,
+        tmp_path,
+    )
+    assert out.split()[-2:] == ["False", "True"]
+
+
+def test_lp_gauge_and_reference_import_scipy_optimize_on_first_use(tmp_path):
+    out = run_fresh(
+        """
+        import sys
+        import numpy as np
+        import gaugecg as gc
+
+        assert "scipy.optimize" not in sys.modules
+        atoms = gc.AtomicSet.explicit(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]))
+        assert abs(atoms.gauge_value(np.array([2.0, 3.0])) - 5.0) < 1e-12
+        assert "scipy.optimize" in sys.modules
+
+        data = gc.gen_synthetic(0, n=30, d=6)
+        ref = gc.reference_solve(
+            gc.LogisticLoss(data), gc.Penalty.power(2.0, weight=1.0),
+            gc.AtomicSet.signed_basis(6),
+        )
+        print(ref.reached, ref.gap <= 1e-10)
+        """,
+        tmp_path,
+    )
+    assert out.split()[-2:] == ["True", "True"]

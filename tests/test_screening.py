@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import gaugecg as gc
 from gaugecg.errors import CertificateCorruptionError, ContractViolationError
@@ -186,6 +186,70 @@ def test_solver_screening_matches_brute_force_on_every_set_kind(kind, mode):
             assert len(active) == event.remaining
     if mode == "report-only":
         assert all(len(snap.active_ids) == aset.num_atoms for snap in result.snapshots)
+
+
+def test_rounding_floor_is_read_only_when_atoms_would_go():
+    aset = gc.AtomicSet.signed_basis(2)
+    grad = np.array([-1.0, 0.0])
+    calls = []
+
+    def rounding():
+        calls.append(None)
+        return 1e-20
+
+    # every score within the radius: the early exit never asks for the floor
+    rule_args = (aset.full_mask(), *aset.dots(-grad), 1.0)
+    _, report = apply_rule(*rule_args, 1.0, 1.0, rounding=rounding)
+    assert report.removed_ids == [] and calls == []
+    # at gap 0 the pass removes at the floor's radius, not at radius 0
+    _, report = apply_rule(*rule_args, 0.0, 4.0, rounding=rounding)
+    assert len(calls) == 1
+    assert report.threshold == 2.0 * math.sqrt(4.0 * 1e-20)
+    assert report.removed_ids == [1, 2, 3]
+    # a gap above the floor keeps its own radius
+    _, report = apply_rule(*rule_args, 1e-6, 4.0, rounding=rounding)
+    assert report.threshold == 2.0 * math.sqrt(4.0 * 1e-6)
+
+
+def closed_form_optimum(b, w):
+    """Minimizer of 0.5*|x - b|^2 + w*|x|_1^2 / 2 for targets b >= 0, and its
+    support: x_S = b_S - w*kappa with kappa = sum(b_S) / (1 + w*|S|), S the
+    largest top-k set of b whose smallest entry exceeds w*kappa."""
+    order = np.argsort(-b, kind="stable")
+    for k in range(b.size, 0, -1):
+        kappa = float(np.sum(b[order[:k]])) / (1.0 + w * k)
+        if b[order[k - 1]] > w * kappa:
+            break
+    support = sorted(int(i) for i in order[:k])
+    x = np.zeros(b.size)
+    x[support] = b[support] - w * kappa
+    return x, support
+
+
+@st.composite
+def sparse_targets(draw):
+    d = draw(st.integers(3, 7))
+    positive = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=d - 1, unique=True))
+    b = np.zeros(d)
+    b[positive] = draw(st.lists(st.floats(0.01, 1.0), min_size=len(positive), max_size=len(positive)))
+    return b
+
+
+@settings(max_examples=200)
+@given(b=sparse_targets(), w=st.floats(0.05, 1.0))
+@example(b=np.array([0.3, 0.7, 0.0]), w=0.1)
+def test_screening_at_an_exact_optimum_keeps_the_support(b, w):
+    # started at the closed-form optimum the gap often reads exactly 0; a
+    # radius of 0 would remove support atoms whose scores are 0 only up to
+    # rounding. Atom i is +e_i, the support's direction since x*_S > 0.
+    d = b.size
+    x_star, support = closed_form_optimum(b, w)
+    assume(len(support) >= 2)
+    loss = gc.QuadraticLoss(gc.DataMatrix(np.eye(d), b))
+    cfg = gc.SolverConfig(max_iters=1, screening_enabled=True)
+    result = gc.run(loss, gc.Penalty.power(2.0, weight=w), gc.AtomicSet.signed_basis(d), cfg, x0=x_star)
+    removed = {i for event in result.screen_events for i in event.removed_ids}
+    assert not removed & set(support)
 
 
 def test_report_repr_mentions_counts():
