@@ -177,64 +177,63 @@ def save_reference(reference, path):
 
 
 def load_reference(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return ReferenceSolution.from_json(fh.read())
+    """Read a file written by save_reference; any other content raises
+    FileFormatError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return ReferenceSolution.from_json(raw.decode("ascii"))
+    except (ValueError, TypeError) as err:
+        # JSONDecodeError and UnicodeDecodeError say where the bad byte is
+        offset = getattr(err, "pos", getattr(err, "start", None))
+        raise FileFormatError(
+            f"{path}: not a reference file: {err}", offset=offset
+        ) from None
 
 
 # Checkpoints at which the CG run pauses for the restricted polish. The
 # first is the warm start: 200 steps are enough for the polish to find the
 # support by adding atoms and certify gap <= tol on every instance surveyed
-# (n=100, d=50 and d=1000). The later ones are the fallback for a problem
-# on which that polish falls short.
+# (logistic at alpha 2 and 3 with n=100, d=50 and n=200, d=1000, and a small
+# quadratic over an explicit set). The later ones are the fallback for a
+# problem on which that polish falls short.
 _REFERENCE_PHASES = (200, 1_000, 5_000, 20_000, 60_000, 150_000, 400_000, 1_000_000)
 
 
-def _restricted_minimize(loss, penalty, mat, c0, flat_steps=False):
+def _restricted_minimize(loss, penalty, mat, c0):
     """Minimize f(Mc) + phi(1'c) over c >= 0 down to machine precision.
 
-    L-BFGS-B makes the bulk of the progress but stalls around 1e-9
-    suboptimality (its relative-reduction exit), far too loose for the
-    zero-tolerance safety tests; a projected Newton loop sharpens the
-    result until the free-coordinate gradient is at roundoff level. Its
-    steps must not raise the value. With flat_steps, a step that the line
-    search can only shrink below rounding is taken in full instead, when
-    the value stays within a few ulps and the projected gradient shrinks.
+    A projected Newton loop (Bertsekas, SIAM J. Control Optim. 1982) run
+    from c0, the ledger's warm start. Each step solves the Newton system on
+    the free coordinates (c > 0, or a gradient that points into c > 0) and
+    projects onto c >= 0. The step is halved until the value drops, or until
+    the value stays within 4 ulps and the projected gradient's max-norm
+    shrinks: near the optimum the value is flat to its last bit and cannot
+    judge a step alone. The loop stops once that norm is at roundoff level
+    or no halving is accepted. phi is a power penalty with alpha >= 2, the
+    only one that reference_solve polishes.
     """
-    from scipy.optimize import minimize  # on first use, as in atoms._gauge_lp
-
     alpha, weight = penalty.alpha, penalty.weight
+    features = loss.data.features
+    flat = 4.0 * np.finfo(float).eps
 
-    def fun(c):
+    def evaluate(c):
         point = mat @ c
         total = float(np.sum(c))
         value = loss.value(point) + penalty.value(total)
         grad_c = mat.T @ loss.gradient(point) + weight * total ** (alpha - 1.0)
-        return value, grad_c
-
-    def projected_norm(c, grad_c):
         free = (c > 0.0) | (grad_c < 0.0)
-        return free, (float(np.max(np.abs(grad_c[free]))) if np.any(free) else 0.0)
+        norm = float(np.max(np.abs(grad_c[free]))) if np.any(free) else 0.0
+        return value, grad_c, free, norm
 
-    found = minimize(
-        fun, c0, jac=True, method="L-BFGS-B",
-        bounds=[(0.0, None)] * mat.shape[1],
-        options={"maxiter": 500},
-    )
-    c = np.maximum(found.x, 0.0)
-    features = loss.data.features
+    c = c0
+    value, grad_c, free, norm = evaluate(c)
     for _ in range(60):
-        value, grad_c = fun(c)
-        free, norm = projected_norm(c, grad_c)
         if norm < 1e-15:
             break
-        point = mat @ c
-        total = float(np.sum(c))
-        if total == 0.0 and alpha < 2.0:
-            curve = 0.0
-        else:
-            curve = weight * (alpha - 1.0) * total ** (alpha - 2.0)
+        curve = weight * (alpha - 1.0) * float(np.sum(c)) ** (alpha - 2.0)
         mapped = features @ mat[:, free]
-        omega = loss.curvature_weights(point)
+        omega = loss.curvature_weights(mat @ c)
         hess = mapped.T @ (mapped * omega[:, None]) + curve
         hess += (1e-14 * (1.0 + np.max(np.diag(hess)))) * np.eye(hess.shape[0])
         try:
@@ -245,44 +244,33 @@ def _restricted_minimize(loss, penalty, mat, c0, flat_steps=False):
         for _ in range(60):
             trial = c.copy()
             trial[free] = np.maximum(c[free] - scale * direction, 0.0)
-            if fun(trial)[0] <= value:
+            if np.array_equal(trial, c):
+                return c  # the step shrank below rounding
+            t_value, t_grad, t_free, t_norm = evaluate(trial)
+            if t_value < value or (t_value <= value + flat * abs(value) and t_norm < norm):
                 break
             scale *= 0.5
         else:
             break
-        if np.array_equal(trial, c):
-            # the halvings shrank the step below rounding: the value is flat
-            # to its last bit here and cannot judge the step
-            if not flat_steps:
-                break
-            trial = c.copy()
-            trial[free] = np.maximum(c[free] - direction, 0.0)
-            trial_value, trial_grad = fun(trial)
-            flat = value + 4.0 * np.finfo(float).eps * abs(value)
-            if not (trial_value <= flat and projected_norm(trial, trial_grad)[1] < norm):
-                break
-        c = trial
+        c, value, grad_c, free, norm = trial, t_value, t_grad, t_free, t_norm
     return c
 
 
 def _polish(loss, penalty, atomic_set, state, tol):
     """Candidate solution from the current state.
 
-    For power penalties with alpha > 1 the smooth restricted problem over
-    the ledger support (coefficients >= 0) is minimized to machine
-    precision, and while the full-set gap stays above tol with the best
-    scoring atom outside the working support, that atom is added and the
-    minimization repeated. Other penalties fall back to the raw iterate.
-    Returns the candidate with a full-set gap certificate evaluated at it.
+    For power penalties the smooth restricted problem over the ledger
+    support (coefficients >= 0) is minimized to machine precision, and
+    while the full-set gap stays above tol with the best scoring atom
+    outside the working support, that atom is added and the minimization
+    repeated. Once the best atom is already in the support, the polish has
+    reached its precision and stops. Other penalties fall back to the raw
+    iterate. Returns the candidate with a full-set gap certificate
+    evaluated at it.
     """
     coeffs = state.coeffs
     support = sorted(_screening.support_of(coeffs))
-    refinable = (
-        bool(support)
-        and penalty.kind == _penalties.POWER
-        and penalty.alpha > 1.0
-    )
-    if not refinable:
+    if not support or penalty.kind != _penalties.POWER:
         x = state.x.copy()
         cert = certificate(loss, penalty, atomic_set, loss.margins(x), state.kappa_bound)
         return {
@@ -293,22 +281,14 @@ def _polish(loss, penalty, atomic_set, state, tol):
             "support": _screening.support_of(coeffs),
         }
     c = np.array([coeffs[i] for i in support])
-    flat_steps = False
     for _ in range(50):
         mat = np.stack([atomic_set.atom_vector(i) for i in support], axis=1)
-        c = _restricted_minimize(loss, penalty, mat, c, flat_steps)
+        c = _restricted_minimize(loss, penalty, mat, c)
         x = mat @ c
         cert = certificate(loss, penalty, atomic_set, loss.margins(x), float(np.sum(c)))
-        if cert.gap <= tol:
+        if cert.gap <= tol or cert.atom_id in support:
             break
-        best_id = cert.atom_id
-        if best_id in support:
-            if flat_steps:
-                break  # the floor is optimizer precision, not a missing atom
-            # the Newton loop may have stalled on the value's last bit
-            flat_steps = True
-            continue
-        support.append(best_id)
+        support.append(cert.atom_id)
         c = np.append(c, 0.0)
     return {
         "x": x,
@@ -504,10 +484,15 @@ def read_trace_csv(path):
             parts = line.strip().split(",")
             if len(parts) != len(TRACE_COLUMNS):
                 raise FileFormatError(f"{path}: malformed trace row {line!r}", offset=0)
-            values = {
-                col: (int(cell) if col in _INT_TRACE_COLUMNS else float(cell))
-                for col, cell in zip(TRACE_COLUMNS, parts)
-            }
+            try:
+                values = {
+                    col: (int(cell) if col in _INT_TRACE_COLUMNS else float(cell))
+                    for col, cell in zip(TRACE_COLUMNS, parts)
+                }
+            except ValueError:
+                raise FileFormatError(
+                    f"{path}: non-numeric cell in trace row {line!r}", offset=0
+                ) from None
             out.append(TraceRecord(**values))
     return out
 

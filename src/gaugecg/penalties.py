@@ -17,11 +17,11 @@ scalar step solution
 which is the conjugate's maximizer. +inf is represented by math.inf
 (float('inf')); comparisons against it saturate naturally.
 
-Quadratic-growth bookkeeping: each penalty records constants
-(mu, phi0, xi0) with  phi(xi) >= mu*xi^2 - phi0  and
-xi_step(nu) <= nu/mu + xi0. Kinds with bounded domain register mu = +inf
-(the step is capped outright); power exponents below 2 register mu = 0,
-which flags that the sublinear-rate guarantee does not apply.
+Quadratic-growth bookkeeping: each penalty records a constant mu with
+phi(xi) >= mu*xi^2 - c for some constant c, so that xi_step grows at most
+like nu/mu. Kinds with bounded domain register mu = +inf (the step is
+capped outright); power exponents below 2 register mu = 0, which flags
+that the sublinear-rate guarantee does not apply.
 """
 
 import math
@@ -61,34 +61,20 @@ class Penalty:
         if kind == POWER:
             if self.alpha is None or self.alpha < 1 or not math.isfinite(self.alpha):
                 raise ContractViolationError("power exponent must satisfy alpha >= 1")
-            self._init_power_constants()
+            # alpha in [1, 2): no quadratic growth, no rate guarantee
+            self.mu = self.weight / self.alpha if self.alpha >= 2.0 else 0.0
         elif kind == LOG_BARRIER:
             if self.cap is None or not self.cap > 0:
                 raise ContractViolationError("log-barrier cap must be positive")
             if self.growth is None or not self.growth > 0:
                 raise ContractViolationError("log-barrier growth must be positive")
-            self.mu, self.phi0, self.xi0 = math.inf, 0.0, self.cap
+            self.mu = math.inf
         elif kind == INDICATOR:
             if self.cap is None or not self.cap > 0:
                 raise ContractViolationError("indicator cap must be positive")
-            self.mu, self.phi0, self.xi0 = math.inf, 0.0, self.cap
+            self.mu = math.inf
         else:
             raise ContractViolationError(f"unknown penalty kind {kind!r}")
-
-    def _init_power_constants(self):
-        a, w = self.alpha, self.weight
-        if a == 2.0:
-            self.mu, self.phi0, self.xi0 = w / 2.0, 0.0, 0.0
-        elif a > 2.0:
-            # largest phi0 for mu = w/alpha; the deficit mu*xi^2 - phi(xi)
-            # peaks at the touching point xbar
-            self.mu = w / a
-            xbar = (2.0 / a) ** (1.0 / (a - 2.0))
-            self.phi0 = self.mu * xbar**2 - w * xbar**a / a
-            self.xi0 = xbar
-        else:
-            # alpha in [1, 2): no quadratic growth, no rate guarantee
-            self.mu, self.phi0, self.xi0 = 0.0, 0.0, math.inf
 
     # -- constructors ---------------------------------------------------
 

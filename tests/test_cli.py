@@ -180,6 +180,22 @@ def test_residuals_wrong_reference_problem(tmp_path, capsys):
     assert "different problems" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"x": [1.0]', b'{"x": [1.0]}', b'{"x": [1.0]}\n\xff'],
+    ids=["truncated-json", "missing-keys", "non-ascii-byte"],
+)
+def test_residuals_bad_reference_file_is_format_error(tmp_path, content, capsys):
+    path = tmp_path / "ref.json"
+    path.write_bytes(content)
+    code = main([
+        "residuals", "--seed", "5", "--n", "40", "--d", "12",
+        "--iters", "50", "--reference", str(path), "--out", str(tmp_path),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_reference_rejects_grids(capsys):
     assert main(["reference", "--lambda", "0.5,1.0", "--iters", "10"]) == 3
     assert "single" in capsys.readouterr().err
