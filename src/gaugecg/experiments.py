@@ -8,10 +8,12 @@ ExperimentConfig. One CSV trace is written per grid point, named by a
 hash of the full configuration so reruns overwrite their own output.
 """
 
+import dataclasses
 import gzip
 import hashlib
 import json
 import math
+import operator
 import os
 import struct
 
@@ -32,6 +34,7 @@ from .solver import (
     SolverConfig,
     SolverState,
     TraceRecord,
+    _check_enumerable,
     certificate,
     check_count,
     check_tolerance,
@@ -41,10 +44,8 @@ from .solver import (
 )
 
 TRACE_COLUMNS = TraceRecord.__slots__
-SCREEN_COLUMNS = ("t", "removed_ids", "threshold", "sigma", "remaining")
+SCREEN_COLUMNS = _screening.ScreenReport.__slots__
 RESIDUAL_COLUMNS = ("t", "objective_error", "gap", "gradient_error", "support_error")
-
-_INT_TRACE_COLUMNS = {"t", "active_atoms", "nonzeros"}
 
 
 def gen_synthetic(seed, n=100, d=50):
@@ -129,45 +130,41 @@ def load_mnist_pair(images_path, labels_path, digits=(4, 9)):
     return DataMatrix(features, targets)
 
 
+@dataclasses.dataclass(eq=False)
 class ReferenceSolution:
     """High-accuracy solution used as ground truth by the safety tests.
 
     Iterating unpacks to (x, grad, support_ids, delta).
     """
 
-    def __init__(self, x, grad, objective, support_ids, delta, gap,
-                 iters_used, reached, fingerprint):
-        self.x = np.asarray(x, dtype=float)
-        self.grad = np.asarray(grad, dtype=float)
-        self.objective = float(objective)
-        self.support_ids = frozenset(int(i) for i in support_ids)
-        self.delta = float(delta)
-        self.gap = float(gap)
-        self.iters_used = int(iters_used)
-        self.reached = bool(reached)
-        self.fingerprint = fingerprint
+    x: np.ndarray
+    grad: np.ndarray
+    objective: float
+    support_ids: frozenset
+    delta: float
+    gap: float
+    iters_used: int
+    reached: bool
+    fingerprint: str
+
+    def __post_init__(self):
+        self.x = np.asarray(self.x, dtype=float)
+        self.grad = np.asarray(self.grad, dtype=float)
+        self.objective = float(self.objective)
+        self.support_ids = frozenset(int(i) for i in self.support_ids)
+        self.delta = float(self.delta)
+        self.gap = float(self.gap)
+        self.iters_used = int(self.iters_used)
+        self.reached = bool(self.reached)
 
     def __iter__(self):
         return iter((self.x, self.grad, self.support_ids, self.delta))
 
-    def to_json(self):
-        payload = {
-            "x": [float(v) for v in self.x],
-            "grad": [float(v) for v in self.grad],
-            "objective": self.objective,
-            "support_ids": sorted(self.support_ids),
-            "delta": self.delta,
-            "gap": self.gap,
-            "iters_used": self.iters_used,
-            "reached": self.reached,
-            "fingerprint": self.fingerprint,
-        }
-        return json.dumps(payload, sort_keys=True)
+    to_json = _screening._record_json
 
     @classmethod
     def from_json(cls, text):
-        raw = json.loads(text)
-        return cls(**raw)
+        return cls(**json.loads(text))
 
 
 def save_reference(reference, path):
@@ -310,7 +307,10 @@ def reference_solve(loss, penalty, atomic_set, iters=1_000_000, tol=1e-10):
     that certifies a full-set gap <= tol; otherwise exhausts the iteration
     budget and returns the best candidate with reached=False so callers
     can skip. iters_used is the number of CG steps behind the returned
-    candidate.
+    candidate. A CG run that aborts with DivergenceError (open-loop steps
+    can overshoot before the support settles) is not an error here: the
+    state it leaves is polished like a checkpoint, and its candidate is the
+    last one.
     """
     check_count("iters", iters)
     check_tolerance("tol", tol)
@@ -318,22 +318,24 @@ def reference_solve(loss, penalty, atomic_set, iters=1_000_000, tol=1e-10):
         raise ContractViolationError(
             "reference oracle requires a penalty with quadratic growth"
         )
+    _check_enumerable(atomic_set)
     iters = int(iters)
     checkpoints = sorted({min(p, iters) for p in _REFERENCE_PHASES} | {iters})
     config = SolverConfig(max_iters=iters, trace_every=iters)
     state = SolverState(atomic_set)
-    done = 0
     best = None
-    used = 0
     for target in checkpoints:
-        while done < target:
-            step(state, loss, penalty, atomic_set, config)
-            done += 1
+        diverged = False
+        try:
+            while state.t <= target:
+                step(state, loss, penalty, atomic_set, config)
+        except DivergenceError:
+            diverged = True
         candidate = _polish(loss, penalty, atomic_set, state, tol)
         if best is None or candidate["gap"] < best["gap"]:
             best = candidate
-            used = done
-        if best["gap"] <= tol:
+            used = state.t - 1
+        if best["gap"] <= tol or diverged:
             break
     margin = _screening.delta(atomic_set, best["grad"], best["support"])
     return ReferenceSolution(
@@ -349,15 +351,19 @@ def reference_solve(loss, penalty, atomic_set, iters=1_000_000, tol=1e-10):
     )
 
 
+@dataclasses.dataclass
 class ResidualSeries:
     """Per-iterate errors of a run against a reference solution."""
 
-    def __init__(self, ts, objective_error, gap, gradient_error, support_error):
-        self.ts = list(ts)
-        self.objective_error = list(objective_error)
-        self.gap = list(gap)
-        self.gradient_error = list(gradient_error)
-        self.support_error = list(support_error)
+    ts: list
+    objective_error: list
+    gap: list
+    gradient_error: list
+    support_error: list
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            setattr(self, field.name, list(getattr(self, field.name)))
 
     def __len__(self):
         return len(self.ts)
@@ -458,67 +464,38 @@ def rate_slope(series, t_lo, t_hi):
     return float(coeffs[0])
 
 
-def _fmt(value):
+def _cell(value):
+    """One CSV cell: an int as an int, a float by its repr (bit-exact on
+    reading back), a list of atom ids ;-joined."""
     if isinstance(value, (bool, np.bool_)):
-        raise ContractViolationError("booleans do not belong in trace CSVs")
+        raise ContractViolationError("booleans do not belong in CSV cells")
     if isinstance(value, (int, np.integer)):
         return str(int(value))
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return ";".join(str(int(i)) for i in value)
     return repr(float(value))
+
+
+def _write_csv(path, columns, rows):
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def write_trace_csv(trace, path):
     """Emit the pinned trace header and one row per record, repr floats."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for row in trace:
-            fh.write(",".join(_fmt(getattr(row, col)) for col in TRACE_COLUMNS) + "\n")
-
-
-def read_trace_csv(path):
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != ",".join(TRACE_COLUMNS):
-            raise FileFormatError(f"{path}: unexpected trace header {header!r}", offset=0)
-        out = []
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != len(TRACE_COLUMNS):
-                raise FileFormatError(f"{path}: malformed trace row {line!r}", offset=0)
-            try:
-                values = {
-                    col: (int(cell) if col in _INT_TRACE_COLUMNS else float(cell))
-                    for col, cell in zip(TRACE_COLUMNS, parts)
-                }
-            except ValueError:
-                raise FileFormatError(
-                    f"{path}: non-numeric cell in trace row {line!r}", offset=0
-                ) from None
-            out.append(TraceRecord(**values))
-    return out
+    _write_csv(path, TRACE_COLUMNS, map(operator.attrgetter(*TRACE_COLUMNS), trace))
 
 
 def write_screen_csv(events, path):
     """Screening events, one row per pass that removed atoms; the removed
     ids are ;-joined inside a single CSV cell."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(SCREEN_COLUMNS) + "\n")
-        for event in events:
-            ids = ";".join(str(int(i)) for i in event.removed_ids)
-            fh.write(
-                f"{event.t},{ids},{_fmt(event.threshold)},"
-                f"{_fmt(event.sigma)},{event.remaining}\n"
-            )
+    _write_csv(path, SCREEN_COLUMNS, map(operator.attrgetter(*SCREEN_COLUMNS), events))
 
 
 def write_residuals_csv(series, path):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(RESIDUAL_COLUMNS) + "\n")
-        for i in range(len(series)):
-            fh.write(
-                f"{series.ts[i]},{_fmt(series.objective_error[i])},"
-                f"{_fmt(series.gap[i])},{_fmt(series.gradient_error[i])},"
-                f"{series.support_error[i]}\n"
-            )
+    _write_csv(path, RESIDUAL_COLUMNS, zip(*dataclasses.astuple(series)))
 
 
 def read_csv_columns(path):
@@ -540,6 +517,24 @@ def read_csv_columns(path):
     return {name: table[:, i] for i, name in enumerate(header)}
 
 
+def read_trace_csv(path):
+    """Read a file written by write_trace_csv; the count columns, typed int
+    on TraceRecord, must hold integers."""
+    table = read_csv_columns(path)
+    if tuple(table) != TRACE_COLUMNS:
+        raise FileFormatError(f"{path}: unexpected trace header {','.join(table)!r}", offset=0)
+    columns = []
+    for field in dataclasses.fields(TraceRecord):
+        values = table[field.name].tolist()
+        if field.type is int:
+            if not all(v.is_integer() for v in values):
+                raise FileFormatError(f"{path}: non-integer {field.name} cell", offset=0)
+            values = [int(v) for v in values]
+        columns.append(values)
+    return [TraceRecord(*row) for row in zip(*columns)]
+
+
+@dataclasses.dataclass
 class ExperimentConfig:
     """One experiment invocation, possibly fanning out over a penalty grid.
 
@@ -547,47 +542,39 @@ class ExperimentConfig:
     trace rows except for the wall-clock elapsed_s column.
     """
 
-    def __init__(
-        self,
-        experiment,
-        seed=0,
-        n=100,
-        d=50,
-        penalty_kind=_penalties.POWER,
-        alphas=(2.0,),
-        weights=(1.0,),
-        capacity=1.0,
-        growth=1.0,
-        scale=1.0,
-        solver=None,
-        out_dir=".",
-        images_path=None,
-        labels_path=None,
-        digits=(4, 9),
-    ):
-        if experiment not in ("synthetic", "mnist"):
+    experiment: str
+    seed: int = 0
+    n: int = 100
+    d: int = 50
+    penalty_kind: str = _penalties.POWER
+    alphas: tuple = (2.0,)
+    weights: tuple = (1.0,)
+    capacity: float = 1.0
+    growth: float = 1.0
+    scale: float = 1.0
+    solver: SolverConfig | None = None
+    out_dir: str = "."
+    images_path: str | None = None
+    labels_path: str | None = None
+    digits: tuple = (4, 9)
+
+    def __post_init__(self):
+        if self.experiment not in ("synthetic", "mnist"):
             raise ContractViolationError(
-                f"experiment must be 'synthetic' or 'mnist', got {experiment!r}"
+                f"experiment must be 'synthetic' or 'mnist', got {self.experiment!r}"
             )
-        if experiment == "mnist" and (images_path is None or labels_path is None):
+        if self.experiment == "mnist" and (self.images_path is None or self.labels_path is None):
             raise ContractViolationError("mnist experiment needs images and labels paths")
-        if not alphas or not weights:
+        if not self.alphas or not self.weights:
             raise ContractViolationError("alpha and weight grids must be nonempty")
-        self.experiment = experiment
-        self.seed = int(seed)
-        self.n = int(n)
-        self.d = int(d)
-        self.penalty_kind = penalty_kind
-        self.alphas = tuple(float(a) for a in alphas)
-        self.weights = tuple(float(w) for w in weights)
-        self.capacity = float(capacity)
-        self.growth = float(growth)
-        self.scale = float(scale)
-        self.solver = solver if solver is not None else SolverConfig()
-        self.out_dir = out_dir
-        self.images_path = images_path
-        self.labels_path = labels_path
-        self.digits = tuple(int(v) for v in digits)
+        self.seed, self.n, self.d = int(self.seed), int(self.n), int(self.d)
+        self.alphas = tuple(float(a) for a in self.alphas)
+        self.weights = tuple(float(w) for w in self.weights)
+        self.capacity, self.growth = float(self.capacity), float(self.growth)
+        self.scale = float(self.scale)
+        if self.solver is None:
+            self.solver = SolverConfig()
+        self.digits = tuple(int(v) for v in self.digits)
 
     def build_penalty(self, alpha, weight):
         if self.penalty_kind == _penalties.POWER:
@@ -618,7 +605,7 @@ class ExperimentConfig:
     def stem(self, alpha, weight):
         """File stem of one grid point: the experiment name and a hash of
         the point and of every field but out_dir, solver knobs included."""
-        fields = dict(vars(self), solver=vars(self.solver))
+        fields = dataclasses.asdict(self)
         del fields["out_dir"]
         fields["point"] = (float(alpha), float(weight))
         canon = json.dumps(fields, sort_keys=True, default=str)

@@ -12,9 +12,11 @@ already scored every active atom, values <p, -grad>, and the rule takes
 sigma - values (negation is exact, so this is sigma + p'grad to the bit).
 
 Also here: the degeneracy margin delta of a reference solution, support
-extraction from a coefficient ledger, and the JSON support certificate.
+extraction from a coefficient ledger, the JSON support certificate, and
+the one record-to-JSON codec that it and the reference solution share.
 """
 
+import dataclasses
 import json
 import math
 
@@ -23,17 +25,16 @@ import numpy as np
 from .errors import CertificateCorruptionError, ContractViolationError
 
 
+@dataclasses.dataclass(slots=True)
 class ScreenReport:
-    """Outcome of one screening pass."""
+    """Outcome of one screening pass; field names and order are the
+    screen CSV columns."""
 
-    __slots__ = ("t", "removed_ids", "threshold", "sigma", "remaining")
-
-    def __init__(self, t, removed_ids, threshold, sigma, remaining):
-        self.t = t
-        self.removed_ids = removed_ids
-        self.threshold = threshold
-        self.sigma = sigma
-        self.remaining = remaining
+    t: int
+    removed_ids: list
+    threshold: float
+    sigma: float
+    remaining: int
 
     def __repr__(self):
         return (
@@ -116,53 +117,47 @@ def support_of(coeffs, relative_tol=1e-6):
     return {i for i, w in coeffs.items() if w > cut}
 
 
+def _record_json(record):
+    """A dataclass record as JSON text: sorted keys, arrays as float lists,
+    id sets sorted, and non-finite floats as their repr ("inf", "nan"),
+    which json has no literal for; the records' float conversions read
+    them back, and also the Infinity and NaN that json itself writes."""
+
+    def encode(value):
+        if isinstance(value, np.ndarray):
+            return [encode(float(v)) for v in value]
+        if isinstance(value, (set, frozenset)):
+            return sorted(value)
+        if isinstance(value, float) and not math.isfinite(value):
+            return repr(value)
+        return value
+
+    fields = dataclasses.fields(record)
+    return json.dumps({f.name: encode(getattr(record, f.name)) for f in fields}, sort_keys=True)
+
+
+@dataclasses.dataclass
 class SupportCertificate:
     """Identified-support claim with the quantities that justify it."""
 
-    def __init__(self, support_ids, delta, identified_at, L, min_gap):
-        if delta < 0:
+    support_ids: frozenset
+    delta: float
+    identified_at: int | None
+    L: float
+    min_gap: float
+
+    def __post_init__(self):
+        self.support_ids = frozenset(int(i) for i in self.support_ids)
+        self.delta = float(self.delta)
+        if self.delta < 0:
             raise ContractViolationError("delta must be nonnegative")
-        self.support_ids = frozenset(int(i) for i in support_ids)
-        self.delta = float(delta)
-        self.identified_at = None if identified_at is None else int(identified_at)
-        self.L = float(L)
-        self.min_gap = float(min_gap)
+        if self.identified_at is not None:
+            self.identified_at = int(self.identified_at)
+        self.L = float(self.L)
+        self.min_gap = float(self.min_gap)
 
-    def __eq__(self, other):
-        if not isinstance(other, SupportCertificate):
-            return NotImplemented
-        return (
-            self.support_ids == other.support_ids
-            and self.delta == other.delta
-            and self.identified_at == other.identified_at
-            and self.L == other.L
-            and self.min_gap == other.min_gap
-        )
-
-    def to_json(self):
-        def enc(v):
-            return repr(v) if isinstance(v, float) and not math.isfinite(v) else v
-
-        payload = {
-            "support_ids": sorted(self.support_ids),
-            "delta": enc(self.delta),
-            "identified_at": self.identified_at,
-            "L": enc(self.L),
-            "min_gap": enc(self.min_gap),
-        }
-        return json.dumps(payload, sort_keys=True)
+    to_json = _record_json
 
     @classmethod
     def from_json(cls, text):
-        raw = json.loads(text)
-
-        def dec(v):
-            return float(v) if isinstance(v, str) else v
-
-        return cls(
-            support_ids=raw["support_ids"],
-            delta=dec(raw["delta"]),
-            identified_at=raw["identified_at"],
-            L=dec(raw["L"]),
-            min_gap=dec(raw["min_gap"]),
-        )
+        return cls(**json.loads(text))

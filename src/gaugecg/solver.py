@@ -24,6 +24,7 @@ The conic coefficient ledger is kept as raw weights plus one global decay
 multiplier, so the (1 - theta) rescale of every step is O(1).
 """
 
+import dataclasses
 import hashlib
 import math
 import numbers
@@ -72,86 +73,70 @@ def check_tolerance(name, tol):
         raise ContractViolationError(f"{name} must be >= 0")
 
 
-class SolverConfig:
-    """Knobs for a single run."""
-
-    def __init__(
-        self,
-        max_iters=1000,
-        gap_tolerance=0.0,
-        step_schedule="2t1",
-        screening_enabled=False,
-        screening_mode="prune-lmo",
-        screen_every=1,
-        trace_every=1,
-        keep_snapshots=False,
-    ):
-        counts = dict(max_iters=max_iters, screen_every=screen_every, trace_every=trace_every)
-        for name, count in counts.items():
-            check_count(name, count)
-        check_tolerance("gap_tolerance", gap_tolerance)
-        if step_schedule not in _SCHEDULES:
-            raise ContractViolationError(
-                f"step_schedule must be one of {_SCHEDULES}, got {step_schedule!r}"
-            )
-        if screening_mode not in _SCREEN_MODES:
-            raise ContractViolationError(
-                f"screening_mode must be one of {_SCREEN_MODES}, got {screening_mode!r}"
-            )
-        self.max_iters = int(max_iters)
-        self.gap_tolerance = float(gap_tolerance)
-        self.step_schedule = step_schedule
-        self.screening_enabled = bool(screening_enabled)
-        self.screening_mode = screening_mode
-        self.screen_every = int(screen_every)
-        self.trace_every = int(trace_every)
-        self.keep_snapshots = bool(keep_snapshots)
-
-
-class TraceRecord:
-    """One monitored iteration; attribute names match the CSV columns."""
-
-    __slots__ = (
-        "t",
-        "objective",
-        "gap",
-        "min_gap",
-        "sigma",
-        "active_atoms",
-        "nonzeros",
-        "xi",
-        "elapsed_s",
-    )
-
-    def __init__(self, t, objective, gap, min_gap, sigma, active_atoms, nonzeros, xi, elapsed_s):
-        self.t = t
-        self.objective = objective
-        self.gap = gap
-        self.min_gap = min_gap
-        self.sigma = sigma
-        self.active_atoms = active_atoms
-        self.nonzeros = nonzeros
-        self.xi = xi
-        self.elapsed_s = elapsed_s
-
-    def __repr__(self):
-        return (
-            f"TraceRecord(t={self.t}, objective={self.objective:.6g}, "
-            f"gap={self.gap:.6g}, min_gap={self.min_gap:.6g}, "
-            f"active={self.active_atoms}, nonzeros={self.nonzeros})"
+def _check_enumerable(atomic_set):
+    """Refuse a set too large to enumerate before the first step, not in
+    it: screening, snapshots and reference solutions list atom ids."""
+    if not atomic_set.enumerable:
+        raise ContractViolationError(
+            f"screening, snapshots and reference solutions need an enumerable "
+            f"atomic set; {atomic_set!r} is too large to enumerate"
         )
 
 
+@dataclasses.dataclass
+class SolverConfig:
+    """Knobs for a single run."""
+
+    max_iters: int = 1000
+    gap_tolerance: float = 0.0
+    step_schedule: str = "2t1"
+    screening_enabled: bool = False
+    screening_mode: str = "prune-lmo"
+    screen_every: int = 1
+    trace_every: int = 1
+    keep_snapshots: bool = False
+
+    def __post_init__(self):
+        for name in ("max_iters", "screen_every", "trace_every"):
+            check_count(name, getattr(self, name))
+            setattr(self, name, int(getattr(self, name)))
+        check_tolerance("gap_tolerance", self.gap_tolerance)
+        if self.step_schedule not in _SCHEDULES:
+            raise ContractViolationError(
+                f"step_schedule must be one of {_SCHEDULES}, got {self.step_schedule!r}"
+            )
+        if self.screening_mode not in _SCREEN_MODES:
+            raise ContractViolationError(
+                f"screening_mode must be one of {_SCREEN_MODES}, got {self.screening_mode!r}"
+            )
+        self.gap_tolerance = float(self.gap_tolerance)
+        self.screening_enabled = bool(self.screening_enabled)
+        self.keep_snapshots = bool(self.keep_snapshots)
+
+
+@dataclasses.dataclass(slots=True)
+class TraceRecord:
+    """One monitored iteration; field names and order are the CSV columns."""
+
+    t: int
+    objective: float
+    gap: float
+    min_gap: float
+    sigma: float
+    active_atoms: int
+    nonzeros: int
+    xi: float
+    elapsed_s: float
+
+
+@dataclasses.dataclass(slots=True, eq=False)
 class Snapshot:
     """Iterate-level data kept when config.keep_snapshots is on."""
 
-    __slots__ = ("t", "x", "grad", "active_ids")
-
-    def __init__(self, t, x, grad, active_ids):
-        self.t = t
-        self.x = x
-        self.grad = grad
-        self.active_ids = active_ids
+    t: int
+    x: np.ndarray
+    grad: np.ndarray
+    active_ids: frozenset
 
 
 class SolverState:
@@ -474,12 +459,8 @@ def run(loss, penalty, atomic_set, config, x0=None):
     final row for the terminal iterate (an extra gap evaluation, no update).
     Unbounded-step and divergence errors carry .t and a partial .result.
     """
-    if (config.screening_enabled or config.keep_snapshots) and not atomic_set.enumerable:
-        # both list active atom ids: refuse before the first step, not in it
-        raise ContractViolationError(
-            f"screening and snapshots need an enumerable atomic set; "
-            f"{atomic_set!r} is too large to enumerate"
-        )
+    if config.screening_enabled or config.keep_snapshots:
+        _check_enumerable(atomic_set)
     state = SolverState(atomic_set, x0=x0)
     while state.t <= config.max_iters:
         step(state, loss, penalty, atomic_set, config)

@@ -13,6 +13,7 @@ import gaugecg as gc
 from gaugecg import experiments
 from gaugecg.errors import (
     ContractViolationError,
+    DivergenceError,
     FileFormatError,
     ReferenceMismatchError,
 )
@@ -22,6 +23,7 @@ from gaugecg.experiments import (
     TRACE_COLUMNS,
     ExperimentConfig,
     ReferenceSolution,
+    ResidualSeries,
     identified_at,
     load_reference,
     rate_slope,
@@ -33,6 +35,7 @@ from gaugecg.experiments import (
     write_screen_csv,
     write_trace_csv,
 )
+from gaugecg.screening import ScreenReport
 from gaugecg.solver import TraceRecord
 
 from conftest import (
@@ -233,6 +236,34 @@ def test_reference_certifies_after_the_warm_start():
         ref = gc.reference_solve(loss, penalty, aset, iters=10**6, tol=1e-10)
         assert ref.reached and ref.gap <= 1e-10, i
         assert ref.iters_used == 200, i
+
+
+@pytest.mark.parametrize(
+    "rng_seed, weight, abort_t",
+    [(0, 0.1, 19), (0, 0.03, 9), (1, 0.03, 12), (2, 0.03, 15), (3, 0.03, 9)],
+)
+def test_reference_polishes_the_state_a_divergence_abort_leaves(rng_seed, weight, abort_t):
+    # open-loop steps overshoot past the divergence limit on these
+    # quadratics before the first checkpoint, but the support is found
+    loss, aset = tame_quadratic(np.random.default_rng(rng_seed))
+    penalty = gc.Penalty.power(2.0, weight=weight)
+    with pytest.raises(DivergenceError) as aborted:
+        gc.run(loss, penalty, aset, gc.SolverConfig(max_iters=200))
+    assert aborted.value.t == abort_t
+    ref = gc.reference_solve(loss, penalty, aset, iters=10**6, tol=1e-10)
+    assert ref.reached and ref.gap <= 1e-10
+    assert ref.iters_used == abort_t
+
+
+def test_reference_refuses_a_set_too_large_to_enumerate(monkeypatch):
+    # delta scores every atom: the refusal must come before any CG step
+    def no_step(*args):
+        raise AssertionError("reference_solve stepped before refusing")
+
+    monkeypatch.setattr(experiments, "step", no_step)
+    loss = gc.LogisticLoss(gc.gen_synthetic(0, n=10, d=23))
+    with pytest.raises(ContractViolationError, match="too large to enumerate"):
+        gc.reference_solve(loss, gc.Penalty.power(2.0), gc.AtomicSet.hypercube(23))
 
 
 def test_reference_gap_is_nonnegative_at_an_exact_optimum():
@@ -495,6 +526,15 @@ def test_trace_csv_rejects_non_numeric_cell(tmp_path):
         read_trace_csv(str(path))
 
 
+def test_trace_csv_rejects_a_fractional_count(tmp_path):
+    path = tmp_path / "trace.csv"
+    cells = ["1"] * len(TRACE_COLUMNS)
+    cells[TRACE_COLUMNS.index("active_atoms")] = "1.5"
+    path.write_text(",".join(TRACE_COLUMNS) + "\n" + ",".join(cells) + "\n")
+    with pytest.raises(FileFormatError):
+        read_trace_csv(str(path))
+
+
 def test_screen_csv_cells(tmp_path):
     data = gc.gen_synthetic(0, n=60, d=20)
     loss = gc.LogisticLoss(data)
@@ -549,6 +589,78 @@ def test_float_cells_are_bit_exact(tmp_path):
     assert back.sigma == values[2]
 
 
+# Hand-built records with every kind of cell the artifacts hold, and the
+# exact bytes each writer must give for them.
+_THIRD, _TINY, _INF, _NAN = 1.0 / 3.0, 2.0 ** -40, math.inf, math.nan
+_GOLDEN_TRACE = (
+    "t,objective,gap,min_gap,sigma,active_atoms,nonzeros,xi,elapsed_s\n"
+    "1,0.3333333333333333,9.094947017729282e-13,-0.0,inf,7,0,nan,0.5\n"
+    "20,-inf,0.0,0.0,1.0,3,2,0.3333333333333333,1.25\n"
+)
+_GOLDEN_SCREEN = (
+    "t,removed_ids,threshold,sigma,remaining\n"
+    "4,1;5,0.3333333333333333,inf,10\n"
+    "9,,9.094947017729282e-13,-0.0,10\n"
+)
+_GOLDEN_RESIDUALS = (
+    "t,objective_error,gap,gradient_error,support_error\n"
+    "1,0.3333333333333333,9.094947017729282e-13,nan,3\n"
+    "2,-0.0,inf,0.0,0\n"
+)
+_GOLDEN_CERTIFICATE = (
+    '{"L": 0.3333333333333333, "delta": "inf", "identified_at": null, '
+    '"min_gap": -0.0, "support_ids": [2, 5]}'
+)
+_GOLDEN_REFERENCE = (
+    '{"delta": "inf", "fingerprint": "ab", "gap": 9.094947017729282e-13, '
+    '"grad": [-0.0, "inf"], "iters_used": 200, "objective": "nan", '
+    '"reached": true, "support_ids": [0, 1], "x": [0.3333333333333333, 0.0]}\n'
+)
+
+
+def test_artifacts_match_their_golden_bytes(tmp_path):
+    trace = [
+        TraceRecord(1, _THIRD, _TINY, -0.0, _INF, 7, 0, _NAN, 0.5),
+        TraceRecord(20, -_INF, 0.0, 0.0, 1.0, 3, 2, _THIRD, 1.25),
+    ]
+    events = [ScreenReport(4, [1, 5], _THIRD, _INF, 10), ScreenReport(9, [], _TINY, -0.0, 10)]
+    series = ResidualSeries([1, 2], [_THIRD, -0.0], [_TINY, _INF], [_NAN, 0.0], [3, 0])
+    cert = gc.SupportCertificate([5, 2], _INF, None, _THIRD, -0.0)
+    ref = ReferenceSolution(
+        x=[_THIRD, 0.0], grad=[-0.0, _INF], objective=_NAN, support_ids=[1, 0],
+        delta=_INF, gap=_TINY, iters_used=200, reached=True, fingerprint="ab",
+    )
+    write_trace_csv(trace, str(tmp_path / "trace.csv"))
+    write_screen_csv(events, str(tmp_path / "screen.csv"))
+    write_screen_csv([], str(tmp_path / "empty.screen.csv"))
+    write_residuals_csv(series, str(tmp_path / "residuals.csv"))
+    save_reference(ref, str(tmp_path / "reference.json"))
+    assert (tmp_path / "trace.csv").read_bytes() == _GOLDEN_TRACE.encode()
+    assert (tmp_path / "screen.csv").read_bytes() == _GOLDEN_SCREEN.encode()
+    assert (tmp_path / "empty.screen.csv").read_bytes() == b"t,removed_ids,threshold,sigma,remaining\n"
+    assert (tmp_path / "residuals.csv").read_bytes() == _GOLDEN_RESIDUALS.encode()
+    assert cert.to_json() == _GOLDEN_CERTIFICATE
+    assert (tmp_path / "reference.json").read_bytes() == _GOLDEN_REFERENCE.encode()
+    # and each reads back to the same values
+    back = read_trace_csv(str(tmp_path / "trace.csv"))
+    assert repr(back) == repr(trace)
+    assert gc.SupportCertificate.from_json(_GOLDEN_CERTIFICATE) == cert
+    clone = load_reference(str(tmp_path / "reference.json"))
+    assert clone.to_json() + "\n" == _GOLDEN_REFERENCE
+
+
+def test_a_reference_with_json_infinity_literals_still_loads(tmp_path):
+    # files written before non-finite floats were spelled "inf"/"nan"
+    path = tmp_path / "old.json"
+    path.write_text(
+        _GOLDEN_REFERENCE.replace('"inf"', "Infinity").replace('"nan"', "NaN")
+    )
+    ref = load_reference(str(path))
+    assert ref.delta == math.inf and math.isnan(ref.objective)
+    assert ref.grad[1] == math.inf
+    assert ref.to_json() + "\n" == _GOLDEN_REFERENCE
+
+
 # --------------------------------------------------------------- orchestration
 
 
@@ -561,6 +673,13 @@ def test_experiment_config_grid_and_stem():
     assert stem == ExperimentConfig(
         "synthetic", alphas=(2.0, 3.0), weights=(0.01, 1.0)
     ).stem(2.0, 1.0)
+    # stems are file names: a change to the configuration's canonical form
+    # would orphan every artifact written before it
+    assert ExperimentConfig("synthetic").stem(2.0, 1.0) == "synthetic-b00712992efb"
+    solver = gc.SolverConfig(max_iters=500, screening_enabled=True, trace_every=10)
+    assert ExperimentConfig(
+        "synthetic", seed=3, weights=(0.01, 1.0), solver=solver
+    ).stem(2.0, 0.01) == "synthetic-a1053b75ec17"
 
 
 # One changed value per configuration field; the stem must see each of them.
