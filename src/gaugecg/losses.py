@@ -7,6 +7,9 @@ Two losses are provided over a dense data matrix (features A, targets b):
               targets restricted to {-1, +1}, evaluated with a stable
               softplus so huge margins neither overflow nor lose the value.
 
+The logistic link and curvature weights are numpy ufuncs too, so the
+losses, and the package with them, load no scipy module.
+
 ``smoothness_wrt`` returns an upper curvature constant L over the set's
 own atoms: the set's bound on |<A p, A q>| over atom pairs
 (AtomicSet.gram_bound) times the scalar curvature bound of the link function.
@@ -15,7 +18,6 @@ own atoms: the set's bound on |<A p, A q>| over atom pairs
 import io
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ContractViolationError, FileFormatError
 
@@ -174,7 +176,7 @@ class LogisticLoss(_Loss):
         super().__init__(data)
         if not np.all(np.isin(self.data.targets, (-1.0, 1.0))):
             raise ContractViolationError("logistic targets must be -1 or +1")
-        self._neg_targets = -self.data.targets
+        self._neg_targets_over_n = -self.data.targets / self.data.n
 
     def value(self, x):
         margins = self.data.targets * self.margins(x)
@@ -185,18 +187,23 @@ class LogisticLoss(_Loss):
         return self.data.features.T @ self.link(self.margins(x))
 
     def link(self, ax):
-        # -(b * expit(-b * ax)) / n to the bit (negation is exact), with two
-        # temporaries; expit(-m) = 1 - sigmoid(m) saturates cleanly
-        w = expit(self._neg_targets * ax)
-        w *= self._neg_targets
-        w /= self.data.n
-        return w
+        # -b / (n * (1 + exp(b * ax))), which is -(b * sigmoid(-b * ax)) / n,
+        # in place on one temporary. The exponent is clamped below exp's
+        # overflow at 709.78, so saturated margins raise no warning: past
+        # the clamp an entry reads at most 1/(n * exp(709)) ~ 1e-308 where
+        # the exact value is smaller still.
+        w = self.data.targets * ax
+        np.minimum(w, 709.0, out=w)
+        np.exp(w, out=w)
+        w += 1.0
+        return np.divide(self._neg_targets_over_n, w, out=w)
 
     def curvature_weights(self, x):
         """Per-row weights w with hessian(x) = A' diag(w) A."""
-        x = self._check_x(x)
-        margins = self.data.targets * (self.data.features @ x)
-        return expit(margins) * expit(-margins) / self.data.n
+        # sigmoid(m) * sigmoid(-m) = e / (1 + e)^2 with e = exp(-|m|) <= 1,
+        # even in the margin's sign, so the targets drop out
+        e = np.exp(-np.abs(self.margins(x)))
+        return e / (1.0 + e) ** 2 / self.data.n
 
     def _curvature(self, base):
         # the scalar link has second derivative at most 1/4, averaged over n

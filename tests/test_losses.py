@@ -3,6 +3,7 @@ against naive formulas on tame data, and curvature certificates against
 exact Hessian quadratic forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,10 +139,52 @@ def test_logistic_link_is_the_closed_form_to_the_bit():
     loss = gc.LogisticLoss(gc.DataMatrix(rng.standard_normal((n, 3)), b))
     ax = 5.0 * rng.standard_normal(n)
     ax[:6] = [1e3, -1e3, 1e3, -1e3, 0.0, -0.0]  # saturated margins, both signs
-    expected = -(b * expit(-b * ax)) / n
-    got = loss.link(ax)
-    assert np.array_equal(got, expected)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = (-b / n) / (np.exp(np.minimum(b * ax, 709.0)) + 1.0)
+        got = loss.link(ax)
     assert got.tobytes() == expected.tobytes()
+
+
+def test_logistic_link_tracks_scipy_expit():
+    # the link's former form, -(b * expit(-b * ax)) / n: within 3 ulps while
+    # the exact value is a normal number, and within 1e-300 past the clamp
+    rng = np.random.default_rng(14)
+    n = 200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trial in range(500):
+            b = np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
+            loss = gc.LogisticLoss(gc.DataMatrix(np.zeros((n, 1)), b))
+            ax = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(n)
+            if trial == 0:
+                ax[:12] = [0.0, -0.0, 700.0, -700.0, 709.0, -709.0,
+                           709.8, -709.8, 800.0, -800.0, 1e300, -1e300]
+            got = loss.link(ax)
+            expected = -(b * expit(-b * ax)) / n
+            inside = np.abs(b * ax) <= 700.0
+            ulps = np.abs(got - expected)[inside] / np.spacing(np.abs(expected[inside]))
+            assert ulps.max() <= 3.0
+            assert np.all(np.abs(got - expected)[~inside] <= 1e-300)
+            zero = ax == 0.0
+            assert np.array_equal(got[zero], expected[zero])
+            assert np.all(np.signbit(got) == (b > 0))
+
+
+def test_logistic_curvature_weights_match_the_sigmoid_product():
+    # one feature column holding the margins, so A x is them exactly
+    margins = np.concatenate([np.linspace(-800.0, 800.0, 16001), [0.0, -0.0]])
+    n = margins.size
+    b = np.where(np.random.default_rng(5).standard_normal(n) > 0, 1.0, -1.0)
+    loss = gc.LogisticLoss(gc.DataMatrix(margins[:, None], b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = loss.curvature_weights(np.ones(1))
+        m = b * margins
+        expected = expit(m) * expit(-m) / n
+    # relative 1e-14 wherever the weight is a normal number
+    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=np.finfo(float).tiny)
+    assert got[-2] == got[-1] == 0.25 / n
 
 
 def test_curvature_weights_factor_the_hessian():
