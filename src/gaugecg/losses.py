@@ -97,11 +97,13 @@ class _Loss:
     """Common plumbing for the two concrete losses.
 
     Both losses depend on x only through the margins ax = A x. Each states
-    its gradient once, as ``link(ax)``: the vector v with gradient = A'v.
-    ``gradient(x)`` computes the margins and calls it; the solver keeps ax
-    itself, calls ``link`` directly, and calls ``value(x)`` only for trace
-    rows. (value and gradient are defined on each concrete class, where
-    bench/tracing.py looks them up to wrap them.)
+    its value, gradient and curvature once, on the margins:
+    ``value_of_margins(ax)``, ``link(ax)`` (the vector v with gradient =
+    A'v) and ``curvature_weights(ax)``. ``value(x)`` and ``gradient(x)``
+    compute the margins and call them; the solver keeps ax itself, calls
+    ``link`` directly, and calls ``value(x)`` only for trace rows. (value
+    and gradient are defined on each concrete class, where bench/tracing.py
+    looks them up to wrap them.)
     """
 
     kind = None
@@ -147,7 +149,10 @@ class QuadraticLoss(_Loss):
     kind = "quadratic"
 
     def value(self, x):
-        r = self.margins(x) - self.data.targets
+        return self.value_of_margins(self.margins(x))
+
+    def value_of_margins(self, ax):
+        r = ax - self.data.targets
         return 0.5 * float(r @ r)
 
     def gradient(self, x):
@@ -156,8 +161,8 @@ class QuadraticLoss(_Loss):
     def link(self, ax):
         return ax - self.data.targets
 
-    def curvature_weights(self, x):
-        """Per-row weights w with hessian(x) = A' diag(w) A."""
+    def curvature_weights(self, ax):
+        """Per-row weights w with hessian = A' diag(w) A at margins ax."""
         return np.ones(self.data.n)
 
     def _curvature(self, base):
@@ -179,7 +184,10 @@ class LogisticLoss(_Loss):
         self._neg_targets_over_n = -self.data.targets / self.data.n
 
     def value(self, x):
-        margins = self.data.targets * self.margins(x)
+        return self.value_of_margins(self.margins(x))
+
+    def value_of_margins(self, ax):
+        margins = self.data.targets * ax
         # log(1 + exp(-m)) computed without overflow for any margin
         return float(np.mean(np.logaddexp(0.0, -margins)))
 
@@ -198,11 +206,11 @@ class LogisticLoss(_Loss):
         w += 1.0
         return np.divide(self._neg_targets_over_n, w, out=w)
 
-    def curvature_weights(self, x):
-        """Per-row weights w with hessian(x) = A' diag(w) A."""
+    def curvature_weights(self, ax):
+        """Per-row weights w with hessian = A' diag(w) A at margins ax."""
         # sigmoid(m) * sigmoid(-m) = e / (1 + e)^2 with e = exp(-|m|) <= 1,
         # even in the margin's sign, so the targets drop out
-        e = np.exp(-np.abs(self.margins(x)))
+        e = np.exp(-np.abs(ax))
         return e / (1.0 + e) ** 2 / self.data.n
 
     def _curvature(self, base):

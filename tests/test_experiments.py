@@ -201,7 +201,7 @@ def test_reference_certifies_past_a_stalled_newton_polish():
     loss, penalty, aset = synthetic_problem(3, lam=0.01)
     ref = gc.reference_solve(loss, penalty, aset, iters=10**6, tol=1e-10)
     assert ref.reached and ref.gap <= 1e-10
-    assert ref.iters_used == 200
+    assert ref.iters_used == 10
 
 
 def test_polish_certifies_the_20k_step_iterate_in_one_minimization(monkeypatch):
@@ -225,8 +225,47 @@ def test_polish_certifies_the_20k_step_iterate_in_one_minimization(monkeypatch):
     assert len(calls) == 1
 
 
+def test_polish_at_most_doubles_the_working_support_per_round(monkeypatch):
+    # the 10-step warm start holds a few of this instance's 23 support
+    # atoms; each polish round adds violators, best first, at most as many
+    # as the working support holds
+    loss, penalty, aset = synthetic_problem(3, lam=0.01)
+    calls = []
+    inner = experiments._restricted_minimize
+
+    def spy(loss_, penalty_, mat, c0):
+        c = inner(loss_, penalty_, mat, c0)
+        calls.append((mat, c))
+        return c
+
+    monkeypatch.setattr(experiments, "_restricted_minimize", spy)
+    ref = gc.reference_solve(loss, penalty, aset, iters=10**6, tol=1e-10)
+    assert ref.reached and ref.gap <= 1e-10
+    assert ref.iters_used == 10
+    assert len(ref.support_ids) == 23
+    assert len(calls) >= 3
+    atoms = aset.atoms_matrix()
+
+    def ids_of(mat):
+        return [int(np.flatnonzero((atoms == col).all(axis=1))[0]) for col in mat.T]
+
+    for (mat, c), (grown_mat, _) in zip(calls, calls[1:]):
+        support, grown = ids_of(mat), ids_of(grown_mat)
+        assert grown[: len(support)] == support
+        added = grown[len(support):]
+        assert 1 <= len(added) <= len(support)
+        ids, scores = aset.dots(-loss.gradient(mat @ c))
+        inside = np.isin(ids, support)
+        violators = ~inside & (scores > scores[inside].max())
+        assert np.all(violators[added])
+        left_out = violators & ~np.isin(ids, added)
+        if np.any(left_out):
+            assert scores[added].min() >= scores[left_out].max()
+    assert set(ids_of(calls[-1][0])) >= ref.support_ids
+
+
 def test_reference_certifies_after_the_warm_start():
-    # the active-set fast path: the polish of the 200-step warm start
+    # the working-set fast path: the polish of the 10-step warm start
     # certifies; a fall back to the long phases fails here
     problems = [synthetic_problem(seed, lam=lam) for seed in range(5) for lam in (0.01, 1.0)]
     problems.append(synthetic_problem(0, lam=1.0, alpha=3.0))
@@ -235,7 +274,7 @@ def test_reference_certifies_after_the_warm_start():
     for i, (loss, penalty, aset) in enumerate(problems):
         ref = gc.reference_solve(loss, penalty, aset, iters=10**6, tol=1e-10)
         assert ref.reached and ref.gap <= 1e-10, i
-        assert ref.iters_used == 200, i
+        assert ref.iters_used == 10, i
 
 
 @pytest.mark.parametrize(
@@ -244,7 +283,8 @@ def test_reference_certifies_after_the_warm_start():
 )
 def test_reference_polishes_the_state_a_divergence_abort_leaves(rng_seed, weight, abort_t):
     # open-loop steps overshoot past the divergence limit on these
-    # quadratics before the first checkpoint, but the support is found
+    # quadratics; an abort before the first checkpoint (t=9) is polished
+    # and the support is found, and the others certify at the checkpoint
     loss, aset = tame_quadratic(np.random.default_rng(rng_seed))
     penalty = gc.Penalty.power(2.0, weight=weight)
     with pytest.raises(DivergenceError) as aborted:
@@ -252,7 +292,7 @@ def test_reference_polishes_the_state_a_divergence_abort_leaves(rng_seed, weight
     assert aborted.value.t == abort_t
     ref = gc.reference_solve(loss, penalty, aset, iters=10**6, tol=1e-10)
     assert ref.reached and ref.gap <= 1e-10
-    assert ref.iters_used == abort_t
+    assert ref.iters_used == min(abort_t, 10)
 
 
 def test_reference_refuses_a_set_too_large_to_enumerate(monkeypatch):

@@ -179,7 +179,7 @@ def test_logistic_curvature_weights_match_the_sigmoid_product():
     loss = gc.LogisticLoss(gc.DataMatrix(margins[:, None], b))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = loss.curvature_weights(np.ones(1))
+        got = loss.curvature_weights(loss.margins(np.ones(1)))
         m = b * margins
         expected = expit(m) * expit(-m) / n
     # relative 1e-14 wherever the weight is a normal number
@@ -192,13 +192,33 @@ def test_curvature_weights_factor_the_hessian():
         loss, rng = build()
         A = loss.data.features
         x = rng.standard_normal(A.shape[1]) * 0.3
-        w = loss.curvature_weights(x)
+        w = loss.curvature_weights(loss.margins(x))
         hess = A.T @ (A * w[:, None])
         # compare against a finite-difference Jacobian of the gradient
         fd = np.stack(
             [fd_gradient(lambda y, k=k: loss.gradient(y)[k], x) for k in range(A.shape[1])]
         )
         np.testing.assert_allclose(hess, fd, atol=2e-5)
+
+
+def test_value_is_its_margins_form_to_the_bit():
+    # value(x) goes through value_of_margins(A x), which the reference
+    # polish calls on margins it keeps; both match the formulas written out
+    quadratic, rng = small_quadratic()
+    logistic, _ = small_logistic()
+    for loss in (quadratic, logistic):
+        A, b = loss.data.features, loss.data.targets
+        for scale in (0.3, 1.0, 1e3):
+            x = rng.standard_normal(A.shape[1]) * scale
+            ax = A @ x
+            if loss is quadratic:
+                r = ax - b
+                expected = 0.5 * float(r @ r)
+            else:
+                expected = float(np.mean(np.logaddexp(0.0, -(b * ax))))
+            got = loss.value(x)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+            assert np.float64(loss.value_of_margins(ax)).tobytes() == np.float64(got).tobytes()
 
 
 # ------------------------------------------------------------ smoothness bound
