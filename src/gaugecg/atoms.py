@@ -25,6 +25,7 @@ Ties in the linear oracle always resolve to the lowest atom id.
 """
 
 import io
+import mmap
 
 import numpy as np
 
@@ -37,6 +38,59 @@ EXPLICIT = "explicit-list"
 # Enumerating hypercube vertices (masks, score vectors, ...) is only allowed
 # at desk scale; the implicit sign oracle below has no such limit.
 _ENUM_LIMIT = 2 ** 22
+# entries per block when _ActiveColumns fills its copy
+_COPY_BLOCK = 2 ** 14
+
+
+class _ActiveColumns:
+    """The columns that the active atoms of a pruned signed basis touch,
+    copied for AtomicSet._column_scores and cached on the mask.
+
+    A screened run prunes dozens of times, the first copies at the full
+    size of the features. One cache serves all the masks of a run
+    (AtomMask.copy moves it along) and keeps its copy while the columns
+    stay the same. A new copy goes into the memory of the old one unless it
+    would fill less than half of it, so a run takes a few pieces of halving
+    size, each an anonymous map rather than a heap block: a freed heap block
+    that size stays with the process, and whether the next copy reused it
+    depended on what else had landed in the heap meanwhile, which moved the
+    peak memory of a process making several solves by a whole copy.
+    """
+
+    __slots__ = (
+        "aset", "features", "ids", "cols", "pos", "neg_factor", "memory", "sub",
+    )
+
+    def __init__(self):
+        self.aset = self.features = self.ids = None  # the rest set by _update
+
+    def scores(self, aset, features, ids, v):
+        if not (self.aset is aset and self.features is features and self.ids is ids):
+            self._update(aset, features, ids)
+        return self.neg_factor * (self.sub.T @ v)[self.pos]
+
+    def _update(self, aset, features, ids):
+        d = aset.dimension
+        coords = ids % d
+        cols = np.unique(coords)
+        pos = np.searchsorted(cols, coords)
+        neg_factor = np.where(ids < d, -aset.scale, aset.scale)
+        same_source = self.aset is aset and self.features is features
+        if not (same_source and np.array_equal(cols, self.cols)):
+            n = features.shape[0]
+            count = cols.size * n
+            if not (same_source and count <= self.memory.size < 2 * count):
+                self.aset = self.memory = self.sub = None  # unmap before mapping anew
+                mapped = mmap.mmap(-1, max(count * features.itemsize, 1))
+                self.memory = np.frombuffer(mapped, dtype=features.dtype, count=count)
+            # features[:, cols] in its column-major layout, a block at a time
+            rows = self.memory[:count].reshape(cols.size, n)
+            width = max(1, _COPY_BLOCK // n)
+            for start in range(0, cols.size, width):
+                rows[start:start + width] = features[:, cols[start:start + width]].T
+            self.sub = rows.T
+        self.aset, self.features, self.ids = aset, features, ids
+        self.cols, self.pos, self.neg_factor = cols, pos, neg_factor
 
 
 def best_atom(ids, values):
@@ -57,8 +111,10 @@ class AtomMask:
     exists at any set size, hypercubes beyond enumeration included. The
     first deactivate materializes it, which is limited to enumerable sets.
     The ascending array of active ids is cached and refreshed only by
-    deactivate, so it only ever shrinks; it is read-only. Deactivate drops,
-    and copy leaves behind, the columns AtomicSet.oracle caches on the mask.
+    deactivate, so it only ever shrinks; it is read-only. Copy moves the
+    columns AtomicSet.oracle caches on the mask to the copy, where they
+    serve until its first deactivate and then lend their memory to the next
+    copy of the columns (_ActiveColumns).
     The solver owns and mutates the mask; everything else treats it as read-only.
     """
 
@@ -110,13 +166,13 @@ class AtomMask:
         self._active[ids] = False
         self._ids = np.flatnonzero(self._active)
         self._ids.setflags(write=False)
-        self._columns = None
 
     def copy(self):
         out = AtomMask(self._num_atoms)
         if self._active is not None:
             out._active = self._active.copy()
             out._ids = self._ids  # read-only; deactivate replaces it
+        out._columns, self._columns = self._columns, None
         return out
 
     def _enumerable_count(self):
@@ -327,20 +383,12 @@ class AtomicSet:
         """Scores of the atoms active in mask on a pruned signed basis: atom
         +/-C e_k has -/+C (features' v)_k, +/-C (-grad)_k up to the order of
         summation, from a copy of the columns an active atom touches, cached
-        on the mask and keyed on this set and the features object."""
-        cache = mask._columns
-        if cache is None or cache[0] is not self or cache[1] is not features:
-            mask._columns = None  # free the old copy before building the new one
-            ids = mask.active_ids()
-            d = self.dimension
-            coords = ids % d
-            cols = np.unique(coords)
-            pos = np.searchsorted(cols, coords)
-            neg_factor = np.where(ids < d, -self.scale, self.scale)
-            cache = (self, features, ids, pos, neg_factor, features[:, cols])
-            mask._columns = cache
-        _, _, ids, pos, neg_factor, sub = cache
-        return ids, neg_factor * (sub.T @ v)[pos]
+        on the mask and keyed on this set, the features object and the
+        mask's active ids (_ActiveColumns)."""
+        if mask._columns is None:
+            mask._columns = _ActiveColumns()
+        ids = mask.active_ids()
+        return ids, mask._columns.scores(self, features, ids, v)
 
     def move(self, x, theta, xi, atom_id):
         """x <- (1 - theta) x + theta * xi * atom, in place and bit-identical
@@ -459,12 +507,16 @@ class AtomicSet:
     def full_mask(self):
         return AtomMask(self.num_atoms)
 
-    def fingerprint_bytes(self):
-        """Stable byte description, used for problem fingerprints."""
+    def fingerprint_parts(self):
+        """fingerprint_bytes in pieces, the atoms as a buffer, not a copy."""
         head = f"{self.kind}|{self.dimension}|{self.scale!r}".encode()
         if self.kind == EXPLICIT:
-            return head + b"|" + self._vectors.tobytes()
-        return head
+            return [head, b"|", np.ascontiguousarray(self._vectors)]
+        return [head]
+
+    def fingerprint_bytes(self):
+        """Stable byte description, used for problem fingerprints."""
+        return b"".join(self.fingerprint_parts())
 
     def __repr__(self):
         return (

@@ -48,12 +48,17 @@ class DataMatrix:
     def d(self):
         return self.features.shape[1]
 
+    def fingerprint_parts(self):
+        """fingerprint_bytes in pieces, the arrays as buffers rather than
+        copies, so problem_fingerprint hashes the data without copying it."""
+        return [
+            f"data|{self.n}|{self.d}|".encode(),
+            np.ascontiguousarray(self.features),
+            np.ascontiguousarray(self.targets),
+        ]
+
     def fingerprint_bytes(self):
-        return (
-            f"data|{self.n}|{self.d}|".encode()
-            + self.features.tobytes()
-            + self.targets.tobytes()
-        )
+        return b"".join(self.fingerprint_parts())
 
 
 def load_data_file(path):
@@ -142,6 +147,12 @@ class _Loss:
             raise ContractViolationError("atomic set dimension does not match data")
         return self._curvature(atomic_set.gram_bound(self.data.features))
 
+    def fingerprint_parts(self):
+        return [f"{self.kind}|".encode(), *self.data.fingerprint_parts()]
+
+    def fingerprint_bytes(self):
+        return b"".join(self.fingerprint_parts())
+
 
 class QuadraticLoss(_Loss):
     """f(x) = 0.5 * ||A x - b||^2."""
@@ -167,9 +178,6 @@ class QuadraticLoss(_Loss):
 
     def _curvature(self, base):
         return base
-
-    def fingerprint_bytes(self):
-        return b"quadratic|" + self.data.fingerprint_bytes()
 
 
 class LogisticLoss(_Loss):
@@ -216,6 +224,3 @@ class LogisticLoss(_Loss):
     def _curvature(self, base):
         # the scalar link has second derivative at most 1/4, averaged over n
         return base / (4.0 * self.data.n)
-
-    def fingerprint_bytes(self):
-        return b"logistic|" + self.data.fingerprint_bytes()

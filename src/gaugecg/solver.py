@@ -239,11 +239,16 @@ class RunResult:
 
 
 def problem_fingerprint(loss, penalty, atomic_set):
-    """Stable hash of the problem triplet, for pairing runs with references."""
+    """Stable hash of the problem triplet, for pairing runs with references.
+
+    Hashes the pieces of the fingerprint bytes in turn: joining them would
+    copy the data matrix, a transient of its full size on every run."""
     digest = hashlib.sha256()
-    digest.update(loss.fingerprint_bytes())
+    for part in loss.fingerprint_parts():
+        digest.update(part)
     digest.update(penalty.fingerprint_bytes())
-    digest.update(atomic_set.fingerprint_bytes())
+    for part in atomic_set.fingerprint_parts():
+        digest.update(part)
     return digest.hexdigest()
 
 

@@ -443,6 +443,52 @@ def _oracle_matches_scoring(aset, features, v, mask):
     assert best == atoms.best_atom(*scores)
 
 
+def test_pruned_columns_are_the_plain_copy_and_reuse_their_memory():
+    # a mask pruned as the solver prunes it (copy, then deactivate): every
+    # copy of the active columns scores to the byte as features[:, cols]
+    # does, for row- and column-major data and in several fill blocks
+    # (n=3000). A prune that leaves the columns as they were keeps the
+    # copy; the next copy goes into the same memory unless it would fill
+    # less than half of it. A mask that was copied scores again from a
+    # copy of its own.
+    rng = np.random.default_rng(5)
+    d = 40
+    aset = gc.AtomicSet.signed_basis(d)
+    prunes = (  # (ids switched off, columns left, copy kept, memory kept)
+        ([d + 0], d, False, False),
+        ([d + 1], d, True, True),
+        ([2, d + 2], d - 1, False, True),
+        (list(range(3, 25)) + list(range(d + 3, d + 25)), d - 23, False, False),
+        ([25, d + 25], d - 24, False, True),
+    )
+    for n, order in ((9, "C"), (9, "F"), (3000, "C")):
+        features = np.asarray(rng.standard_normal((n, d)), order=order)
+        v = rng.standard_normal(n)
+        mask, before, scored = aset.full_mask(), (None, None), None
+        for off, columns, same_copy, same_memory in prunes:
+            earlier, mask = mask, mask.copy()
+            mask.deactivate(off)
+            ids, values = aset.oracle(features, v, mask)[1]
+            coords = ids % d
+            cols = np.unique(coords)
+            plain = features[:, cols]
+            expected = (plain.T @ v)[np.searchsorted(cols, coords)]
+            expected *= np.where(ids < d, -1.0, 1.0)
+            assert values.tobytes() == expected.tobytes()
+            cached = mask._columns
+            assert cached.sub.shape == plain.shape == (n, columns)
+            assert cached.sub.strides == plain.strides
+            if before[0] is not None:
+                assert (cached.sub is before[0]) == same_copy
+                assert (cached.memory is before[1]) == same_memory
+            before = (cached.sub, cached.memory)
+            if scored is not None:
+                again = aset.oracle(features, v, earlier)[1]
+                assert earlier._columns is not cached
+                assert again[1].tobytes() == scored.tobytes()
+            scored = values
+
+
 def test_oracle_scores_match_dots_on_every_kind():
     # a pruned signed basis scores from its active columns, an explicit set
     # or a pruned hypercube through dots, a full implicit set through lmo

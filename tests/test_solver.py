@@ -1,6 +1,7 @@
 """Solver iteration: hand-derived values on the 1-d two-atom problem, trace
 bookkeeping, the state invariants as properties, and both failure paths."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -428,6 +429,42 @@ def test_problem_fingerprint_is_stable_and_sensitive():
     assert a == b
     other = gc.problem_fingerprint(loss, gc.Penalty.power(2.0, weight=0.5), aset)
     assert a != other
+
+
+def test_problem_fingerprint_hashes_the_joined_fingerprint_bytes():
+    # the pieces are hashed in turn, the arrays without a copy; the digest
+    # and the bytes stay those of the joined byte strings, whatever the
+    # memory order of the data or the atoms
+    rng = np.random.default_rng(8)
+    penalty = gc.Penalty.power(2.0, weight=0.3)
+    for order in ("C", "F"):
+        features = np.asarray(rng.standard_normal((7, 4)), order=order)
+        data = gc.DataMatrix(features, np.sign(rng.standard_normal(7)))
+        assert data.fingerprint_bytes() == (
+            b"data|7|4|" + features.tobytes() + data.targets.tobytes()
+        )
+        atom_rows = np.asarray(rng.standard_normal((5, 4)), order=order)
+        sets = (
+            gc.AtomicSet.signed_basis(4),
+            gc.AtomicSet.hypercube(4),
+            gc.AtomicSet.explicit(atom_rows, scale=0.5),
+        )
+        assert sets[2].fingerprint_bytes() == (
+            b"explicit-list|4|0.5|" + (atom_rows * 0.5).tobytes()
+        )
+        for loss in (gc.LogisticLoss(data), gc.QuadraticLoss(data)):
+            assert loss.fingerprint_bytes() == (
+                f"{loss.kind}|".encode() + data.fingerprint_bytes()
+            )
+            for aset in sets:
+                joined = (
+                    loss.fingerprint_bytes()
+                    + penalty.fingerprint_bytes()
+                    + aset.fingerprint_bytes()
+                )
+                assert gc.problem_fingerprint(loss, penalty, aset) == (
+                    hashlib.sha256(joined).hexdigest()
+                )
 
 
 # ------------------------------------------------- margins and the active set
