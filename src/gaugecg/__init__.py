@@ -6,7 +6,7 @@ plus every exception a public call raises; every other name is imported
 from its own module (``gaugecg.solver``, ``gaugecg.experiments``, ...).
 """
 
-from .atoms import AtomicSet, AtomMask, load_atoms_file, save_atoms_file
+from .atoms import AtomicSet, AtomMask
 from .errors import (
     CertificateCorruptionError,
     ContractViolationError,
@@ -24,13 +24,7 @@ from .experiments import (
     reference_solve,
     run_experiment,
 )
-from .losses import (
-    DataMatrix,
-    LogisticLoss,
-    QuadraticLoss,
-    load_data_file,
-    save_data_file,
-)
+from .losses import DataMatrix, LogisticLoss, QuadraticLoss
 from .penalties import Penalty
 from .screening import SupportCertificate, support_of
 from .solver import (
@@ -64,15 +58,11 @@ __all__ = [
     "UnboundedStepError",
     "build_certificate",
     "gen_synthetic",
-    "load_atoms_file",
-    "load_data_file",
     "load_mnist_pair",
     "problem_fingerprint",
     "reference_solve",
     "run",
     "run_experiment",
-    "save_atoms_file",
-    "save_data_file",
     "step",
     "support_of",
     "theta_schedule",

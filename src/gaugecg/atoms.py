@@ -24,12 +24,11 @@ Atom ids are stable integers:
 Ties in the linear oracle always resolve to the lowest atom id.
 """
 
-import io
 import mmap
 
 import numpy as np
 
-from .errors import ContractViolationError, FileFormatError, InfeasibleGaugeError
+from .errors import ContractViolationError, InfeasibleGaugeError
 
 SIGNED_BASIS = "signed-basis"
 HYPERCUBE = "hypercube-vertices"
@@ -148,12 +147,6 @@ class AtomMask:
             self._ids = np.arange(self._enumerable_count())
             self._ids.setflags(write=False)
         return self._ids
-
-    def is_active(self, atom_id):
-        """False for an id outside 0..num_atoms-1, whatever the state."""
-        if not 0 <= atom_id < self._num_atoms:
-            return False
-        return self._active is None or bool(self._active[atom_id])
 
     def deactivate(self, ids):
         """Switch the given ids off. Already-inactive ids are ignored; an id
@@ -508,71 +501,15 @@ class AtomicSet:
         return AtomMask(self.num_atoms)
 
     def fingerprint_parts(self):
-        """fingerprint_bytes in pieces, the atoms as a buffer, not a copy."""
+        """Stable description for problem fingerprints, in pieces, the atoms
+        as a buffer rather than a copy."""
         head = f"{self.kind}|{self.dimension}|{self.scale!r}".encode()
         if self.kind == EXPLICIT:
             return [head, b"|", np.ascontiguousarray(self._vectors)]
         return [head]
-
-    def fingerprint_bytes(self):
-        """Stable byte description, used for problem fingerprints."""
-        return b"".join(self.fingerprint_parts())
 
     def __repr__(self):
         return (
             f"AtomicSet(kind={self.kind!r}, dimension={self.dimension}, "
             f"scale={self.scale}, num_atoms={self.num_atoms})"
         )
-
-
-# -- plain-text atom files --------------------------------------------------
-
-
-def load_atoms_file(path, scale=1.0):
-    """Read an explicit-list set from a text file.
-
-    Layout: a header line ``atoms <m> <d>`` followed by m lines of d
-    whitespace-separated decimal coordinates.
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        return _parse_atoms(fh, scale)
-
-
-def _parse_atoms(fh, scale):
-    header = fh.readline()
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "atoms":
-        raise FileFormatError(
-            f"atoms file must start with 'atoms <m> <d>', got {header.strip()!r}",
-            offset=0,
-        )
-    try:
-        m, d = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise FileFormatError(
-            f"atom counts in header are not integers: {header.strip()!r}", offset=0
-        ) from None
-    if m <= 0 or d <= 0:
-        raise FileFormatError("atom counts must be positive", offset=0)
-    try:
-        rows = np.loadtxt(io.StringIO(fh.read()), ndmin=2)
-    except ValueError as err:
-        raise FileFormatError(f"atom coordinates are not numbers: {err}", offset=1) from None
-    if rows.shape != (m, d):
-        raise FileFormatError(
-            f"expected {m} rows of {d} coordinates, got shape {tuple(rows.shape)}",
-            offset=1,
-        )
-    return AtomicSet.explicit(rows, scale=scale)
-
-
-def save_atoms_file(atomic_set, path):
-    """Write an explicit-list set (inverse of load_atoms_file).
-
-    Coordinates are written at full precision, scale folded in.
-    """
-    mat = atomic_set.atoms_matrix()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"atoms {mat.shape[0]} {mat.shape[1]}\n")
-        for row in mat:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")

@@ -132,10 +132,7 @@ def load_mnist_pair(images_path, labels_path, digits=(4, 9)):
 
 @dataclasses.dataclass(eq=False)
 class ReferenceSolution:
-    """High-accuracy solution used as ground truth by the safety tests.
-
-    Iterating unpacks to (x, grad, support_ids, delta).
-    """
+    """High-accuracy solution used as ground truth by the safety tests."""
 
     x: np.ndarray
     grad: np.ndarray
@@ -156,9 +153,6 @@ class ReferenceSolution:
         self.gap = float(self.gap)
         self.iters_used = int(self.iters_used)
         self.reached = bool(self.reached)
-
-    def __iter__(self):
-        return iter((self.x, self.grad, self.support_ids, self.delta))
 
     to_json = _screening._record_json
 
@@ -439,10 +433,15 @@ def identified_at(trace, L, margin):
 
 
 def build_certificate(result, reference):
-    """Assemble the JSON-able support certificate for a finished run."""
+    """Assemble the JSON-able support certificate for a finished run.
+
+    A pruning run claims the atoms its mask kept; any other run, report-only
+    screening included (its iterates are the unscreened ones and its mask
+    never shrinks), claims the support of its ledger."""
     L = result.loss.smoothness_wrt(result.atomic_set)
     found_at = identified_at(result.trace, L, reference.delta)
-    if result.config.screening_enabled:
+    config = result.config
+    if config.screening_enabled and config.screening_mode == "prune-lmo":
         support = [int(i) for i in result.state.mask.active_ids()]
     else:
         support = sorted(_screening.support_of(result.state.coeffs))

@@ -15,11 +15,9 @@ own atoms: the set's bound on |<A p, A q>| over atom pairs
 (AtomicSet.gram_bound) times the scalar curvature bound of the link function.
 """
 
-import io
-
 import numpy as np
 
-from .errors import ContractViolationError, FileFormatError
+from .errors import ContractViolationError
 
 
 class DataMatrix:
@@ -49,53 +47,14 @@ class DataMatrix:
         return self.features.shape[1]
 
     def fingerprint_parts(self):
-        """fingerprint_bytes in pieces, the arrays as buffers rather than
-        copies, so problem_fingerprint hashes the data without copying it."""
+        """Stable description for problem fingerprints, in pieces, the
+        arrays as buffers rather than copies, so problem_fingerprint hashes
+        the data without copying it."""
         return [
             f"data|{self.n}|{self.d}|".encode(),
             np.ascontiguousarray(self.features),
             np.ascontiguousarray(self.targets),
         ]
-
-    def fingerprint_bytes(self):
-        return b"".join(self.fingerprint_parts())
-
-
-def load_data_file(path):
-    """Read a DataMatrix from a text file.
-
-    Layout: a header line ``<n> <d>`` followed by n rows of d feature values
-    plus the target as the last value; separators are whitespace or commas.
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().replace(",", " ").split()
-        if len(header) != 2:
-            raise FileFormatError(
-                "data file must start with a '<n> <d>' header", offset=0
-            )
-        try:
-            n, d = int(header[0]), int(header[1])
-        except ValueError:
-            raise FileFormatError("data header entries are not integers", offset=0) from None
-        body = fh.read().replace(",", " ")
-    try:
-        rows = np.loadtxt(io.StringIO(body), ndmin=2)
-    except ValueError as err:
-        raise FileFormatError(f"data values are not numbers: {err}", offset=1) from None
-    if rows.shape != (n, d + 1):
-        raise FileFormatError(
-            f"expected {n} rows of {d} features + target, got shape {tuple(rows.shape)}",
-            offset=1,
-        )
-    return DataMatrix(rows[:, :d], rows[:, d])
-
-
-def save_data_file(data, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{data.n} {data.d}\n")
-        for row, target in zip(data.features, data.targets):
-            cells = " ".join(repr(float(v)) for v in row)
-            fh.write(f"{cells} {float(target)!r}\n")
 
 
 class _Loss:
@@ -116,13 +75,7 @@ class _Loss:
     _curvature = None
 
     def __init__(self, data):
-        if not isinstance(data, DataMatrix):
-            data = DataMatrix(*data)
         self.data = data
-
-    @property
-    def dimension(self):
-        return self.data.d
 
     def _check_x(self, x):
         x = np.asarray(x, dtype=float)
@@ -149,9 +102,6 @@ class _Loss:
 
     def fingerprint_parts(self):
         return [f"{self.kind}|".encode(), *self.data.fingerprint_parts()]
-
-    def fingerprint_bytes(self):
-        return b"".join(self.fingerprint_parts())
 
 
 class QuadraticLoss(_Loss):

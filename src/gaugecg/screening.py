@@ -60,6 +60,17 @@ def apply_rule(mask, ids, values, sigma, gap, L, t=None, rounding=None):
     removes at the radius 2*sqrt(L*max(gap, b)): a gap within rounding of
     zero (an exact optimum reads 0) certifies nothing, and at radius 0 the
     support atoms, which score 0 only up to rounding, would go.
+
+    Why the radius is safe. Let v = link(A x), v* the same at a solution,
+    beta the curvature bound of the link (1/(4n) logistic, 1 quadratic),
+    G = AtomicSet.gram_bound and L = beta*G, q the oracle's atom:
+    (1) gap is the primal-dual gap at v, whose two parts each are at least
+        |v - v*|^2/(2*beta), so |v - v*| <= sqrt(beta*gap);
+    (2) an atom p of the optimal support has <A(p - q), v*> <= 0, so its
+        score sigma - <p, -grad> = <A(p - q), v> <= <A(p - q), v - v*>
+        <= |A(p - q)|*sqrt(beta*gap) <= 2*sqrt(L*gap), as |A(p - q)| <= 2*sqrt(G).
+    A pruned mask keeps this: its gap is that of the problem restricted to
+    the atoms left, which has the same solution.
     """
     if not (math.isfinite(L) and L > 0):
         raise ContractViolationError(f"smoothness constant must be finite positive, got {L!r}")
@@ -104,16 +115,14 @@ def delta(atomic_set, grad_star, support_ids):
     return max(value, 0.0)
 
 
-def support_of(coeffs, relative_tol=1e-6):
-    """Atom ids whose ledger weight exceeds relative_tol times the largest."""
-    if relative_tol < 0:
-        raise ContractViolationError("relative_tol must be nonnegative")
+def support_of(coeffs):
+    """Atom ids whose ledger weight exceeds 1e-6 times the largest."""
     if not coeffs:
         return set()
     top = max(coeffs.values())
     if top <= 0.0:
         return set()
-    cut = relative_tol * top
+    cut = 1e-6 * top
     return {i for i, w in coeffs.items() if w > cut}
 
 

@@ -218,14 +218,10 @@ class SolverState:
 
 
 class RunResult:
-    """Final state plus everything recorded along the way.
-
-    Iterating unpacks to (state, trace) for callers that only want those.
-    """
+    """Final state plus everything recorded along the way."""
 
     def __init__(self, loss, penalty, atomic_set, config, state):
         self.loss = loss
-        self.penalty = penalty
         self.atomic_set = atomic_set
         self.config = config
         self.state = state
@@ -234,14 +230,11 @@ class RunResult:
         self.snapshots = state.snapshots
         self.fingerprint = problem_fingerprint(loss, penalty, atomic_set)
 
-    def __iter__(self):
-        return iter((self.state, self.trace))
-
 
 def problem_fingerprint(loss, penalty, atomic_set):
     """Stable hash of the problem triplet, for pairing runs with references.
 
-    Hashes the pieces of the fingerprint bytes in turn: joining them would
+    Hashes the fingerprint pieces of the three in turn: joining them would
     copy the data matrix, a transient of its full size on every run."""
     digest = hashlib.sha256()
     for part in loss.fingerprint_parts():

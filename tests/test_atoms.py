@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import gaugecg as gc
 from gaugecg import atoms
-from gaugecg.errors import ContractViolationError, FileFormatError, InfeasibleGaugeError
+from gaugecg.errors import ContractViolationError, InfeasibleGaugeError
 
 
 def brute_lmo(atomic_set, z, mask=None):
@@ -272,40 +272,15 @@ def test_dimension_mismatch_rejected():
         aset.lmo(np.ones(4))
 
 
-# ------------------------------------------------------------------ file I/O
-
-
-def test_atoms_file_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    vectors = rng.standard_normal((5, 3))
-    aset = gc.AtomicSet.explicit(vectors)
-    path = tmp_path / "atoms.txt"
-    gc.save_atoms_file(aset, str(path))
-    back = gc.load_atoms_file(str(path))
-    assert back.kind == aset.kind
-    np.testing.assert_array_equal(back.atoms_matrix(), vectors)
-
-
-def test_atoms_file_errors_name_offsets(tmp_path):
-    path = tmp_path / "bad.txt"
-    for text, offset in (
-        ("not a header\n", 0),
-        ("atoms 2 2\n1.0 2.0\n", 1),
-        ("atoms 2 2\n1.0 2.0\n3 x\n", 1),
-    ):
-        path.write_text(text)
-        with pytest.raises(FileFormatError) as info:
-            gc.load_atoms_file(str(path))
-        assert info.value.offset == offset, text
-
-
 def test_fingerprints_distinguish_sets():
     a = gc.AtomicSet.signed_basis(3)
     b = gc.AtomicSet.signed_basis(3, scale=2.0)
     c = gc.AtomicSet.hypercube(3)
-    prints = {a.fingerprint_bytes(), b.fingerprint_bytes(), c.fingerprint_bytes()}
+    prints = {b"".join(s.fingerprint_parts()) for s in (a, b, c)}
     assert len(prints) == 3
-    assert a.fingerprint_bytes() == gc.AtomicSet.signed_basis(3).fingerprint_bytes()
+    assert b"".join(a.fingerprint_parts()) == b"".join(
+        gc.AtomicSet.signed_basis(3).fingerprint_parts()
+    )
 
 
 # ------------------------------------------------------------------ properties
@@ -349,7 +324,6 @@ def test_lmo_value_bounds_every_atom(z):
 def test_mask_is_lazy_until_first_deactivate():
     huge = gc.AtomMask(2**64)
     assert huge.is_full and huge.active_count == 2**64
-    assert huge.is_active(2**63) and not huge.is_active(2**64)
     with pytest.raises(ContractViolationError):
         huge.deactivate([0])
     mask = gc.AtomicSet.signed_basis(3).full_mask()
@@ -375,9 +349,9 @@ def test_mask_range_is_the_same_before_and_after_materializing():
     pruned = full.copy()
     pruned.deactivate([2])
     for mask in (full, pruned):
-        assert not mask.is_active(-1) and not mask.is_active(6)
-        assert mask.is_active(0) and mask.is_active(5)
-    assert not pruned.is_active(2)
+        assert -1 not in mask.active_ids() and 6 not in mask.active_ids()
+        assert 0 in mask.active_ids() and 5 in mask.active_ids()
+    assert 2 not in pruned.active_ids()
     for bad in ([-1], [6], [0, 7]):
         with pytest.raises(ContractViolationError):
             full.copy().deactivate(bad)

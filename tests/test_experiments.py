@@ -181,8 +181,6 @@ def test_reference_on_the_frozen_problem():
     assert ref.support_ids == {0}
     assert ref.delta == pytest.approx(2.0, abs=1e-8)
     assert ref.gap <= 1e-10
-    x, grad, support, margin = ref
-    assert x is ref.x and support == {0}
 
 
 def test_reference_is_deterministic():
@@ -490,6 +488,22 @@ def test_build_certificate_on_the_frozen_problem():
     assert cert.support_ids == ref.support_ids
     clone = gc.SupportCertificate.from_json(cert.to_json())
     assert clone == cert
+
+
+def test_report_only_certificate_is_the_unscreened_one():
+    # report-only screening never shrinks the mask, so its iterates and its
+    # certificate are those of the run without screening, not the full set
+    loss, penalty, aset = synthetic_problem(3, lam=1.0)
+    ref = get_reference(3, 1.0)
+    certs = {}
+    for name, enabled in (("off", False), ("report-only", True)):
+        cfg = gc.SolverConfig(
+            max_iters=3000, trace_every=100, screening_enabled=enabled,
+            screening_mode="report-only",
+        )
+        certs[name] = gc.build_certificate(gc.run(loss, penalty, aset, cfg), ref)
+    assert certs["report-only"] == certs["off"]
+    assert len(certs["off"].support_ids) < aset.num_atoms
 
 
 # ------------------------------------------------------------------- rate fits

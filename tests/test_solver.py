@@ -112,15 +112,6 @@ def test_gap_tolerance_stops_early():
     assert result.state.t < 10**5
 
 
-def test_result_unpacks_to_state_and_trace():
-    loss, penalty, aset = one_dim_problem()
-    result = gc.run(loss, penalty, aset, gc.SolverConfig(max_iters=3))
-    state, trace = result
-    assert state is result.state
-    assert trace is result.trace
-    assert len(result.fingerprint) == 64
-
-
 def test_snapshots_align_with_trace():
     loss, penalty, aset = one_dim_problem()
     cfg = gc.SolverConfig(max_iters=20, trace_every=7, keep_snapshots=True)
@@ -376,7 +367,7 @@ def test_state_invariants_on_random_problems(seed):
     penalty = gc.Penalty.power(2.0, weight=1.0)
     cfg = gc.SolverConfig(max_iters=25, screening_enabled=True)
     result = gc.run(loss, penalty, aset, cfg)
-    state, trace = result
+    state, trace = result.state, result.trace
 
     gaps = [row.gap for row in trace]
     assert all(g >= -1e-10 for g in gaps)
@@ -429,6 +420,7 @@ def test_problem_fingerprint_is_stable_and_sensitive():
     assert a == b
     other = gc.problem_fingerprint(loss, gc.Penalty.power(2.0, weight=0.5), aset)
     assert a != other
+    assert gc.run(loss, penalty, aset, gc.SolverConfig(max_iters=3)).fingerprint == a
 
 
 def test_problem_fingerprint_hashes_the_joined_fingerprint_bytes():
@@ -440,7 +432,8 @@ def test_problem_fingerprint_hashes_the_joined_fingerprint_bytes():
     for order in ("C", "F"):
         features = np.asarray(rng.standard_normal((7, 4)), order=order)
         data = gc.DataMatrix(features, np.sign(rng.standard_normal(7)))
-        assert data.fingerprint_bytes() == (
+        data_bytes = b"".join(data.fingerprint_parts())
+        assert data_bytes == (
             b"data|7|4|" + features.tobytes() + data.targets.tobytes()
         )
         atom_rows = np.asarray(rng.standard_normal((5, 4)), order=order)
@@ -449,18 +442,17 @@ def test_problem_fingerprint_hashes_the_joined_fingerprint_bytes():
             gc.AtomicSet.hypercube(4),
             gc.AtomicSet.explicit(atom_rows, scale=0.5),
         )
-        assert sets[2].fingerprint_bytes() == (
+        assert b"".join(sets[2].fingerprint_parts()) == (
             b"explicit-list|4|0.5|" + (atom_rows * 0.5).tobytes()
         )
         for loss in (gc.LogisticLoss(data), gc.QuadraticLoss(data)):
-            assert loss.fingerprint_bytes() == (
-                f"{loss.kind}|".encode() + data.fingerprint_bytes()
-            )
+            loss_bytes = b"".join(loss.fingerprint_parts())
+            assert loss_bytes == f"{loss.kind}|".encode() + data_bytes
             for aset in sets:
                 joined = (
-                    loss.fingerprint_bytes()
+                    loss_bytes
                     + penalty.fingerprint_bytes()
-                    + aset.fingerprint_bytes()
+                    + b"".join(aset.fingerprint_parts())
                 )
                 assert gc.problem_fingerprint(loss, penalty, aset) == (
                     hashlib.sha256(joined).hexdigest()
@@ -578,7 +570,22 @@ def test_hypercube_run_beyond_enumeration():
     assert state.kappa_bound >= aset.gauge_value(state.x) - 1e-12
 
 
-@pytest.mark.parametrize("option", ["screening_enabled", "keep_snapshots"])
+def test_readme_hypercube_ledger_bound():
+    # the README's figures: off the signed basis the objective's gauge is
+    # the ledger sum, an upper bound on the gauge max|x| / C
+    data = gc.gen_synthetic(0, n=30, d=6)
+    aset = gc.AtomicSet.hypercube(6)
+    result = gc.run(
+        gc.LogisticLoss(data), gc.Penalty.power(2.0, weight=0.1), aset,
+        gc.SolverConfig(max_iters=500),
+    )
+    state = result.state
+    assert state.kappa_bound == pytest.approx(0.95259, abs=5e-6)
+    assert aset.gauge_value(state.x) == pytest.approx(0.95045, abs=5e-6)
+    assert float(np.max(np.abs(state.x))) == aset.gauge_value(state.x)
+
+
+@pytest.mark.parametrize("option",["screening_enabled", "keep_snapshots"])
 def test_enumerating_options_refused_on_huge_sets(option):
     loss, penalty, aset = _cube_problem()
     cfg = gc.SolverConfig(max_iters=10, **{option: True})
