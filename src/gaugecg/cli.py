@@ -20,6 +20,7 @@ from .errors import (
 )
 from .experiments import (
     ExperimentConfig,
+    _ascii_lines,
     build_certificate,
     load_reference,
     rate_slope,
@@ -132,23 +133,22 @@ def _build_parser():
 def _config_file_flags(path):
     """Turn key=value lines into a flag list; '#' starts a comment line."""
     flags = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise FileFormatError(
-                    f"{path}:{lineno}: expected key=value, got {text!r}", offset=lineno
-                )
-            key, _, value = text.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key or not value:
-                raise FileFormatError(
-                    f"{path}:{lineno}: expected key=value, got {text!r}", offset=lineno
-                )
-            flags.extend([f"--{key}", value])
+    for lineno, line in enumerate(_ascii_lines(path), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if "=" not in text:
+            raise FileFormatError(
+                f"{path}:{lineno}: expected key=value, got {text!r}", offset=lineno
+            )
+        key, _, value = text.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key or not value:
+            raise FileFormatError(
+                f"{path}:{lineno}: expected key=value, got {text!r}", offset=lineno
+            )
+        flags.extend([f"--{key}", value])
     return flags
 
 

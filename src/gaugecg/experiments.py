@@ -13,6 +13,7 @@ import gzip
 import hashlib
 import json
 import math
+import numbers
 import operator
 import os
 import struct
@@ -56,6 +57,8 @@ def gen_synthetic(seed, n=100, d=50):
     """
     if n < 1 or d < 1:
         raise ContractViolationError("n and d must be >= 1")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ContractViolationError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     return DataMatrix(rng.standard_normal((n, d)), np.ones(n))
 
@@ -331,7 +334,7 @@ def reference_solve(loss, penalty, atomic_set, iters=1_000_000, tol=1e-10):
     candidate. A CG run that aborts with DivergenceError (open-loop steps
     can overshoot before the support settles) is not an error here: the
     state it leaves is polished like a checkpoint, and its candidate is the
-    last one.
+    last one. So is a CG run that stops on an exact zero gap.
     """
     check_count("iters", iters)
     check_tolerance("tol", tol)
@@ -346,17 +349,18 @@ def reference_solve(loss, penalty, atomic_set, iters=1_000_000, tol=1e-10):
     state = SolverState(atomic_set)
     best = None
     for target in checkpoints:
-        diverged = False
+        stopped = False
         try:
-            while state.t <= target:
-                step(state, loss, penalty, atomic_set, config)
+            while state.t <= target and not stopped:
+                t = state.t
+                stopped = step(state, loss, penalty, atomic_set, config).t == t
         except DivergenceError:
-            diverged = True
+            stopped = True
         candidate = _polish(loss, penalty, atomic_set, state, tol)
         if best is None or candidate["gap"] < best["gap"]:
             best = candidate
             used = state.t - 1
-        if best["gap"] <= tol or diverged:
+        if best["gap"] <= tol or stopped:
             break
     margin = _screening.delta(atomic_set, best["grad"], best["support"])
     return ReferenceSolution(
@@ -403,6 +407,12 @@ def residuals(result, reference):
         raise ReferenceMismatchError(
             "run and reference come from different problems "
             f"({result.fingerprint[:12]} vs {reference.fingerprint[:12]})"
+        )
+    d = result.atomic_set.dimension
+    if reference.x.shape != (d,) or reference.grad.shape != (d,):
+        raise ReferenceMismatchError(
+            f"reference x and grad have shapes {reference.x.shape} and "
+            f"{reference.grad.shape}; the run's dimension is {d}"
         )
     if not result.snapshots:
         raise ContractViolationError(
@@ -524,21 +534,32 @@ def write_residuals_csv(series, path):
     _write_csv(path, RESIDUAL_COLUMNS, zip(*dataclasses.astuple(series)))
 
 
+def _ascii_lines(path):
+    """The lines of a text file that must be ASCII; a byte outside ASCII
+    raises FileFormatError with its line number as the offset."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        lines = fh.readlines()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.isascii():
+            raise FileFormatError(f"{path}:{lineno}: byte outside ASCII", offset=lineno)
+    return lines
+
+
 def read_csv_columns(path):
     """Generic numeric CSV reader: header names to float arrays."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != len(header):
-                raise FileFormatError(f"{path}: malformed row {line!r}", offset=0)
-            try:
-                rows.append([float(cell) for cell in parts])
-            except ValueError:
-                raise FileFormatError(
-                    f"{path}: non-numeric cell in row {line!r}", offset=0
-                ) from None
+    lines = _ascii_lines(path) or [""]
+    header = lines[0].strip().split(",")
+    rows = []
+    for line in lines[1:]:
+        parts = line.strip().split(",")
+        if len(parts) != len(header):
+            raise FileFormatError(f"{path}: malformed row {line!r}", offset=0)
+        try:
+            rows.append([float(cell) for cell in parts])
+        except ValueError:
+            raise FileFormatError(
+                f"{path}: non-numeric cell in row {line!r}", offset=0
+            ) from None
     table = np.array(rows) if rows else np.zeros((0, len(header)))
     return {name: table[:, i] for i, name in enumerate(header)}
 

@@ -22,6 +22,10 @@ scores of the certificate's oracle (AtomicSet.oracle). The step moves x
 
 The conic coefficient ledger is kept as raw weights plus one global decay
 multiplier, so the (1 - theta) rescale of every step is O(1).
+
+A run is a loop of step, the one place that observes an iterate. A step
+past max_iters, or at a gap within gap_tolerance, records the final row
+and does not move: the run returns the iterate its last row certifies.
 """
 
 import dataclasses
@@ -378,7 +382,10 @@ def _abort(state, loss, penalty, atomic_set, config, t, exc, sigma, xi, gap):
 
 
 def step(state, loss, penalty, atomic_set, config):
-    """Advance one iteration in place; returns the same state."""
+    """Observe the iterate at state.t and move to t + 1 in place; returns
+    the same state. The observation is the certificate, min_gap, a screening
+    pass while t <= max_iters, and the trace row. A step past max_iters, or
+    at a gap within gap_tolerance, records the final row and does not move."""
     t = state.t
     x = state.x
     ax = _margins(state, loss)
@@ -391,8 +398,9 @@ def step(state, loss, penalty, atomic_set, config):
     atom_id, sigma, xi, gap = cert.atom_id, cert.sigma, cert.xi, cert.gap
     if gap < state.min_gap:
         state.min_gap = gap
+    last = t > config.max_iters or gap <= config.gap_tolerance
 
-    if config.screening_enabled and t % config.screen_every == 0:
+    if config.screening_enabled and t % config.screen_every == 0 and t <= config.max_iters:
         if state._smoothness is None:
             state._smoothness = loss.smoothness_wrt(atomic_set)
         ids, values = cert.scores(atomic_set, state.mask)
@@ -405,10 +413,12 @@ def step(state, loss, penalty, atomic_set, config):
             if config.screening_mode == "prune-lmo":
                 state.mask = new_mask
 
-    if t == 1 or t % config.trace_every == 0:
+    if last or t == 1 or t % config.trace_every == 0:
         _record(state, t, loss.value(x) + cert.h_x, gap, sigma, xi)
         if config.keep_snapshots:
             _snapshot(state, loss, t, cert.v)
+    if last:
+        return state
 
     theta = theta_schedule(config.step_schedule, t)
     grown = atomic_set.move(x, theta, xi, atom_id)
@@ -437,32 +447,19 @@ def step(state, loss, penalty, atomic_set, config):
     return state
 
 
-def _final_diagnostic(state, loss, penalty, atomic_set, config):
-    """Evaluate the terminal iterate and append one last trace row."""
-    t = state.t
-    cert = certificate(
-        loss, penalty, atomic_set, _margins(state, loss), state.kappa_bound, state
-    )
-    if cert.gap < state.min_gap:
-        state.min_gap = cert.gap
-    _record(state, t, loss.value(state.x) + cert.h_x, cert.gap, cert.sigma, cert.xi)
-    if config.keep_snapshots:
-        _snapshot(state, loss, t, cert.v)
-
-
 def run(loss, penalty, atomic_set, config, x0=None):
-    """Iterate until max_iters or min_gap <= gap_tolerance.
+    """Step until a step does not move: past max_iters, or at the first
+    iterate whose gap is <= gap_tolerance, the iterate returned.
 
     The trace gets a row at t = 1, every trace_every-th iteration, and one
-    final row for the terminal iterate (an extra gap evaluation, no update).
+    final row, the certificate of the returned iterate.
     Unbounded-step and divergence errors carry .t and a partial .result.
     """
     if config.screening_enabled or config.keep_snapshots:
         _check_enumerable(atomic_set)
     state = SolverState(atomic_set, x0=x0)
-    while state.t <= config.max_iters:
+    t = None
+    while state.t != t:
+        t = state.t
         step(state, loss, penalty, atomic_set, config)
-        if state.min_gap <= config.gap_tolerance:
-            break
-    _final_diagnostic(state, loss, penalty, atomic_set, config)
     return RunResult(loss, penalty, atomic_set, config, state)

@@ -110,12 +110,18 @@ def test_command_line_overrides_config_file(tmp_path):
     assert rows[-1].t == 21
 
 
-@pytest.mark.parametrize("line", ["iters", "=5", "iters="])
-def test_bad_config_line_is_format_error(tmp_path, line, capsys):
+@pytest.mark.parametrize(
+    "line, complaint",
+    [("iters", "key=value"), ("=5", "key=value"), ("iters=", "key=value"),
+     ("seed=\xff", "outside ASCII")],
+    ids=["iters", "=5", "iters=", "non-ascii-byte"],
+)
+def test_bad_config_line_is_format_error(tmp_path, line, complaint, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(line + "\n")
+    cfg.write_bytes(b"n=30\n" + line.encode("latin-1") + b"\n")
     assert main(["synthetic", "--config", str(cfg)]) == 3
-    assert "key=value" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{cfg}:2:" in err and complaint in err
 
 
 def test_missing_config_file(tmp_path):
@@ -180,10 +186,16 @@ def test_residuals_wrong_reference_problem(tmp_path, capsys):
     assert "different problems" in capsys.readouterr().err
 
 
+_SHORT_REFERENCE = json.dumps({
+    "x": [0.0] * 3, "grad": [0.0] * 3, "objective": 0.0, "support_ids": [],
+    "delta": 0.0, "gap": 0.0, "iters_used": 0, "reached": True, "fingerprint": "",
+}).encode()
+
+
 @pytest.mark.parametrize(
     "content",
-    [b'{"x": [1.0]', b'{"x": [1.0]}', b'{"x": [1.0]}\n\xff'],
-    ids=["truncated-json", "missing-keys", "non-ascii-byte"],
+    [b'{"x": [1.0]', b'{"x": [1.0]}', b'{"x": [1.0]}\n\xff', _SHORT_REFERENCE],
+    ids=["truncated-json", "missing-keys", "non-ascii-byte", "short-arrays"],
 )
 def test_residuals_bad_reference_file_is_format_error(tmp_path, content, capsys):
     path = tmp_path / "ref.json"
@@ -219,6 +231,18 @@ def test_rate_missing_column(tmp_path, capsys):
     path = tmp_path / "x.csv"
     path.write_text("t,foo\n1,1.0\n2,0.5\n3,0.3\n4,0.2\n5,0.1\n")
     assert main(["rate", "--csv", str(path), "--column", "bar"]) == 3
+
+
+def test_rate_on_a_non_ascii_csv_is_format_error(tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"t,foo\n1,1.0\n\xff,0.5\n")
+    assert main(["rate", "--csv", str(path), "--column", "foo"]) == 3
+    assert f"{path}:3: byte outside ASCII" in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    assert main(["synthetic", "--seed", "-1", "--out", str(tmp_path)]) == 3
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
 
 
 def test_rate_on_plain_csv(tmp_path, capsys):

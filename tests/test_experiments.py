@@ -69,6 +69,9 @@ def test_gen_synthetic_moments():
 def test_gen_synthetic_validation():
     with pytest.raises(ContractViolationError):
         gc.gen_synthetic(0, n=0, d=5)
+    for seed in (-1, 1.5, "3", None):
+        with pytest.raises(ContractViolationError, match="seed"):
+            gc.gen_synthetic(seed, n=5, d=5)
 
 
 # ----------------------------------------------------------------- IDX loading
@@ -626,6 +629,13 @@ def test_read_csv_columns_rejects_text(tmp_path):
     path.write_text("a,b\n1.0,oops\n")
     with pytest.raises(FileFormatError):
         read_csv_columns(str(path))
+    # a byte outside ASCII is a format error at its line, in the trace
+    # reader too
+    path.write_bytes(",".join(TRACE_COLUMNS).encode() + b"\n" + b"1," * 8 + b"\xff\n")
+    for reader in (read_csv_columns, read_trace_csv):
+        with pytest.raises(FileFormatError, match="x.csv:2: byte outside ASCII") as info:
+            reader(str(path))
+        assert info.value.offset == 2
 
 
 def test_float_cells_are_bit_exact(tmp_path):

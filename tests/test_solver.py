@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import gaugecg as gc
 from gaugecg.errors import ContractViolationError, DivergenceError, UnboundedStepError
 
-from conftest import one_dim_problem, tame_quadratic
+from conftest import one_dim_problem, synthetic_problem, tame_quadratic
 
 
 # --------------------------------------------------------------- step schedule
@@ -97,11 +97,13 @@ def test_trace_cadence_rows():
     assert [row.t for row in result.trace] == [1, 3, 6, 9, 11]
 
 
-def test_infinite_tolerance_stops_after_first_step():
+def test_infinite_tolerance_ends_at_the_first_iterate():
+    # every gap meets tol = inf: the run ends at t = 1 without moving
     loss, penalty, aset = one_dim_problem()
     cfg = gc.SolverConfig(max_iters=500, gap_tolerance=math.inf)
     result = gc.run(loss, penalty, aset, cfg)
-    assert [row.t for row in result.trace] == [1, 2]
+    assert [row.t for row in result.trace] == [1]
+    assert result.state.t == 1 and result.state.x[0] == 0.0
 
 
 def test_gap_tolerance_stops_early():
@@ -110,6 +112,27 @@ def test_gap_tolerance_stops_early():
     result = gc.run(loss, penalty, aset, cfg)
     assert result.state.min_gap <= 1e-6
     assert result.state.t < 10**5
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6])
+@pytest.mark.parametrize("lam", [0.1, 1.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_tolerance_stop_returns_the_iterate_its_gap_certified(seed, lam, tol):
+    # a run that stops on gap_tolerance ends on the first iterate whose gap
+    # meets it, does not move past it, and returns it; its last row and
+    # snapshot are that iterate's
+    loss, penalty, aset = synthetic_problem(seed, lam=lam)
+    cfg = gc.SolverConfig(max_iters=1000, gap_tolerance=tol, keep_snapshots=True)
+    result = gc.run(loss, penalty, aset, cfg)
+    state, last = result.state, result.trace[-1]
+    assert len(result.trace) == state.t  # one row per iterate, iterations + 1
+    assert last.t == state.t
+    assert all(row.gap > tol for row in result.trace[:-1])
+    if state.t > cfg.max_iters:
+        assert last.gap > tol  # ended on its budget instead
+        return
+    assert last.gap <= tol
+    assert result.snapshots[-1].x.tobytes() == state.x.tobytes()
 
 
 def test_snapshots_align_with_trace():
@@ -403,14 +426,43 @@ def test_objective_row_is_consistent(seed):
         assert row.objective >= value - 1e-12
 
 
-def test_ledger_scale_renormalizes_on_long_runs():
+def test_ledger_reconstructs_x_after_a_long_run():
     loss, penalty, aset = one_dim_problem()
     cfg = gc.SolverConfig(max_iters=5000)
     result = gc.run(loss, penalty, aset, cfg)
-    # (t0/t)^2 decay over 5000 iterations crosses many decades without
-    # losing the reconstruction
+    # the (t0/t)^2 decay takes the ledger scale down to about 8e-8 over
+    # 5000 iterations without losing the reconstruction
     rebuilt = result.state.reconstruct()
     assert abs(rebuilt[0] - result.state.x[0]) <= 1e-10
+
+
+def test_ledger_renormalization_keeps_what_the_ledger_says():
+    # theta = 1 - 1e-6 shrinks the ledger scale about a millionfold per
+    # decay, so it crosses the 1e-250 cut on the 42nd and the raw weights
+    # take the scale over; every decay, that one included, must scale the
+    # coefficients, the gauge bound and the rebuilt x by 1 - theta
+    rng = np.random.default_rng(0)
+    aset = gc.AtomicSet.explicit(rng.standard_normal((4, 3)))
+    state = gc.SolverState(aset)
+    state._ledger_add(0, 0.5)
+    state._ledger_add(2, 0.25)
+    theta = 1.0 - 1e-6
+    shrink = 1.0 - theta
+    renormalized = 0
+    for _ in range(45):
+        coeffs, kappa, rebuilt = state.coeffs, state.kappa_bound, state.reconstruct()
+        state._ledger_decay(theta)
+        renormalized += state._ledger_scale == 1.0
+        assert state.coeffs.keys() == coeffs.keys()
+        for atom_id, weight in coeffs.items():
+            assert state.coeffs[atom_id] == pytest.approx(shrink * weight, rel=1e-12)
+        assert state.kappa_bound == pytest.approx(shrink * kappa, rel=1e-12)
+        np.testing.assert_allclose(
+            state.reconstruct(), shrink * rebuilt,
+            rtol=1e-12, atol=1e-12 * float(np.abs(rebuilt).max()),
+        )
+    assert renormalized == 1
+    assert 0.0 < state.coeffs[2] < 1e-250
 
 
 def test_problem_fingerprint_is_stable_and_sensitive():
