@@ -43,12 +43,11 @@ _COPY_BLOCK = 2 ** 14
 
 class _ActiveColumns:
     """The columns that the active atoms of a pruned signed basis touch,
-    copied for AtomicSet._column_scores and cached on the mask.
+    copied for AtomicSet._column_scores and cached on the run's mask.
 
     A screened run prunes dozens of times, the first copies at the full
-    size of the features. One cache serves all the masks of a run
-    (AtomMask.copy moves it along) and keeps its copy while the columns
-    stay the same. A new copy goes into the memory of the old one unless it
+    size of the features. The cache keeps its copy while the columns stay
+    the same. A new copy goes into the memory of the old one unless it
     would fill less than half of it, so a run takes a few pieces of halving
     size, each an anonymous map rather than a heap block: a freed heap block
     that size stays with the process, and whether the next copy reused it
@@ -110,11 +109,9 @@ class AtomMask:
     exists at any set size, hypercubes beyond enumeration included. The
     first deactivate materializes it, which is limited to enumerable sets.
     The ascending array of active ids is cached and refreshed only by
-    deactivate, so it only ever shrinks; it is read-only. Copy moves the
-    columns AtomicSet.oracle caches on the mask to the copy, where they
-    serve until its first deactivate and then lend their memory to the next
-    copy of the columns (_ActiveColumns).
-    The solver owns and mutates the mask; everything else treats it as read-only.
+    deactivate, so it only ever shrinks; it is read-only. AtomicSet.oracle
+    caches the active columns on the mask (_ActiveColumns).
+    The solver owns and prunes the mask; everything else treats it as read-only.
     """
 
     def __init__(self, num_atoms):
@@ -159,14 +156,6 @@ class AtomMask:
         self._active[ids] = False
         self._ids = np.flatnonzero(self._active)
         self._ids.setflags(write=False)
-
-    def copy(self):
-        out = AtomMask(self._num_atoms)
-        if self._active is not None:
-            out._active = self._active.copy()
-            out._ids = self._ids  # read-only; deactivate replaces it
-        out._columns, self._columns = self._columns, None
-        return out
 
     def _enumerable_count(self):
         if self._num_atoms > _ENUM_LIMIT:

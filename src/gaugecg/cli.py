@@ -38,7 +38,6 @@ _PENALTY_CHOICES = {
     "log-barrier": _penalties.LOG_BARRIER,
     "indicator": _penalties.INDICATOR,
 }
-_SCREEN_CHOICES = ("prune", "report", "off")
 
 
 def _grid(text):
@@ -79,11 +78,13 @@ def _add_run_flags(sub, iters_default=1000, gap_tol_default=0.0):
                      help="atomic set magnification C")
     sub.add_argument("--iters", type=int, default=iters_default)
     sub.add_argument("--gap-tol", type=float, default=gap_tol_default)
-    sub.add_argument("--screen", choices=_SCREEN_CHOICES, default="off")
-    sub.add_argument("--screen-every", type=int, default=1)
+    sub.add_argument("--out", default=".")
+
+
+def _add_solver_flags(sub):
+    sub.add_argument("--screen", choices=("prune", "off"), default="off")
     sub.add_argument("--theta", choices=("2t1", "4t2"), default="2t1")
     sub.add_argument("--trace-every", type=int, default=1)
-    sub.add_argument("--out", default=".")
 
 
 def _add_mnist_flags(sub):
@@ -101,9 +102,11 @@ def _build_parser():
 
     sub = verbs.add_parser("synthetic", help="seeded Gaussian logistic experiment")
     _add_run_flags(sub)
+    _add_solver_flags(sub)
 
     sub = verbs.add_parser("mnist", help="MNIST two-digit logistic experiment")
     _add_run_flags(sub)
+    _add_solver_flags(sub)
     _add_mnist_flags(sub)
 
     sub = verbs.add_parser("reference", help="high-accuracy reference solution")
@@ -113,6 +116,7 @@ def _build_parser():
 
     sub = verbs.add_parser("residuals", help="rerun and compare against a reference")
     _add_run_flags(sub)
+    _add_solver_flags(sub)
     _add_mnist_flags(sub)
     sub.add_argument("--experiment", choices=("synthetic", "mnist"), default="synthetic")
     sub.add_argument("--reference", required=True, help="reference JSON path")
@@ -175,14 +179,13 @@ def _experiment_config(args, experiment, keep_snapshots=False):
         capacity=args.capacity,
         growth=args.beta,
         scale=args.scale,
+        # reference takes no solver flags; its stem hashes their defaults
         solver=SolverConfig(
             max_iters=args.iters,
             gap_tolerance=args.gap_tol,
-            step_schedule=args.theta,
-            screening_enabled=args.screen != "off",
-            screening_mode="report-only" if args.screen == "report" else "prune-lmo",
-            screen_every=args.screen_every,
-            trace_every=args.trace_every,
+            step_schedule=getattr(args, "theta", SolverConfig.step_schedule),
+            screening_enabled=getattr(args, "screen", "off") == "prune",
+            trace_every=getattr(args, "trace_every", SolverConfig.trace_every),
             keep_snapshots=keep_snapshots,
         ),
         out_dir=args.out,

@@ -445,13 +445,11 @@ def identified_at(trace, L, margin):
 def build_certificate(result, reference):
     """Assemble the JSON-able support certificate for a finished run.
 
-    A pruning run claims the atoms its mask kept; any other run, report-only
-    screening included (its iterates are the unscreened ones and its mask
-    never shrinks), claims the support of its ledger."""
+    A screened run claims the atoms its mask kept; any other run claims the
+    support of its ledger."""
     L = result.loss.smoothness_wrt(result.atomic_set)
     found_at = identified_at(result.trace, L, reference.delta)
-    config = result.config
-    if config.screening_enabled and config.screening_mode == "prune-lmo":
+    if result.config.screening_enabled:
         support = [int(i) for i in result.state.mask.active_ids()]
     else:
         support = sorted(_screening.support_of(result.state.coeffs))
@@ -546,19 +544,22 @@ def _ascii_lines(path):
 
 
 def read_csv_columns(path):
-    """Generic numeric CSV reader: header names to float arrays."""
+    """Generic numeric CSV reader: header names to float arrays. A bad row
+    raises FileFormatError with its line number as the offset."""
     lines = _ascii_lines(path) or [""]
     header = lines[0].strip().split(",")
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.strip().split(",")
         if len(parts) != len(header):
-            raise FileFormatError(f"{path}: malformed row {line!r}", offset=0)
+            raise FileFormatError(
+                f"{path}:{lineno}: malformed row {line!r}", offset=lineno
+            )
         try:
             rows.append([float(cell) for cell in parts])
         except ValueError:
             raise FileFormatError(
-                f"{path}: non-numeric cell in row {line!r}", offset=0
+                f"{path}:{lineno}: non-numeric cell in row {line!r}", offset=lineno
             ) from None
     table = np.array(rows) if rows else np.zeros((0, len(header)))
     return {name: table[:, i] for i, name in enumerate(header)}

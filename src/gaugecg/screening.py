@@ -44,16 +44,15 @@ class ScreenReport:
 
 
 def apply_rule(mask, ids, values, sigma, gap, L, t=None, rounding=None):
-    """Apply the screening rule once; returns (mask, report).
+    """Apply the screening rule once: deactivate the removed ids on mask, in
+    place; returns (mask, report).
 
     Inputs must come from one consistent certificate: ids and values the
     oracle's scores <p, -grad> of the atoms active in `mask`, sigma their
     maximum (the support value), gap the duality gap at the same iterate,
     L the smoothness constant. The rule scores are sigma - values, so the
-    pass makes no inner products of its own. The incoming mask is not
-    modified: the returned mask is a pruned copy when the pass removes
-    atoms and the incoming mask itself when it removes none; when no score
-    exceeds the radius it returns at once, with an empty report.
+    pass makes no inner products of its own. When no score exceeds the
+    radius it returns at once, with an empty report.
 
     rounding, when given, returns the rounding bound b of gap. It is
     called only when some score exceeds the radius, and the pass then
@@ -92,7 +91,6 @@ def apply_rule(mask, ids, values, sigma, gap, L, t=None, rounding=None):
     removable = (scores > threshold) & (ids != keep_id)
     removed = [int(i) for i in ids[removable]]
     if removed:
-        mask = mask.copy()
         mask.deactivate(removed)
     return mask, ScreenReport(t, removed, threshold, sigma, mask.active_count)
 

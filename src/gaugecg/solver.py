@@ -44,7 +44,6 @@ from .errors import (
 )
 
 _SCHEDULES = ("2t1", "4t2")
-_SCREEN_MODES = ("prune-lmo", "report-only")
 # Iterations between re-syncs of the incremental margins to A x. The update
 # ax <- (1 - theta) ax + theta A s damps old rounding errors, so drift stays
 # near machine precision; the re-sync costs one A x per this many steps.
@@ -95,23 +94,17 @@ class SolverConfig:
     gap_tolerance: float = 0.0
     step_schedule: str = "2t1"
     screening_enabled: bool = False
-    screening_mode: str = "prune-lmo"
-    screen_every: int = 1
     trace_every: int = 1
     keep_snapshots: bool = False
 
     def __post_init__(self):
-        for name in ("max_iters", "screen_every", "trace_every"):
+        for name in ("max_iters", "trace_every"):
             check_count(name, getattr(self, name))
             setattr(self, name, int(getattr(self, name)))
         check_tolerance("gap_tolerance", self.gap_tolerance)
         if self.step_schedule not in _SCHEDULES:
             raise ContractViolationError(
                 f"step_schedule must be one of {_SCHEDULES}, got {self.step_schedule!r}"
-            )
-        if self.screening_mode not in _SCREEN_MODES:
-            raise ContractViolationError(
-                f"screening_mode must be one of {_SCREEN_MODES}, got {self.screening_mode!r}"
             )
         self.gap_tolerance = float(self.gap_tolerance)
         self.screening_enabled = bool(self.screening_enabled)
@@ -400,18 +393,16 @@ def step(state, loss, penalty, atomic_set, config):
         state.min_gap = gap
     last = t > config.max_iters or gap <= config.gap_tolerance
 
-    if config.screening_enabled and t % config.screen_every == 0 and t <= config.max_iters:
+    if config.screening_enabled and t <= config.max_iters:
         if state._smoothness is None:
             state._smoothness = loss.smoothness_wrt(atomic_set)
         ids, values = cert.scores(atomic_set, state.mask)
-        new_mask, report = _screening.apply_rule(
+        _, report = _screening.apply_rule(
             state.mask, ids, values, sigma, gap, state._smoothness, t=t,
             rounding=cert.rounding,
         )
         if report.removed_ids:
             state.screen_events.append(report)
-            if config.screening_mode == "prune-lmo":
-                state.mask = new_mask
 
     if last or t == 1 or t % config.trace_every == 0:
         _record(state, t, loss.value(x) + cert.h_x, gap, sigma, xi)

@@ -239,15 +239,16 @@ def test_support_value_is_lmo_value():
 # ------------------------------------------------------------------- the mask
 
 
-def test_mask_deactivate_and_copy_independence():
+def test_mask_deactivate_in_place():
     aset = gc.AtomicSet.signed_basis(3)
-    mask = aset.full_mask()
+    mask, other = aset.full_mask(), aset.full_mask()
     assert mask.active_count == 6
-    clone = mask.copy()
     mask.deactivate([0, 4])
     assert mask.active_count == 4
-    assert clone.active_count == 6
+    assert other.active_count == 6  # masks of one set share nothing
     assert set(mask.active_ids().tolist()) == {1, 2, 3, 5}
+    mask.deactivate([0, 1])  # an inactive id is ignored
+    assert mask.active_ids().tolist() == [2, 3, 5]
 
 
 def test_lmo_over_empty_mask_raises():
@@ -345,8 +346,8 @@ def test_mask_active_ids_cached_and_shrink_only():
 
 
 def test_mask_range_is_the_same_before_and_after_materializing():
-    full = gc.AtomicSet.signed_basis(3).full_mask()
-    pruned = full.copy()
+    aset = gc.AtomicSet.signed_basis(3)
+    full, pruned = aset.full_mask(), aset.full_mask()
     pruned.deactivate([2])
     for mask in (full, pruned):
         assert -1 not in mask.active_ids() and 6 not in mask.active_ids()
@@ -354,9 +355,11 @@ def test_mask_range_is_the_same_before_and_after_materializing():
     assert 2 not in pruned.active_ids()
     for bad in ([-1], [6], [0, 7]):
         with pytest.raises(ContractViolationError):
-            full.copy().deactivate(bad)
+            full.deactivate(bad)
         with pytest.raises(ContractViolationError):
             pruned.deactivate(bad)
+    # a refused id switches nothing off
+    assert full.is_full
     assert pruned.active_ids().tolist() == [0, 1, 3, 4, 5]
     full.deactivate([])
     assert full.active_count == 6
@@ -418,13 +421,13 @@ def _oracle_matches_scoring(aset, features, v, mask):
 
 
 def test_pruned_columns_are_the_plain_copy_and_reuse_their_memory():
-    # a mask pruned as the solver prunes it (copy, then deactivate): every
-    # copy of the active columns scores to the byte as features[:, cols]
-    # does, for row- and column-major data and in several fill blocks
-    # (n=3000). A prune that leaves the columns as they were keeps the
-    # copy; the next copy goes into the same memory unless it would fill
-    # less than half of it. A mask that was copied scores again from a
-    # copy of its own.
+    # a mask pruned in place, as the solver prunes it: every copy of the
+    # active columns scores to the byte as features[:, cols] does, for row-
+    # and column-major data and in several fill blocks (n=3000). A prune
+    # that leaves the columns as they were keeps the copy; the next copy
+    # goes into the same memory unless it would fill less than half of it.
+    # One cache serves the mask for the whole run, and scoring again
+    # without a prune reuses its copy.
     rng = np.random.default_rng(5)
     d = 40
     aset = gc.AtomicSet.signed_basis(d)
@@ -438,9 +441,8 @@ def test_pruned_columns_are_the_plain_copy_and_reuse_their_memory():
     for n, order in ((9, "C"), (9, "F"), (3000, "C")):
         features = np.asarray(rng.standard_normal((n, d)), order=order)
         v = rng.standard_normal(n)
-        mask, before, scored = aset.full_mask(), (None, None), None
+        mask, before, cache = aset.full_mask(), (None, None), None
         for off, columns, same_copy, same_memory in prunes:
-            earlier, mask = mask, mask.copy()
             mask.deactivate(off)
             ids, values = aset.oracle(features, v, mask)[1]
             coords = ids % d
@@ -456,11 +458,11 @@ def test_pruned_columns_are_the_plain_copy_and_reuse_their_memory():
                 assert (cached.sub is before[0]) == same_copy
                 assert (cached.memory is before[1]) == same_memory
             before = (cached.sub, cached.memory)
-            if scored is not None:
-                again = aset.oracle(features, v, earlier)[1]
-                assert earlier._columns is not cached
-                assert again[1].tobytes() == scored.tobytes()
-            scored = values
+            assert cache is None or cached is cache
+            cache = cached
+            again = aset.oracle(features, v, mask)[1]
+            assert mask._columns is cache and cache.sub is before[0]
+            assert again[1].tobytes() == values.tobytes()
 
 
 def test_oracle_scores_match_dots_on_every_kind():
@@ -491,8 +493,9 @@ def test_oracle_scores_match_dots_on_every_kind():
 
 
 def test_column_cache_never_outlives_its_mask():
-    # the compact columns are cached on the mask: a copy, a deactivated
-    # mask, another features object or another set must not read them
+    # the compact columns are cached on the mask: another mask, a
+    # deactivated mask, another features object or another set must not
+    # read them
     rng = np.random.default_rng(32)
     features = rng.standard_normal((8, 5))
     aset = gc.AtomicSet.signed_basis(5, scale=0.3)
@@ -500,11 +503,11 @@ def test_column_cache_never_outlives_its_mask():
     mask = aset.full_mask()
     mask.deactivate([0, 7])
     _oracle_matches_scoring(aset, features, v, mask)  # builds the cache
-    copy = mask.copy()
-    copy.deactivate([3, 4])
-    _oracle_matches_scoring(aset, features, v, copy)
+    other = aset.full_mask()
+    other.deactivate([0, 7, 3, 4])
+    _oracle_matches_scoring(aset, features, v, other)
     mask.deactivate([1, 9])
     _oracle_matches_scoring(aset, features, v, mask)
     _oracle_matches_scoring(aset, features.copy() * 2.0, v, mask)
     _oracle_matches_scoring(gc.AtomicSet.signed_basis(5, scale=2.0), features, v, mask)
-    _oracle_matches_scoring(aset, features, v, copy)
+    _oracle_matches_scoring(aset, features, v, other)

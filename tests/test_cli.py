@@ -11,7 +11,12 @@ import pytest
 
 import gaugecg as gc
 from gaugecg.cli import main
-from gaugecg.experiments import load_reference, read_csv_columns, read_trace_csv
+from gaugecg.experiments import (
+    ExperimentConfig,
+    load_reference,
+    read_csv_columns,
+    read_trace_csv,
+)
 
 
 def test_help_exits_zero(capsys):
@@ -63,6 +68,16 @@ def test_unbounded_point_exits_two(tmp_path, capsys):
     assert "unbounded-step" in out and "failed_at=1" in out
 
 
+def test_indicator_penalty_steps_to_its_cap(tmp_path):
+    code = main([
+        "synthetic", "--seed", "1", "--n", "30", "--d", "8", "--penalty", "indicator",
+        "--capacity", "2", "--iters", "20", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    rows = read_trace_csv(glob.glob(str(tmp_path / "synthetic-*.csv"))[0])
+    assert len(rows) == 21 and all(row.xi == 2.0 for row in rows)
+
+
 def test_mnist_needs_paths(capsys):
     assert main(["mnist", "--iters", "5"]) == 3
     assert "images" in capsys.readouterr().err
@@ -85,6 +100,19 @@ def test_mnist_run(tmp_path, mnist_fixture):
     ])
     assert code == 0
     assert glob.glob(str(tmp_path / "mnist-*.csv"))
+
+
+@pytest.mark.parametrize(
+    "digits, code, complaint",
+    [("4,9", 0, ""), ("4", 3, "two comma-separated values"), ("a,b", 3, "bad digit pair")],
+)
+def test_digit_pair_flag(tmp_path, mnist_fixture, digits, code, complaint, capsys):
+    img, lbl, _ = mnist_fixture
+    assert main([
+        "mnist", "--images", img, "--labels", lbl, "--digits", digits,
+        "--iters", "5", "--out", str(tmp_path),
+    ]) == code
+    assert complaint in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- config file
@@ -124,6 +152,14 @@ def test_bad_config_line_is_format_error(tmp_path, line, complaint, capsys):
     assert f"{cfg}:2:" in err and complaint in err
 
 
+@pytest.mark.parametrize("line", ["screen=report", "screen-every=2"])
+def test_config_file_screening_takes_prune_or_off(tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n=30\nd=8\niters=5\n{line}\n")
+    assert main(["synthetic", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert not glob.glob(str(tmp_path / "synthetic-*"))
+
+
 def test_missing_config_file(tmp_path):
     assert main(["synthetic", "--config", str(tmp_path / "none.cfg")]) == 3
 
@@ -144,6 +180,10 @@ def test_reference_residuals_rate_pipeline(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "reference: gap=" in out and "NOT reached" not in out
     (ref_path,) = glob.glob(str(tmp_path / "reference-*.json"))
+    # the reference takes no solver flags: its stem hashes their defaults
+    solver = gc.SolverConfig(max_iters=30000, gap_tolerance=1e-10)
+    stem = ExperimentConfig("synthetic", seed=5, n=40, d=12, solver=solver).stem(2.0, 1.0)
+    assert os.path.basename(ref_path) == f"reference-{stem}.json"
     reference = load_reference(ref_path)
     assert reference.reached and reference.gap <= 1e-10
 
@@ -206,6 +246,30 @@ def test_residuals_bad_reference_file_is_format_error(tmp_path, content, capsys)
     ])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unbounded_residuals_run_exits_two(tmp_path, capsys):
+    # a linear penalty this weak has no finite step at t = 1; the run
+    # aborts before its fingerprint is compared with the reference's
+    base = ["--seed", "5", "--n", "40", "--d", "12", "--out", str(tmp_path)]
+    assert main(["reference", *base, "--iters", "25000"]) == 0
+    (ref_path,) = glob.glob(str(tmp_path / "reference-*.json"))
+    code = main([
+        "residuals", *base, "--alpha", "1", "--lambda", "0.001", "--iters", "30",
+        "--reference", ref_path,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unbounded" in err
+    assert not glob.glob(str(tmp_path / "residuals-*"))
+
+
+@pytest.mark.parametrize(
+    "flag", [["--theta", "4t2"], ["--screen", "prune"], ["--trace-every", "5"]],
+    ids=["theta", "screen", "trace-every"],
+)
+def test_reference_takes_no_solver_flags(flag):
+    assert main(["reference", *flag]) == 3
 
 
 def test_reference_rejects_grids(capsys):

@@ -493,22 +493,6 @@ def test_build_certificate_on_the_frozen_problem():
     assert clone == cert
 
 
-def test_report_only_certificate_is_the_unscreened_one():
-    # report-only screening never shrinks the mask, so its iterates and its
-    # certificate are those of the run without screening, not the full set
-    loss, penalty, aset = synthetic_problem(3, lam=1.0)
-    ref = get_reference(3, 1.0)
-    certs = {}
-    for name, enabled in (("off", False), ("report-only", True)):
-        cfg = gc.SolverConfig(
-            max_iters=3000, trace_every=100, screening_enabled=enabled,
-            screening_mode="report-only",
-        )
-        certs[name] = gc.build_certificate(gc.run(loss, penalty, aset, cfg), ref)
-    assert certs["report-only"] == certs["off"]
-    assert len(certs["off"].support_ids) < aset.num_atoms
-
-
 # ------------------------------------------------------------------- rate fits
 
 
@@ -626,9 +610,16 @@ def test_residuals_csv_round_trip(tmp_path):
 
 def test_read_csv_columns_rejects_text(tmp_path):
     path = tmp_path / "x.csv"
-    path.write_text("a,b\n1.0,oops\n")
-    with pytest.raises(FileFormatError):
-        read_csv_columns(str(path))
+    # a non-numeric cell or a ragged row is a format error at its line
+    for text, complaint, line in (
+        ("a,b\n1.0,oops\n", "non-numeric cell", 2),
+        ("a,b\n1,2\n3,4\n5\n", "malformed row", 4),
+        ("a,b\n1,2\n3,4,5\n", "malformed row", 3),
+    ):
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match=f"x.csv:{line}: {complaint}") as info:
+            read_csv_columns(str(path))
+        assert info.value.offset == line
     # a byte outside ASCII is a format error at its line, in the trace
     # reader too
     path.write_bytes(",".join(TRACE_COLUMNS).encode() + b"\n" + b"1," * 8 + b"\xff\n")
@@ -739,11 +730,11 @@ def test_experiment_config_grid_and_stem():
     ).stem(2.0, 1.0)
     # stems are file names: a change to the configuration's canonical form
     # would orphan every artifact written before it
-    assert ExperimentConfig("synthetic").stem(2.0, 1.0) == "synthetic-b00712992efb"
+    assert ExperimentConfig("synthetic").stem(2.0, 1.0) == "synthetic-5943dae67314"
     solver = gc.SolverConfig(max_iters=500, screening_enabled=True, trace_every=10)
     assert ExperimentConfig(
         "synthetic", seed=3, weights=(0.01, 1.0), solver=solver
-    ).stem(2.0, 0.01) == "synthetic-a1053b75ec17"
+    ).stem(2.0, 0.01) == "synthetic-af67281775a7"
 
 
 # One changed value per configuration field; the stem must see each of them.
@@ -752,8 +743,6 @@ _SOLVER_CHANGES = {
     "gap_tolerance": 1e-3,
     "step_schedule": "4t2",
     "screening_enabled": True,
-    "screening_mode": "report-only",
-    "screen_every": 3,
     "trace_every": 10,
     "keep_snapshots": True,
 }

@@ -35,14 +35,14 @@ def test_theta_schedule_values():
         {"gap_tolerance": -1.0},
         {"gap_tolerance": math.nan},
         {"step_schedule": "linear"},
-        {"screening_mode": "prune"},
-        {"screen_every": 0},
+        {"step_schedule": None},
+        {"trace_every": 1.5},
         {"trace_every": 0},
         {"max_iters": math.nan},
         {"max_iters": math.inf},
         {"max_iters": "3"},
         {"gap_tolerance": "x"},
-        {"screen_every": math.nan},
+        {"trace_every": math.nan},
         {"trace_every": math.inf},
     ],
 )
@@ -228,11 +228,11 @@ def test_in_place_steps_leave_x0_and_snapshots_alone(kind):
     assert x0.tobytes() == kept.tobytes()
 
     state = gc.SolverState(aset, x0=x0)
-    ledger = {}
-    while state.t <= cfg.max_iters:
-        ledger[state.t] = state.reconstruct()
+    ledger, t = {}, None
+    while state.t != t:  # as run does: until a step does not move
+        t = state.t
+        ledger[t] = state.reconstruct()
         gc.step(state, loss, penalty, aset, cfg)
-    ledger[state.t] = state.reconstruct()
     assert [snap.t for snap in result.snapshots] == sorted(ledger)
     for snap in result.snapshots:
         assert snap.x is not result.state.x
@@ -331,42 +331,41 @@ def test_genuine_overshoot_divergence():
     assert info.value.t <= 100
 
 
+@pytest.mark.parametrize(
+    "n, d, entry, target, scale, message",
+    [
+        (10, 3, 1e10, 1.0, 1e300, "support value inf at iteration 1"),
+        (100, 5, 1e308, -1.0, 1.0, "gap is NaN at iteration 1"),
+    ],
+    ids=["support-value-inf", "gap-nan"],
+)
+def test_certificate_aborts_carry_the_first_row(n, d, entry, target, scale, message):
+    # the certificate itself aborts: the oracle's score overflows (C*A'v),
+    # or the step's image does and the gap comes out NaN
+    data = gc.DataMatrix(np.full((n, d), entry), np.full(n, target))
+    loss = gc.LogisticLoss(data)
+    aset = gc.AtomicSet.signed_basis(d, scale=scale)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match=message) as info:
+        gc.run(loss, gc.Penalty.power(2.0, weight=1.0), aset, gc.SolverConfig(max_iters=10))
+    assert info.value.t == 1
+    (row,) = info.value.result.trace
+    assert row.t == 1 and row.objective == pytest.approx(math.log(2.0))
+
+
 # ------------------------------------------------------------------- screening
 
 
-def synthetic_run(screening_mode="prune-lmo", **kwargs):
+def test_prune_mode_shrinks_the_mask():
     data = gc.gen_synthetic(0, n=60, d=20)
     loss = gc.LogisticLoss(data)
     penalty = gc.Penalty.power(2.0, weight=1.0)
     aset = gc.AtomicSet.signed_basis(20)
-    cfg = gc.SolverConfig(
-        max_iters=kwargs.pop("max_iters", 800),
-        screening_enabled=True,
-        screening_mode=screening_mode,
-        **kwargs,
-    )
-    return gc.run(loss, penalty, aset, cfg)
-
-
-def test_prune_mode_shrinks_the_mask():
-    result = synthetic_run()
+    cfg = gc.SolverConfig(max_iters=800, screening_enabled=True)
+    result = gc.run(loss, penalty, aset, cfg)
     assert result.screen_events
     assert result.state.mask.active_count < 40
     counts = [row.active_atoms for row in result.trace]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
-
-
-def test_report_mode_keeps_the_mask():
-    result = synthetic_run("report-only")
-    assert result.screen_events
-    assert result.state.mask.active_count == 40
-    assert all(row.active_atoms == 40 for row in result.trace)
-
-
-def test_screen_every_gates_passes():
-    result = synthetic_run(screen_every=7)
-    assert result.screen_events
-    assert all(event.t % 7 == 0 for event in result.screen_events)
 
 
 def test_screening_off_keeps_everything():
@@ -541,8 +540,9 @@ def test_margin_drift_is_bounded(kind):
     penalty = gc.Penalty.power(2.0, weight=1.0)
     cfg = gc.SolverConfig(max_iters=10_000, trace_every=10_000)
     state = gc.SolverState(aset)
-    worst = 0.0
-    while state.t <= cfg.max_iters:
+    worst, t = 0.0, None
+    while state.t != t:  # as run does: until a step does not move
+        t = state.t
         gc.step(state, loss, penalty, aset, cfg)
         exact = loss.data.features @ state.x
         drift = np.max(np.abs(state.ax - exact)) / (1.0 + np.max(np.abs(exact)))
