@@ -37,7 +37,8 @@ EXPLICIT = "explicit-list"
 # Enumerating hypercube vertices (masks, score vectors, ...) is only allowed
 # at desk scale; the implicit sign oracle below has no such limit.
 _ENUM_LIMIT = 2 ** 22
-# entries per block when _ActiveColumns fills its copy
+# entries per block when _ActiveColumns fills its copy and _column_sq_norms
+# squares its columns
 _COPY_BLOCK = 2 ** 14
 
 
@@ -70,7 +71,11 @@ class _ActiveColumns:
     def _update(self, aset, features, ids):
         d = aset.dimension
         coords = ids % d
-        cols = np.unique(coords)
+        # the sorted distinct coords, as np.unique gives them without the
+        # table of a megabyte or more that its first call allocates
+        touched = np.zeros(d, dtype=bool)
+        touched[coords] = True
+        cols = np.flatnonzero(touched)
         pos = np.searchsorted(cols, coords)
         neg_factor = np.where(ids < d, -aset.scale, aset.scale)
         same_source = self.aset is aset and self.features is features
@@ -89,6 +94,25 @@ class _ActiveColumns:
             self.sub = rows.T
         self.aset, self.features, self.ids = aset, features, ids
         self.cols, self.pos, self.neg_factor = cols, pos, neg_factor
+
+
+def _column_sq_norms(features):
+    """np.sum(features * features, axis=0), bit for bit, squaring a block of
+    columns at a time rather than the whole matrix. Each block sums its
+    columns as the whole matrix does (down the rows in order on row-major
+    data, pairwise on column-major), except a block one column wide, which
+    numpy sums pairwise whatever the layout; so a last block of one column
+    joins the block before it."""
+    n, d = features.shape
+    width = max(2, _COPY_BLOCK // max(n, 1))
+    edges = list(range(0, d, width)) + [d]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    out = np.empty(d)
+    for start, stop in zip(edges, edges[1:]):
+        block = features[:, start:stop]
+        out[start:stop] = np.sum(block * block, axis=0)
+    return out
 
 
 def best_atom(ids, values):
@@ -420,9 +444,9 @@ class AtomicSet:
         features, in closed form from the column norms of A for the implicit
         kinds: C^2 max|a_k|^2 (signed basis), C^2 (sum_k |a_k|)^2 (hypercube)."""
         if self.kind == SIGNED_BASIS:
-            return self.scale**2 * float(np.max(np.sum(features * features, axis=0)))
+            return self.scale**2 * float(np.max(_column_sq_norms(features)))
         if self.kind == HYPERCUBE:
-            return self.scale**2 * float(np.sum(np.sqrt(np.sum(features**2, axis=0)))) ** 2
+            return self.scale**2 * float(np.sum(np.sqrt(_column_sq_norms(features)))) ** 2
         mapped = features @ self.atoms_matrix().T  # columns are A p
         gram = mapped.T @ mapped
         return float(np.max(np.abs(gram)))

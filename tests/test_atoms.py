@@ -465,6 +465,33 @@ def test_pruned_columns_are_the_plain_copy_and_reuse_their_memory():
             assert again[1].tobytes() == values.tobytes()
 
 
+def test_active_columns_are_the_sorted_distinct_coordinates():
+    # cols, pos and neg_factor against their np.unique construction, on
+    # random masks, one coordinate with both signs, one atom left and a
+    # mask materialized with every atom active
+    rng = np.random.default_rng(19)
+    d = 30
+    aset = gc.AtomicSet.signed_basis(d, scale=0.3)
+    features = rng.standard_normal((6, d))
+    offs = [rng.random(2 * d) < rng.uniform(0.1, 0.95) for _ in range(40)]
+    offs.append(np.arange(2 * d) % d != 7)  # +e_7 and -e_7 only
+    offs.append(np.arange(2 * d) != d + 11)  # -e_11 only
+    offs.append(np.zeros(2 * d, dtype=bool))  # every atom active
+    for off in offs:
+        mask = aset.full_mask()
+        mask.deactivate(np.flatnonzero(off))
+        if not mask.active_count:
+            continue
+        aset.oracle(features, rng.standard_normal(6), mask)
+        ids = mask.active_ids()
+        cols = np.unique(ids % d)
+        cache = mask._columns
+        assert cache.cols.dtype == cols.dtype
+        assert cache.cols.tobytes() == cols.tobytes()
+        assert cache.pos.tobytes() == np.searchsorted(cols, ids % d).tobytes()
+        assert cache.neg_factor.tobytes() == np.where(ids < d, -0.3, 0.3).tobytes()
+
+
 def test_oracle_scores_match_dots_on_every_kind():
     # a pruned signed basis scores from its active columns, an explicit set
     # or a pruned hypercube through dots, a full implicit set through lmo

@@ -3,6 +3,7 @@ against naive formulas on tame data, and curvature certificates against
 exact Hessian quadratic forms."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 from scipy.special import expit
 
 import gaugecg as gc
+from gaugecg import atoms
 from gaugecg.errors import ContractViolationError
 
 
@@ -212,6 +214,49 @@ def test_smoothness_closed_forms():
     cube = gc.AtomicSet.hypercube(5, scale=0.5)
     col_norms = np.linalg.norm(A, axis=0)
     assert loss.smoothness_wrt(cube) == pytest.approx(0.25 * float(col_norms.sum()) ** 2)
+
+
+def _layouts(rng):
+    """(name, features) in the layouts gram_bound must handle, including
+    the shapes whose column blocks would leave one column over."""
+    width = atoms._COPY_BLOCK // 200  # block width at n=200
+    for n, d in ((200, 2 * width + 1), (200, width + 1), (200, 3 * width), (7, 1), (1, 5)):
+        base = rng.standard_normal((n, d)) * 3.0
+        yield f"C {n}x{d}", base
+        yield f"F {n}x{d}", np.asfortranarray(base)
+        yield f"column-strided {n}x{d}", np.repeat(base, 2, axis=1)[:, ::2]
+        yield f"row-strided {n}x{d}", np.repeat(base, 2, axis=0)[::2]
+    # two columns to a block: the last of 5 would be alone
+    yield "C 16384x5", rng.standard_normal((atoms._COPY_BLOCK, 5))
+
+
+def test_gram_bound_is_the_whole_matrix_expression_to_the_bit():
+    # the column norms are streamed a block at a time; L must keep the bits
+    # of the expressions that square the whole matrix at once
+    rng = np.random.default_rng(19)
+    for name, A in _layouts(rng):
+        norms = np.sum(A * A, axis=0)
+        assert atoms._column_sq_norms(A).tobytes() == norms.tobytes(), name
+        for scale in (1.0, 0.7):
+            basis = gc.AtomicSet.signed_basis(A.shape[1], scale=scale)
+            cube = gc.AtomicSet.hypercube(A.shape[1], scale=scale)
+            whole = scale**2 * float(np.max(norms))
+            cube_whole = scale**2 * float(np.sum(np.sqrt(np.sum(A**2, axis=0)))) ** 2
+            assert basis.gram_bound(A).hex() == whole.hex(), name
+            assert cube.gram_bound(A).hex() == cube_whole.hex(), name
+
+
+def test_smoothness_forms_no_matrix_sized_temporary():
+    data = gc.gen_synthetic(3, n=200, d=1000)
+    loss = gc.LogisticLoss(data)
+    for aset in (gc.AtomicSet.signed_basis(1000), gc.AtomicSet.hypercube(1000)):
+        tracemalloc.start()
+        try:
+            loss.smoothness_wrt(aset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= data.features.nbytes / 4, aset
 
 
 def test_smoothness_explicit_is_gram_max():
