@@ -1,7 +1,8 @@
 """Finite atomic sets: linear minimization, support values, and gauges.
 
 An atomic set is the convex hull of finitely many vectors ("atoms"),
-optionally magnified by a positive scale. Three kinds are supported:
+optionally magnified by a positive scale. Three kinds are supported, one
+AtomicSet subclass each:
 
 * ``signed-basis``     -- the 2d vectors  +/- C*e_k  (an l1 ball of radius C),
 * ``hypercube-vertices`` -- the 2^d sign vectors  C*{-1,+1}^d  (an l_inf ball),
@@ -44,7 +45,7 @@ _COPY_BLOCK = 2 ** 14
 
 class _ActiveColumns:
     """The columns that the active atoms of a pruned signed basis touch,
-    copied for AtomicSet._column_scores and cached on the run's mask.
+    copied for _SignedBasis._column_scores and cached on the run's mask.
 
     A screened run prunes dozens of times, the first copies at the full
     size of the features. The cache keeps its copy while the columns stay
@@ -145,7 +146,7 @@ class AtomMask:
         self._num_atoms = num_atoms
         self._active = None  # None: every atom active, nothing stored
         self._ids = None
-        self._columns = None  # see AtomicSet._column_scores
+        self._columns = None  # see _SignedBasis._column_scores
 
     @property
     def num_atoms(self):
@@ -194,115 +195,72 @@ class AtomMask:
 
 
 class AtomicSet:
-    """A scaled finite atomic set with linear-oracle and gauge queries."""
+    """A scaled finite atomic set with linear-oracle and gauge queries; the
+    classmethods build the subclass of each kind. The methods here serve any
+    set through its atom matrix, and the implicit kinds override them with
+    closed forms."""
 
-    def __init__(self, kind, dimension, scale=1.0, vectors=None):
-        if kind not in (SIGNED_BASIS, HYPERCUBE, EXPLICIT):
-            raise ContractViolationError(f"unknown atomic-set kind {kind!r}")
+    kind = None
+    _vectors = None  # the atom matrix, built on first use (atoms_matrix)
+    # the closed-form oracle over every atom, (atom_id, value) for z; None
+    # on an explicit list, whose oracle scores its atoms
+    _implicit_lmo = None
+
+    def __init__(self, dimension, scale):
         dimension = int(dimension)
         if dimension <= 0:
             raise ContractViolationError("dimension must be positive")
         scale = float(scale)
         if not scale > 0 or not np.isfinite(scale):
             raise ContractViolationError("scale must be a positive finite real")
-        self.kind = kind
         self.dimension = dimension
         self.scale = scale
-        if kind == EXPLICIT:
-            mat = np.asarray(vectors, dtype=float)
-            if mat.ndim != 2 or mat.shape[0] == 0 or mat.shape[1] != dimension:
-                raise ContractViolationError(
-                    "explicit atom list must be a nonempty (m, d) array"
-                )
-            if not np.all(np.isfinite(mat)):
-                raise ContractViolationError("atom vectors must be finite")
-            # scale folded in once, here
-            self._vectors = mat * scale
-            self._vectors.setflags(write=False)
-        else:
-            if vectors is not None:
-                raise ContractViolationError(f"{kind} does not take explicit vectors")
-            self._vectors = None  # the implicit kinds build it on first use
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def signed_basis(cls, dimension, scale=1.0):
         """The 2d atoms +/- C*e_k (l1 ball of radius C)."""
-        return cls(SIGNED_BASIS, dimension, scale)
+        return _SignedBasis(dimension, scale)
 
     @classmethod
     def hypercube(cls, dimension, scale=1.0):
         """The 2^d sign vertices C*{-1,+1}^d (l_inf ball of radius C)."""
-        return cls(HYPERCUBE, dimension, scale)
+        return _Hypercube(dimension, scale)
 
     @classmethod
     def explicit(cls, vectors, scale=1.0):
         """An arbitrary list of atoms; ``vectors`` is (m, d), one atom per row."""
-        mat = np.asarray(vectors, dtype=float)
-        if mat.ndim != 2:
-            raise ContractViolationError("expected a 2-d array of atom rows")
-        return cls(EXPLICIT, mat.shape[1], scale, vectors=mat)
+        return _ExplicitList(vectors, scale)
 
     # -- basic geometry ---------------------------------------------------
 
     @property
     def num_atoms(self):
-        if self.kind == SIGNED_BASIS:
-            return 2 * self.dimension
-        if self.kind == HYPERCUBE:
-            return 2 ** self.dimension
-        return self._vectors.shape[0]
+        return self.atoms_matrix().shape[0]
 
     def atom_vector(self, atom_id):
         """The (scaled) vector of one atom."""
         atom_id = int(atom_id)
         if atom_id < 0 or atom_id >= self.num_atoms:
             raise ContractViolationError(f"atom id {atom_id} out of range")
-        if self.kind == SIGNED_BASIS:
-            k, entry = self._signed(atom_id)
-            v = np.zeros(self.dimension)
-            v[k] = entry
-            return v
-        if self.kind == HYPERCUBE:
-            # ids may exceed 64 bits, so the bits go through bytes
-            raw = atom_id.to_bytes((self.dimension + 7) // 8, "little")
-            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-            return self.scale * (1.0 - 2.0 * bits[: self.dimension])
-        return self._vectors[atom_id].copy()
+        return self._atom_vector(atom_id)
 
-    def _signed(self, atom_id):
-        """``(k, entry)`` of a signed-basis atom: its coordinate, +/-C."""
-        d = self.dimension
-        return atom_id % d, (self.scale if atom_id < d else -self.scale)
+    def _atom_vector(self, atom_id):
+        return self.atoms_matrix()[atom_id].copy()
 
     def image(self, features, atom_id):
-        """``features @ p`` for one atom p: for the signed basis one scaled
-        column of features, O(n) instead of O(n d)."""
-        if self.kind != SIGNED_BASIS:
-            return features @ self.atom_vector(atom_id)
-        k, entry = self._signed(int(atom_id))
-        return entry * features[:, k]
+        """``features @ p`` for one atom p."""
+        return features @ self.atom_vector(atom_id)
 
     def atoms_matrix(self):
         """All atoms as a read-only (m, d) array, built once per set and
         kept. Guarded for huge hypercubes."""
-        if self._vectors is not None:
-            return self._vectors
-        if self.kind == SIGNED_BASIS:
-            eye = np.eye(self.dimension) * self.scale
-            mat = np.vstack([eye, -eye])
-        elif not self.enumerable:
-            raise ContractViolationError(
-                "hypercube vertex enumeration is limited to desk scale"
-            )
-        else:
-            ids = np.arange(self.num_atoms)
-            bits = (ids[:, None] >> np.arange(self.dimension)[None, :]) & 1
-            mat = self.scale * (1.0 - 2.0 * bits)
-        mat.setflags(write=False)
-        self._vectors = mat
-        return mat
+        if self._vectors is None:
+            mat = self._enumerate()
+            mat.setflags(write=False)
+            self._vectors = mat
+        return self._vectors
 
     def _check_point(self, z):
         z = np.asarray(z, dtype=float)
@@ -326,14 +284,14 @@ class AtomicSet:
         on this path.
         """
         z = self._check_point(z)
-        if self.kind == SIGNED_BASIS:
-            values = self.scale * np.concatenate([z, -z])
-        else:
-            values = self.atoms_matrix() @ z
+        values = self._dots(z)
         if mask is None or mask.is_full:
             return np.arange(self.num_atoms), values
         ids = mask.active_ids()
         return ids, values[ids]
+
+    def _dots(self, z):
+        return self.atoms_matrix() @ z
 
     # -- the three core queries -------------------------------------------
 
@@ -348,23 +306,8 @@ class AtomicSet:
         the last bit, as the two sum in different orders.
         """
         z = self._check_point(z)
-        full = mask is None or mask.is_full
-        if full and self.kind == HYPERCUBE:
-            # implicit sign oracle: works at any dimension; bit k of the id
-            # is set where z_k < 0, so ties at zero take the lower id
-            bits = np.packbits(z < 0, bitorder="little")
-            atom_id = int.from_bytes(bits.tobytes(), "little")
-            return atom_id, self.scale * float(np.sum(np.abs(z)))
-        if full and self.kind == SIGNED_BASIS:
-            # the scores are w = C*z, then -w (negation is exact): +e_hi
-            # wins unless -w_lo is strictly larger, so a cross-sign tie goes
-            # to the lower id; a NaN is the first max and min of w and fails
-            # the comparison, so its + atom wins, as in best_atom
-            w = self.scale * z
-            hi, lo = int(w.argmax()), int(w.argmin())
-            if w[hi] < -w[lo]:
-                return self.dimension + lo, float(-w[lo])
-            return hi, float(w[hi])
+        if self._implicit_lmo is not None and (mask is None or mask.is_full):
+            return self._implicit_lmo(z)
         return best_atom(*self.dots(z, mask))
 
     def oracle(self, features, v, mask=None):
@@ -374,44 +317,20 @@ class AtomicSet:
         and the answer is its first maximum (best_atom). At full mask the
         implicit kinds answer through lmo and score no atom: scores is None.
         A pruned signed basis scores from its active columns and forms no
-        gradient: grad is None (see _column_scores)."""
-        full = mask is None or mask.is_full
-        if self.kind == SIGNED_BASIS and not full:
-            ids, values = self._column_scores(features, v, mask)
-            return None, (ids, values), best_atom(ids, values)
+        gradient: grad is None (see _SignedBasis._column_scores)."""
         grad = features.T @ v
-        if full and self.kind != EXPLICIT:
+        if self._implicit_lmo is not None and (mask is None or mask.is_full):
             return grad, None, self.lmo(-grad)
         scores = self.dots(-grad, mask)
         return grad, scores, best_atom(*scores)
 
-    def _column_scores(self, features, v, mask):
-        """Scores of the atoms active in mask on a pruned signed basis: atom
-        +/-C e_k has -/+C (features' v)_k, +/-C (-grad)_k up to the order of
-        summation, from a copy of the columns an active atom touches, cached
-        on the mask and keyed on this set, the features object and the
-        mask's active ids (_ActiveColumns)."""
-        if mask._columns is None:
-            mask._columns = _ActiveColumns()
-        ids = mask.active_ids()
-        return ids, mask._columns.scores(self, features, ids, v)
-
     def move(self, x, theta, xi, atom_id):
         """x <- (1 - theta) x + theta * xi * atom, in place and bit-identical
         to that formula; returns the one coordinate whose magnitude can have
-        grown, or None when any can. On the signed basis every entry but x_k
-        becomes (1 - theta) x_j plus the formula's zero term theta * (xi * 0),
-        which turns a -0 into +0 as the formula does."""
-        if self.kind != SIGNED_BASIS:
-            x *= 1.0 - theta
-            x += theta * (xi * self.atom_vector(atom_id))
-            return None
-        k, entry = self._signed(atom_id)
-        x_k = x[k]
+        grown, or None when any can."""
         x *= 1.0 - theta
-        x += theta * (xi * 0.0)
-        x[k] = (1.0 - theta) * x_k + theta * (xi * entry)
-        return k
+        x += theta * (xi * self.atom_vector(atom_id))
+        return None
 
     def support_value(self, z, mask=None):
         """Max of <p, z> over active atoms (the support function of their hull)."""
@@ -424,29 +343,18 @@ class AtomicSet:
         explicit lists. Raises InfeasibleGaugeError when x is outside the
         cone of the atoms.
         """
-        x = self._check_point(x)
-        if self.kind == SIGNED_BASIS:
-            return self.iterate_gauge(x)
-        if self.kind == HYPERCUBE:
-            return float(np.max(np.abs(x)) / self.scale)
-        return self._gauge_lp(x)[0]
+        return self.gauge_decomposition(x)[0]
 
     def iterate_gauge(self, x):
         """|x|_1 / C, the gauge of x, on the signed basis; None elsewhere,
         where the solver bounds the gauge by its ledger sum. (The hypercube's
         max|x| / C is tighter, and would move the objectives in its traces.)"""
-        if self.kind != SIGNED_BASIS:
-            return None
-        return float(np.abs(x).sum()) / self.scale
+        return None
 
     def gram_bound(self, features):
         """Upper bound on |<A p, A q>| over the set's own atom pairs, A =
         features, in closed form from the column norms of A for the implicit
         kinds: C^2 max|a_k|^2 (signed basis), C^2 (sum_k |a_k|)^2 (hypercube)."""
-        if self.kind == SIGNED_BASIS:
-            return self.scale**2 * float(np.max(_column_sq_norms(features)))
-        if self.kind == HYPERCUBE:
-            return self.scale**2 * float(np.sum(np.sqrt(_column_sq_norms(features)))) ** 2
         mapped = features @ self.atoms_matrix().T  # columns are A p
         gram = mapped.T @ mapped
         return float(np.max(np.abs(gram)))
@@ -458,16 +366,7 @@ class AtomicSet:
         ids with ``coeffs @ atoms == x`` and ``coeffs.sum() == value``.
         Not available for hypercube sets (no materialized witness).
         """
-        x = self._check_point(x)
-        if self.kind == SIGNED_BASIS:
-            coeffs = np.concatenate([np.maximum(x, 0.0), np.maximum(-x, 0.0)])
-            coeffs /= self.scale
-            return self.iterate_gauge(x), coeffs
-        if self.kind == HYPERCUBE:
-            raise ContractViolationError(
-                "hypercube sets have no materialized decomposition witness"
-            )
-        return self._gauge_lp(x)
+        return self._gauge_lp(self._check_point(x))
 
     def _gauge_lp(self, x):
         # imported on first use: no other path of the package needs
@@ -477,9 +376,10 @@ class AtomicSet:
         m = self.num_atoms
         if not np.any(x):
             return 0.0, np.zeros(m)
+        vectors = self.atoms_matrix()
         res = linprog(
             c=np.ones(m),
-            A_eq=self._vectors.T,
+            A_eq=vectors.T,
             b_eq=x,
             bounds=(0, None),
             method="highs",
@@ -497,7 +397,7 @@ class AtomicSet:
         # value is good to near machine precision.
         basic = np.flatnonzero(coeffs > 1e-11 * (1.0 + coeffs.max()))
         if basic.size:
-            sub = self._vectors[basic].T
+            sub = vectors[basic].T
             sol, _, _, _ = np.linalg.lstsq(sub, x, rcond=None)
             ok = (
                 np.all(sol >= -1e-9)
@@ -516,13 +416,156 @@ class AtomicSet:
     def fingerprint_parts(self):
         """Stable description for problem fingerprints, in pieces, the atoms
         as a buffer rather than a copy."""
-        head = f"{self.kind}|{self.dimension}|{self.scale!r}".encode()
-        if self.kind == EXPLICIT:
-            return [head, b"|", np.ascontiguousarray(self._vectors)]
-        return [head]
+        return [f"{self.kind}|{self.dimension}|{self.scale!r}".encode()]
 
     def __repr__(self):
         return (
             f"AtomicSet(kind={self.kind!r}, dimension={self.dimension}, "
             f"scale={self.scale}, num_atoms={self.num_atoms})"
         )
+
+
+class _SignedBasis(AtomicSet):
+    kind = SIGNED_BASIS
+
+    @property
+    def num_atoms(self):
+        return 2 * self.dimension
+
+    def _signed(self, atom_id):
+        """``(k, entry)`` of a signed-basis atom: its coordinate, +/-C."""
+        d = self.dimension
+        return atom_id % d, (self.scale if atom_id < d else -self.scale)
+
+    def _atom_vector(self, atom_id):
+        k, entry = self._signed(atom_id)
+        v = np.zeros(self.dimension)
+        v[k] = entry
+        return v
+
+    def image(self, features, atom_id):
+        """One scaled column of features, O(n) instead of O(n d)."""
+        k, entry = self._signed(int(atom_id))
+        return entry * features[:, k]
+
+    def _enumerate(self):
+        eye = np.eye(self.dimension) * self.scale
+        return np.vstack([eye, -eye])
+
+    def _dots(self, z):
+        return self.scale * np.concatenate([z, -z])
+
+    def _implicit_lmo(self, z):
+        # the scores are w = C*z, then -w (negation is exact): +e_hi wins
+        # unless -w_lo is strictly larger, so a cross-sign tie goes to the
+        # lower id; a NaN is the first max and min of w and fails the
+        # comparison, so its + atom wins, as in best_atom
+        w = self.scale * z
+        hi, lo = int(w.argmax()), int(w.argmin())
+        if w[hi] < -w[lo]:
+            return self.dimension + lo, float(-w[lo])
+        return hi, float(w[hi])
+
+    def oracle(self, features, v, mask=None):
+        if mask is None or mask.is_full:
+            return super().oracle(features, v, mask)
+        ids, values = self._column_scores(features, v, mask)
+        return None, (ids, values), best_atom(ids, values)
+
+    def _column_scores(self, features, v, mask):
+        """Scores of the atoms active in mask: atom +/-C e_k has -/+C
+        (features' v)_k, +/-C (-grad)_k up to the order of summation, from a
+        copy of the columns an active atom touches, cached on the mask and
+        keyed on this set, the features object and the mask's active ids
+        (_ActiveColumns)."""
+        if mask._columns is None:
+            mask._columns = _ActiveColumns()
+        ids = mask.active_ids()
+        return ids, mask._columns.scores(self, features, ids, v)
+
+    def move(self, x, theta, xi, atom_id):
+        """Every entry but x_k becomes (1 - theta) x_j plus the formula's
+        zero term theta * (xi * 0), which turns a -0 into +0 as the formula
+        does; returns k."""
+        k, entry = self._signed(atom_id)
+        x_k = x[k]
+        x *= 1.0 - theta
+        x += theta * (xi * 0.0)
+        x[k] = (1.0 - theta) * x_k + theta * (xi * entry)
+        return k
+
+    def iterate_gauge(self, x):
+        return float(np.abs(x).sum()) / self.scale
+
+    def gram_bound(self, features):
+        return self.scale**2 * float(np.max(_column_sq_norms(features)))
+
+    def gauge_decomposition(self, x):
+        x = self._check_point(x)
+        coeffs = np.concatenate([np.maximum(x, 0.0), np.maximum(-x, 0.0)])
+        coeffs /= self.scale
+        return self.iterate_gauge(x), coeffs
+
+
+class _Hypercube(AtomicSet):
+    kind = HYPERCUBE
+
+    @property
+    def num_atoms(self):
+        return 2 ** self.dimension
+
+    def _atom_vector(self, atom_id):
+        # ids may exceed 64 bits, so the bits go through bytes
+        raw = atom_id.to_bytes((self.dimension + 7) // 8, "little")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        return self.scale * (1.0 - 2.0 * bits[: self.dimension])
+
+    def _enumerate(self):
+        if not self.enumerable:
+            raise ContractViolationError(
+                "hypercube vertex enumeration is limited to desk scale"
+            )
+        ids = np.arange(self.num_atoms)
+        bits = (ids[:, None] >> np.arange(self.dimension)[None, :]) & 1
+        return self.scale * (1.0 - 2.0 * bits)
+
+    def _implicit_lmo(self, z):
+        # implicit sign oracle: works at any dimension; bit k of the id is
+        # set where z_k < 0, so ties at zero take the lower id
+        bits = np.packbits(z < 0, bitorder="little")
+        atom_id = int.from_bytes(bits.tobytes(), "little")
+        return atom_id, self.scale * float(np.sum(np.abs(z)))
+
+    def gauge_value(self, x):
+        return float(np.max(np.abs(self._check_point(x))) / self.scale)
+
+    def gram_bound(self, features):
+        return self.scale**2 * float(np.sum(np.sqrt(_column_sq_norms(features)))) ** 2
+
+    def gauge_decomposition(self, x):
+        self._check_point(x)
+        raise ContractViolationError(
+            "hypercube sets have no materialized decomposition witness"
+        )
+
+
+class _ExplicitList(AtomicSet):
+    kind = EXPLICIT
+
+    def __init__(self, vectors, scale):
+        mat = np.asarray(vectors, dtype=float)
+        if mat.ndim != 2:
+            raise ContractViolationError("expected a 2-d array of atom rows")
+        super().__init__(mat.shape[1], scale)
+        if mat.shape[0] == 0:
+            raise ContractViolationError(
+                "explicit atom list must be a nonempty (m, d) array"
+            )
+        if not np.all(np.isfinite(mat)):
+            raise ContractViolationError("atom vectors must be finite")
+        # scale folded in once, here
+        self._vectors = mat * self.scale
+        self._vectors.setflags(write=False)
+
+    def fingerprint_parts(self):
+        return super().fingerprint_parts() + [b"|", np.ascontiguousarray(self._vectors)]

@@ -10,7 +10,6 @@ import argparse
 import os
 import sys
 
-from . import penalties as _penalties
 from .errors import (
     ContractViolationError,
     DivergenceError,
@@ -31,14 +30,8 @@ from .experiments import (
     save_reference,
     write_residuals_csv,
 )
+from .penalties import INDICATOR, LOG_BARRIER, POWER
 from .solver import SolverConfig, run
-
-_PENALTY_CHOICES = {
-    "power": _penalties.POWER,
-    "log-barrier": _penalties.LOG_BARRIER,
-    "indicator": _penalties.INDICATOR,
-}
-
 
 def _grid(text):
     try:
@@ -65,7 +58,7 @@ def _add_run_flags(sub, iters_default=1000, gap_tol_default=0.0):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--n", type=int, default=100)
     sub.add_argument("--d", type=int, default=50)
-    sub.add_argument("--penalty", choices=sorted(_PENALTY_CHOICES), default="power")
+    sub.add_argument("--penalty", choices=sorted((POWER, LOG_BARRIER, INDICATOR)), default=POWER)
     sub.add_argument("--alpha", type=_grid, default=(2.0,),
                      help="power exponent, or a comma list to sweep")
     sub.add_argument("--lambda", dest="weights", type=_grid, default=(1.0,),
@@ -173,7 +166,7 @@ def _experiment_config(args, experiment, keep_snapshots=False):
         seed=args.seed,
         n=args.n,
         d=args.d,
-        penalty_kind=_PENALTY_CHOICES[args.penalty],
+        penalty_kind=args.penalty,
         alphas=args.alpha,
         weights=args.weights,
         capacity=args.capacity,

@@ -21,7 +21,6 @@ import struct
 import numpy as np
 
 from . import atoms as _atoms
-from . import penalties as _penalties
 from . import screening as _screening
 from .errors import (
     ContractViolationError,
@@ -31,6 +30,7 @@ from .errors import (
     UnboundedStepError,
 )
 from .losses import DataMatrix, LogisticLoss
+from .penalties import INDICATOR, LOG_BARRIER, POWER, Penalty
 from .solver import (
     SolverConfig,
     SolverState,
@@ -209,10 +209,9 @@ def _restricted_minimize(loss, penalty, mat, c0):
     drops, or until the value stays within 4 ulps and the projected
     gradient's max-norm shrinks: near the optimum the value is flat to its
     last bit and cannot judge a step alone. The loop stops once that norm is
-    at roundoff level or no halving is accepted. phi is a power penalty with
-    alpha >= 2, the only one that reference_solve polishes.
+    at roundoff level or no halving is accepted. phi' and phi'' come from
+    penalty.derivatives.
     """
-    alpha, weight = penalty.alpha, penalty.weight
     images = loss.data.features @ mat
     flat = 4.0 * np.finfo(float).eps
 
@@ -220,7 +219,7 @@ def _restricted_minimize(loss, penalty, mat, c0):
         ax = images @ c
         total = float(np.sum(c))
         value = loss.value_of_margins(ax) + penalty.value(total)
-        grad_c = images.T @ loss.link(ax) + weight * total ** (alpha - 1.0)
+        grad_c = images.T @ loss.link(ax) + penalty.derivatives(total)[0]
         free = (c > 0.0) | (grad_c < 0.0)
         norm = float(np.max(np.abs(grad_c[free]))) if np.any(free) else 0.0
         return value, grad_c, free, norm, ax
@@ -230,7 +229,7 @@ def _restricted_minimize(loss, penalty, mat, c0):
     for _ in range(60):
         if norm < 1e-15:
             break
-        curve = weight * (alpha - 1.0) * float(np.sum(c)) ** (alpha - 2.0)
+        curve = penalty.derivatives(float(np.sum(c)))[1]
         mapped = images[:, free]
         omega = loss.curvature_weights(ax)
         hess = mapped.T @ (mapped * omega[:, None]) + curve
@@ -276,47 +275,42 @@ def _growth(atomic_set, cert, support):
 def _polish(loss, penalty, atomic_set, state, tol):
     """Candidate solution from the current state.
 
-    For power penalties the smooth restricted problem over the ledger
-    support (coefficients >= 0) is minimized to machine precision. While
-    the full-set gap stays above tol with the best scoring atom outside the
-    working support, up to as many violators as the support holds are
-    added, best first (_growth), and the minimization repeated: the support
-    at most doubles per round (seed 3 at weight 0.01, n=100, d=50 goes
-    through 4, 8, 16 and 30 columns to its 23-atom support from the 10-step
-    warm start). Once the best atom is already in the support,
-    the polish has reached its precision and stops. Other penalties fall
-    back to the raw iterate. Returns the candidate with a full-set gap
-    certificate evaluated at it.
+    For a penalty with derivatives (the power kind) the smooth restricted
+    problem over the ledger support (coefficients >= 0) is minimized to
+    machine precision. While the full-set gap stays above tol with the best
+    scoring atom outside the working support, up to as many violators as
+    the support holds are added, best first (_growth), and the minimization
+    repeated: the support at most doubles per round (seed 3 at weight 0.01,
+    n=100, d=50 goes through 4, 8, 16 and 30 columns to its 23-atom support
+    from the 10-step warm start). Once the best atom is already in the
+    support, the polish has reached its precision and stops. Other
+    penalties fall back to the raw iterate. Returns the candidate with a
+    full-set gap certificate evaluated at it.
     """
     coeffs = state.coeffs
     support = sorted(_screening.support_of(coeffs))
-    if not support or penalty.kind != _penalties.POWER:
+    if not support or penalty.derivatives is None:
         x = state.x.copy()
         cert = certificate(loss, penalty, atomic_set, loss.margins(x), state.kappa_bound)
-        return {
-            "x": x,
-            "grad": cert.grad,
-            "objective": loss.value(x) + cert.h_x,
-            "gap": cert.gap,
-            "support": _screening.support_of(coeffs),
-        }
-    c = np.array([coeffs[i] for i in support])
-    for _ in range(50):
-        mat = np.stack([atomic_set.atom_vector(i) for i in support], axis=1)
-        c = _restricted_minimize(loss, penalty, mat, c)
-        x = mat @ c
-        cert = certificate(loss, penalty, atomic_set, loss.margins(x), float(np.sum(c)))
-        if cert.gap <= tol or cert.atom_id in support:
-            break
-        added = _growth(atomic_set, cert, support)
-        support += added
-        c = np.append(c, np.zeros(len(added)))
+    else:
+        c = np.array([coeffs[i] for i in support])
+        for _ in range(50):
+            mat = np.stack([atomic_set.atom_vector(i) for i in support], axis=1)
+            c = _restricted_minimize(loss, penalty, mat, c)
+            x = mat @ c
+            cert = certificate(loss, penalty, atomic_set, loss.margins(x), float(np.sum(c)))
+            if cert.gap <= tol or cert.atom_id in support:
+                break
+            added = _growth(atomic_set, cert, support)
+            support += added
+            c = np.append(c, np.zeros(len(added)))
+        coeffs = dict(zip(support, c))
     return {
         "x": x,
         "grad": cert.grad,
         "objective": loss.value(x) + cert.h_x,
         "gap": cert.gap,
-        "support": _screening.support_of(dict(zip(support, c))),
+        "support": _screening.support_of(coeffs),
     }
 
 
@@ -582,6 +576,17 @@ def read_trace_csv(path):
     return [TraceRecord(*row) for row in zip(*columns)]
 
 
+# Per penalty kind: whether an experiment's grid sweeps alpha (the power
+# kind alone reads it), and the penalty of a config at one grid point.
+_PENALTY_KINDS = {
+    POWER: (True, lambda cfg, alpha, weight: Penalty.power(alpha, weight)),
+    LOG_BARRIER: (False, lambda cfg, alpha, weight: Penalty.log_barrier(
+        cfg.capacity, growth=cfg.growth, weight=weight
+    )),
+    INDICATOR: (False, lambda cfg, alpha, weight: Penalty.indicator(cfg.capacity)),
+}
+
+
 @dataclasses.dataclass
 class ExperimentConfig:
     """One experiment invocation, possibly fanning out over a penalty grid.
@@ -594,7 +599,7 @@ class ExperimentConfig:
     seed: int = 0
     n: int = 100
     d: int = 50
-    penalty_kind: str = _penalties.POWER
+    penalty_kind: str = POWER
     alphas: tuple = (2.0,)
     weights: tuple = (1.0,)
     capacity: float = 1.0
@@ -613,6 +618,8 @@ class ExperimentConfig:
             )
         if self.experiment == "mnist" and (self.images_path is None or self.labels_path is None):
             raise ContractViolationError("mnist experiment needs images and labels paths")
+        if self.penalty_kind not in _PENALTY_KINDS:
+            raise ContractViolationError(f"unknown penalty kind {self.penalty_kind!r}")
         if not self.alphas or not self.weights:
             raise ContractViolationError("alpha and weight grids must be nonempty")
         self.seed, self.n, self.d = int(self.seed), int(self.n), int(self.d)
@@ -625,21 +632,14 @@ class ExperimentConfig:
         self.digits = tuple(int(v) for v in self.digits)
 
     def build_penalty(self, alpha, weight):
-        if self.penalty_kind == _penalties.POWER:
-            return _penalties.Penalty.power(alpha, weight=weight)
-        if self.penalty_kind == _penalties.LOG_BARRIER:
-            return _penalties.Penalty.log_barrier(
-                self.capacity, growth=self.growth, weight=weight
-            )
-        if self.penalty_kind == _penalties.INDICATOR:
-            return _penalties.Penalty.indicator(self.capacity)
-        raise ContractViolationError(f"unknown penalty kind {self.penalty_kind!r}")
+        _, build = _PENALTY_KINDS[self.penalty_kind]
+        return build(self, alpha, weight)
 
     def grid(self):
         """Penalty grid: alpha varies only for the power kind."""
-        if self.penalty_kind == _penalties.POWER:
-            return [(a, w) for a in self.alphas for w in self.weights]
-        return [(self.alphas[0], w) for w in self.weights]
+        sweeps_alpha, _ = _PENALTY_KINDS[self.penalty_kind]
+        alphas = self.alphas if sweeps_alpha else self.alphas[:1]
+        return [(a, w) for a in alphas for w in self.weights]
 
     def build_problem(self):
         """(loss, atomic_set): the logistic loss on the experiment's data

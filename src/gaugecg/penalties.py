@@ -1,8 +1,9 @@
 """Scalar penalties on the gauge value, with conjugates and step solutions.
 
 A penalty is a nondecreasing convex function ``phi`` on [0, inf) with
-phi(0) = 0. Three kinds are provided, each carrying a positive weight
-(the regularization strength, multiplied into the function):
+phi(0) = 0. Three kinds are provided, one Penalty subclass each, each
+carrying a positive weight (the regularization strength, multiplied into
+the function):
 
 * ``power``       phi(xi) = w * xi^alpha / alpha           (alpha >= 1)
 * ``log-barrier`` phi(xi) = w * (-log(cap-xi)/b - xi/(cap*b) + log(cap)/b)
@@ -47,41 +48,26 @@ def _sat_pow(base, exponent):
 
 
 class Penalty:
-    """One scalar penalty; construct via the power / log_barrier / indicator
-    classmethods rather than directly."""
+    """One scalar penalty; the power / log_barrier / indicator classmethods
+    build the subclass of each kind."""
 
-    def __init__(self, kind, weight, alpha=None, cap=None, growth=None):
-        self.kind = kind
+    kind = None
+    alpha = cap = growth = None
+    # (phi'(xi), phi''(xi)) on the kinds smooth enough for the reference
+    # polish (experiments._polish); None on the others
+    derivatives = None
+
+    def __init__(self, weight):
         self.weight = float(weight)
-        self.alpha = None if alpha is None else float(alpha)
-        self.cap = None if cap is None else float(cap)
-        self.growth = None if growth is None else float(growth)
         if not self.weight > 0 or not math.isfinite(self.weight):
             raise ContractViolationError("penalty weight must be positive and finite")
-        if kind == POWER:
-            if self.alpha is None or self.alpha < 1 or not math.isfinite(self.alpha):
-                raise ContractViolationError("power exponent must satisfy alpha >= 1")
-            # alpha in [1, 2): no quadratic growth, no rate guarantee
-            self.mu = self.weight / self.alpha if self.alpha >= 2.0 else 0.0
-        elif kind == LOG_BARRIER:
-            if self.cap is None or not self.cap > 0:
-                raise ContractViolationError("log-barrier cap must be positive")
-            if self.growth is None or not self.growth > 0:
-                raise ContractViolationError("log-barrier growth must be positive")
-            self.mu = math.inf
-        elif kind == INDICATOR:
-            if self.cap is None or not self.cap > 0:
-                raise ContractViolationError("indicator cap must be positive")
-            self.mu = math.inf
-        else:
-            raise ContractViolationError(f"unknown penalty kind {kind!r}")
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def power(cls, alpha, weight=1.0):
         """phi(xi) = weight * xi^alpha / alpha."""
-        return cls(POWER, weight, alpha=alpha)
+        return _Power(alpha, weight)
 
     @classmethod
     def log_barrier(cls, cap, growth=1.0, weight=1.0):
@@ -90,12 +76,12 @@ class Penalty:
         ``growth`` is the barrier steepness parameter (larger = flatter
         away from the cap).
         """
-        return cls(LOG_BARRIER, weight, cap=cap, growth=growth)
+        return _LogBarrier(cap, growth, weight)
 
     @classmethod
     def indicator(cls, cap):
         """Hard cap: 0 on [0, cap], +inf beyond. Weight is irrelevant."""
-        return cls(INDICATOR, 1.0, cap=cap)
+        return _Indicator(cap)
 
     # -- properties -------------------------------------------------------
 
@@ -112,37 +98,14 @@ class Penalty:
         xi = float(xi)
         if xi < 0:
             raise ContractViolationError("penalty argument must be nonnegative")
-        if self.kind == POWER:
-            return self.weight * _sat_pow(xi, self.alpha) / self.alpha
-        if self.kind == LOG_BARRIER:
-            if xi >= self.cap:
-                return math.inf
-            b, cap = self.growth, self.cap
-            return self.weight * (
-                -math.log(cap - xi) / b - xi / (cap * b) + math.log(cap) / b
-            )
-        # indicator
-        return 0.0 if xi <= self.cap else math.inf
+        return self._value(xi)
 
     def conjugate(self, nu):
         """sup_{xi >= 0} nu*xi - phi(xi), for nu >= 0."""
         nu = float(nu)
         if nu < 0:
             raise ContractViolationError("conjugate argument must be nonnegative")
-        if self.kind == POWER:
-            if self.alpha == 1.0:
-                if nu > self.weight:
-                    raise UnboundedConjugateError(
-                        "linear penalty conjugate is +inf beyond its slope"
-                    )
-                return 0.0
-            beta = self.alpha / (self.alpha - 1.0)
-            return self.weight * _sat_pow(nu / self.weight, beta) / beta
-        if self.kind == LOG_BARRIER:
-            # cap*nu - (w/b) * log(1 + cap*b*nu/w)
-            t = self.cap * self.growth * nu / self.weight
-            return self.cap * nu - self.weight / self.growth * math.log1p(t)
-        return self.cap * nu  # indicator
+        return self._conjugate(nu)
 
     def xi_step(self, nu):
         """argmin_{xi >= 0} -nu*xi + phi(xi) (the conjugate's maximizer).
@@ -155,19 +118,7 @@ class Penalty:
             raise ContractViolationError("step argument must be finite")
         if nu <= 0:
             return 0.0
-        if self.kind == POWER:
-            if self.alpha == 1.0:
-                if nu > self.weight:
-                    raise UnboundedStepError(
-                        "linear penalty cannot match a slope above its weight; "
-                        "the step subproblem is unbounded below"
-                    )
-                return 0.0
-            return _sat_pow(nu / self.weight, 1.0 / (self.alpha - 1.0))
-        if self.kind == LOG_BARRIER:
-            t = self.cap * self.growth * nu / self.weight
-            return self.cap * t / (t + 1.0)
-        return self.cap  # indicator
+        return self._xi_step(nu)
 
     def fingerprint_bytes(self):
         return (
@@ -176,9 +127,99 @@ class Penalty:
         )
 
     def __repr__(self):
-        params = {
-            POWER: f"alpha={self.alpha}",
-            LOG_BARRIER: f"cap={self.cap}, growth={self.growth}",
-            INDICATOR: f"cap={self.cap}",
-        }[self.kind]
+        params = ", ".join(
+            f"{name}={getattr(self, name)}"
+            for name in ("alpha", "cap", "growth")
+            if getattr(self, name) is not None
+        )
         return f"Penalty({self.kind}, weight={self.weight}, {params})"
+
+
+class _Power(Penalty):
+    kind = POWER
+
+    def __init__(self, alpha, weight):
+        super().__init__(weight)
+        self.alpha = None if alpha is None else float(alpha)
+        if self.alpha is None or self.alpha < 1 or not math.isfinite(self.alpha):
+            raise ContractViolationError("power exponent must satisfy alpha >= 1")
+        # alpha in [1, 2): no quadratic growth, no rate guarantee
+        self.mu = self.weight / self.alpha if self.alpha >= 2.0 else 0.0
+
+    def _value(self, xi):
+        return self.weight * _sat_pow(xi, self.alpha) / self.alpha
+
+    def _conjugate(self, nu):
+        if self.alpha == 1.0:
+            if nu > self.weight:
+                raise UnboundedConjugateError(
+                    "linear penalty conjugate is +inf beyond its slope"
+                )
+            return 0.0
+        beta = self.alpha / (self.alpha - 1.0)
+        return self.weight * _sat_pow(nu / self.weight, beta) / beta
+
+    def _xi_step(self, nu):
+        if self.alpha == 1.0:
+            if nu > self.weight:
+                raise UnboundedStepError(
+                    "linear penalty cannot match a slope above its weight; "
+                    "the step subproblem is unbounded below"
+                )
+            return 0.0
+        return _sat_pow(nu / self.weight, 1.0 / (self.alpha - 1.0))
+
+    def derivatives(self, xi):
+        w, alpha = self.weight, self.alpha
+        return w * xi ** (alpha - 1.0), w * (alpha - 1.0) * xi ** (alpha - 2.0)
+
+
+class _LogBarrier(Penalty):
+    kind = LOG_BARRIER
+    mu = math.inf
+
+    def __init__(self, cap, growth, weight):
+        super().__init__(weight)
+        self.cap = None if cap is None else float(cap)
+        if self.cap is None or not self.cap > 0:
+            raise ContractViolationError("log-barrier cap must be positive")
+        self.growth = None if growth is None else float(growth)
+        if self.growth is None or not self.growth > 0:
+            raise ContractViolationError("log-barrier growth must be positive")
+
+    def _value(self, xi):
+        if xi >= self.cap:
+            return math.inf
+        b, cap = self.growth, self.cap
+        return self.weight * (
+            -math.log(cap - xi) / b - xi / (cap * b) + math.log(cap) / b
+        )
+
+    def _conjugate(self, nu):
+        # cap*nu - (w/b) * log(1 + cap*b*nu/w)
+        t = self.cap * self.growth * nu / self.weight
+        return self.cap * nu - self.weight / self.growth * math.log1p(t)
+
+    def _xi_step(self, nu):
+        t = self.cap * self.growth * nu / self.weight
+        return self.cap * t / (t + 1.0)
+
+
+class _Indicator(Penalty):
+    kind = INDICATOR
+    mu = math.inf
+
+    def __init__(self, cap):
+        super().__init__(1.0)
+        self.cap = None if cap is None else float(cap)
+        if self.cap is None or not self.cap > 0:
+            raise ContractViolationError("indicator cap must be positive")
+
+    def _value(self, xi):
+        return 0.0 if xi <= self.cap else math.inf
+
+    def _conjugate(self, nu):
+        return self.cap * nu
+
+    def _xi_step(self, nu):
+        return self.cap

@@ -20,6 +20,41 @@ def brute_lmo(atomic_set, z, mask=None):
     return int(ids[k]), float(values[k])
 
 
+# ---------------------------------------------------------------- construction
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: gc.AtomicSet.signed_basis(0), "dimension must be positive"),
+        (lambda: gc.AtomicSet.hypercube(-1, scale=0.0), "dimension must be positive"),
+        (lambda: gc.AtomicSet.signed_basis(3, scale=0.0), "scale must be a positive finite"),
+        (lambda: gc.AtomicSet.hypercube(3, scale=np.inf), "scale must be a positive finite"),
+        (lambda: gc.AtomicSet.signed_basis(3, scale=np.nan), "scale must be a positive finite"),
+        (lambda: gc.AtomicSet.explicit(np.ones(3)), "expected a 2-d array of atom rows"),
+        (lambda: gc.AtomicSet.explicit(np.ones((2, 2, 2))), "expected a 2-d array"),
+        # the width is the dimension, so a list of no columns has none
+        (lambda: gc.AtomicSet.explicit(np.ones((2, 0))), "dimension must be positive"),
+        (lambda: gc.AtomicSet.explicit(np.ones((0, 3))), r"nonempty \(m, d\) array"),
+        (lambda: gc.AtomicSet.explicit([[1.0, np.nan]]), "atom vectors must be finite"),
+        (lambda: gc.AtomicSet.explicit([[1.0, np.inf]]), "atom vectors must be finite"),
+        # the scale is checked before the atoms
+        (lambda: gc.AtomicSet.explicit([[1.0, np.nan]], scale=0.0), "scale must be"),
+    ],
+)
+def test_bad_constructor_arguments_rejected(build, message):
+    with pytest.raises(ContractViolationError, match=message):
+        build()
+
+
+def test_no_kind_overrides_a_checked_entry_point():
+    # lmo, dots and atom_vector check their arguments on the base class for
+    # every kind, and bench/tracing.py wraps them there
+    for cls in atoms.AtomicSet.__subclasses__():
+        for name in ("lmo", "dots", "atom_vector"):
+            assert name not in vars(cls), (cls, name)
+
+
 # ---------------------------------------------------------------- signed basis
 
 

@@ -803,6 +803,13 @@ def test_experiment_config_validation(tmp_path):
         ExperimentConfig("synthetic", alphas=())
 
 
+def test_unknown_penalty_kind_is_refused_before_any_directory(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ContractViolationError, match="unknown penalty kind 'bogus'"):
+        gc.run_experiment(ExperimentConfig("synthetic", penalty_kind="bogus", out_dir=str(out)))
+    assert not out.exists()
+
+
 def test_barrier_grid_ignores_alpha_axis():
     cfg = ExperimentConfig(
         "synthetic", penalty_kind="log-barrier",

@@ -140,11 +140,42 @@ def test_indicator_conjugate_and_step():
         lambda: gc.Penalty.log_barrier(0.0),
         lambda: gc.Penalty.log_barrier(1.0, growth=0.0),
         lambda: gc.Penalty.indicator(-2.0),
+        lambda: gc.Penalty.power(None),
+        lambda: gc.Penalty.power(math.nan),
+        lambda: gc.Penalty.log_barrier(None),
+        lambda: gc.Penalty.log_barrier(1.0, growth=None),
+        lambda: gc.Penalty.indicator(None),
     ],
 )
 def test_bad_parameters_rejected(build):
     with pytest.raises(ContractViolationError):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: gc.Penalty.power(None), "power exponent must satisfy alpha >= 1"),
+        (lambda: gc.Penalty.log_barrier(None), "log-barrier cap must be positive"),
+        (lambda: gc.Penalty.log_barrier(1.0, growth=None), "log-barrier growth must be"),
+        (lambda: gc.Penalty.indicator(None), "indicator cap must be positive"),
+        # the weight is checked first, then the parameters in their order
+        (lambda: gc.Penalty.power(None, weight=0.0), "penalty weight must be positive"),
+        (lambda: gc.Penalty.log_barrier(0.0, growth=0.0, weight=math.nan), "weight"),
+        (lambda: gc.Penalty.log_barrier(0.0, growth=0.0), "log-barrier cap"),
+    ],
+)
+def test_bad_parameters_name_the_first_bad_one(build, message):
+    with pytest.raises(ContractViolationError, match=message):
+        build()
+
+
+def test_no_kind_overrides_a_checked_evaluation():
+    # value, conjugate and xi_step check their argument on the base class
+    # for every kind; bench/tracing.py wraps value and xi_step there
+    for cls in gc.Penalty.__subclasses__():
+        for name in ("value", "conjugate", "xi_step"):
+            assert name not in vars(cls), (cls, name)
 
 
 def test_negative_arguments_rejected():

@@ -510,6 +510,41 @@ def test_problem_fingerprint_hashes_the_joined_fingerprint_bytes():
                 )
 
 
+# The problem fingerprint of one tiny problem per set and penalty kind. The
+# bench's cached references and saved reference files pair with runs by
+# these digests, so a changed byte in any fingerprint piece breaks them.
+PINNED_FINGERPRINTS = {
+    ("signed-basis", "power"): "6db80abff4de32e46d255697d9ae279d9c20d652bbe12aa7000dc403f7e1580e",
+    ("signed-basis", "log-barrier"): "53c847508c35343b79dfec1789a807d8ad16ef8c8b8dd1fcd8676fcbe0171404",
+    ("signed-basis", "indicator"): "2dbcd11d6e9a495e5fd990265cf19024d605dc299524cc8921b1175bf77af39f",
+    ("hypercube", "power"): "4b8b31fa6fb166b6c02f9727739881a20fb4722a162fe9190358d5bbe472383d",
+    ("hypercube", "log-barrier"): "ab377c009129f4169e95dbf5fe613ffbd025294dbe5c17664e1348eb9672e928",
+    ("hypercube", "indicator"): "e5796e6d5644b3eebb19a0433207771b688157ca7349b55a4aa40ac764821160",
+    ("explicit", "power"): "a4416cc6ce4eeda3212bc9de161801232ae1e6f5d9ce3ff3a277dafa5f5f787d",
+    ("explicit", "log-barrier"): "c6458d56b0bc8783b48823786f723765dd37d7fc3e442e9b0b18eb7ff40c1805",
+    ("explicit", "indicator"): "995482c033da0843b77b4da1fa95c71194bb2b5d38fde05f32f837ef866616e0",
+}
+
+
+@pytest.mark.parametrize("set_kind, penalty_kind", sorted(PINNED_FINGERPRINTS))
+def test_problem_fingerprint_is_pinned_for_every_kind(set_kind, penalty_kind):
+    data = gc.DataMatrix(np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.5]]), np.array([1.0, -1.0]))
+    aset = {
+        "signed-basis": lambda: gc.AtomicSet.signed_basis(3, scale=0.5),
+        "hypercube": lambda: gc.AtomicSet.hypercube(3),
+        "explicit": lambda: gc.AtomicSet.explicit(
+            [[1.0, 0.0, 2.0], [0.0, -1.0, 1.0]], scale=2.0
+        ),
+    }[set_kind]()
+    penalty = {
+        "power": lambda: gc.Penalty.power(2.5, weight=0.5),
+        "log-barrier": lambda: gc.Penalty.log_barrier(2.0, growth=1.5, weight=0.7),
+        "indicator": lambda: gc.Penalty.indicator(1.5),
+    }[penalty_kind]()
+    digest = gc.problem_fingerprint(gc.LogisticLoss(data), penalty, aset)
+    assert digest == PINNED_FINGERPRINTS[set_kind, penalty_kind]
+
+
 # ------------------------------------------------- margins and the active set
 
 
