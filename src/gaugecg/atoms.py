@@ -25,11 +25,9 @@ Atom ids are stable integers:
 Ties in the linear oracle always resolve to the lowest atom id.
 """
 
-import mmap
-
 import numpy as np
 
-from .errors import ContractViolationError, InfeasibleGaugeError
+from .errors import ContractViolationError, InfeasibleGaugeError, _checked
 
 SIGNED_BASIS = "signed-basis"
 HYPERCUBE = "hypercube-vertices"
@@ -38,38 +36,29 @@ EXPLICIT = "explicit-list"
 # Enumerating hypercube vertices (masks, score vectors, ...) is only allowed
 # at desk scale; the implicit sign oracle below has no such limit.
 _ENUM_LIMIT = 2 ** 22
-# entries per block when _ActiveColumns fills its copy and _column_sq_norms
-# squares its columns
+# entries per block when _column_sq_norms squares its columns
 _COPY_BLOCK = 2 ** 14
+# A pruned signed basis copies the columns its active atoms touch only once
+# they are at most an eighth of features: no copy exceeds an eighth of the
+# data, and a wider mask is scored from the unscreened product A'v.
+_COPY_FRACTION = 8
 
 
 class _ActiveColumns:
     """The columns that the active atoms of a pruned signed basis touch,
-    copied for _SignedBasis._column_scores and cached on the run's mask.
+    cached on the run's mask and keyed on the set, the features object and
+    the mask's active ids. sub is the copy features[:, cols] when at most
+    d // _COPY_FRACTION columns are touched, else None; it is kept while
+    the columns stay the same."""
 
-    A screened run prunes dozens of times, the first copies at the full
-    size of the features. The cache keeps its copy while the columns stay
-    the same. A new copy goes into the memory of the old one unless it
-    would fill less than half of it, so a run takes a few pieces of halving
-    size, each an anonymous map rather than a heap block: a freed heap block
-    that size stays with the process, and whether the next copy reused it
-    depended on what else had landed in the heap meanwhile, which moved the
-    peak memory of a process making several solves by a whole copy.
-    """
-
-    __slots__ = (
-        "aset", "features", "ids", "cols", "pos", "neg_factor", "memory", "sub",
-    )
+    __slots__ = ("aset", "features", "ids", "cols", "pos", "neg_factor", "sub")
 
     def __init__(self):
-        self.aset = self.features = self.ids = None  # the rest set by _update
+        self.aset = self.features = self.ids = self.sub = None  # the rest set by update
 
-    def scores(self, aset, features, ids, v):
-        if not (self.aset is aset and self.features is features and self.ids is ids):
-            self._update(aset, features, ids)
-        return self.neg_factor * (self.sub.T @ v)[self.pos]
-
-    def _update(self, aset, features, ids):
+    def update(self, aset, features, ids):
+        if self.aset is aset and self.features is features and self.ids is ids:
+            return
         d = aset.dimension
         coords = ids % d
         # the sorted distinct coords, as np.unique gives them without the
@@ -77,24 +66,14 @@ class _ActiveColumns:
         touched = np.zeros(d, dtype=bool)
         touched[coords] = True
         cols = np.flatnonzero(touched)
-        pos = np.searchsorted(cols, coords)
-        neg_factor = np.where(ids < d, -aset.scale, aset.scale)
         same_source = self.aset is aset and self.features is features
         if not (same_source and np.array_equal(cols, self.cols)):
-            n = features.shape[0]
-            count = cols.size * n
-            if not (same_source and count <= self.memory.size < 2 * count):
-                self.aset = self.memory = self.sub = None  # unmap before mapping anew
-                mapped = mmap.mmap(-1, max(count * features.itemsize, 1))
-                self.memory = np.frombuffer(mapped, dtype=features.dtype, count=count)
-            # features[:, cols] in its column-major layout, a block at a time
-            rows = self.memory[:count].reshape(cols.size, n)
-            width = max(1, _COPY_BLOCK // n)
-            for start in range(0, cols.size, width):
-                rows[start:start + width] = features[:, cols[start:start + width]].T
-            self.sub = rows.T
-        self.aset, self.features, self.ids = aset, features, ids
-        self.cols, self.pos, self.neg_factor = cols, pos, neg_factor
+            self.sub = None  # freed before the next copy is made
+            if cols.size <= d // _COPY_FRACTION:
+                self.sub = features[:, cols]
+        self.aset, self.features, self.ids, self.cols = aset, features, ids, cols
+        self.pos = np.searchsorted(cols, coords)
+        self.neg_factor = np.where(ids < d, -aset.scale, aset.scale)
 
 
 def _column_sq_norms(features):
@@ -134,19 +113,19 @@ class AtomMask:
     exists at any set size, hypercubes beyond enumeration included. The
     first deactivate materializes it, which is limited to enumerable sets.
     The ascending array of active ids is cached and refreshed only by
-    deactivate, so it only ever shrinks; it is read-only. AtomicSet.oracle
-    caches the active columns on the mask (_ActiveColumns).
+    deactivate, so it only ever shrinks; it is read-only. A pruned signed
+    basis caches the columns its active atoms touch on the mask, and a copy
+    of them once they are few (_SignedBasis.oracle, _ActiveColumns).
     The solver owns and prunes the mask; everything else treats it as read-only.
     """
 
     def __init__(self, num_atoms):
-        num_atoms = int(num_atoms)
-        if num_atoms <= 0:
-            raise ContractViolationError("mask needs at least one atom")
-        self._num_atoms = num_atoms
+        self._num_atoms = _checked(
+            int, num_atoms, lambda m: m > 0, "mask needs at least one atom"
+        )
         self._active = None  # None: every atom active, nothing stored
         self._ids = None
-        self._columns = None  # see _SignedBasis._column_scores
+        self._columns = None  # see _SignedBasis.oracle
 
     @property
     def num_atoms(self):
@@ -207,14 +186,12 @@ class AtomicSet:
     _implicit_lmo = None
 
     def __init__(self, dimension, scale):
-        dimension = int(dimension)
-        if dimension <= 0:
-            raise ContractViolationError("dimension must be positive")
-        scale = float(scale)
-        if not scale > 0 or not np.isfinite(scale):
-            raise ContractViolationError("scale must be a positive finite real")
-        self.dimension = dimension
-        self.scale = scale
+        self.dimension = _checked(
+            int, dimension, lambda k: k > 0, "dimension must be positive"
+        )
+        self.scale = _checked(
+            float, scale, lambda c: 0 < c < np.inf, "scale must be a positive finite real"
+        )
 
     # -- constructors ---------------------------------------------------
 
@@ -316,8 +293,9 @@ class AtomicSet:
         values)``, values <p, -grad> over the active atoms, ids ascending,
         and the answer is its first maximum (best_atom). At full mask the
         implicit kinds answer through lmo and score no atom: scores is None.
-        A pruned signed basis scores from its active columns and forms no
-        gradient: grad is None (see _SignedBasis._column_scores)."""
+        A pruned signed basis whose active atoms touch at most an eighth of
+        the columns scores from a copy of them and forms no gradient: grad
+        is None (see _SignedBasis.oracle)."""
         grad = features.T @ v
         if self._implicit_lmo is not None and (mask is None or mask.is_full):
             return grad, None, self.lmo(-grad)
@@ -467,21 +445,20 @@ class _SignedBasis(AtomicSet):
         return hi, float(w[hi])
 
     def oracle(self, features, v, mask=None):
+        """Scores a pruned mask from the copy of its active columns once it
+        is made (_ActiveColumns): atom +/-C e_k has -/+C (features' v)_k, so
+        +/-C (-grad)_k up to the order of summation. Else as the base."""
         if mask is None or mask.is_full:
             return super().oracle(features, v, mask)
-        ids, values = self._column_scores(features, v, mask)
-        return None, (ids, values), best_atom(ids, values)
-
-    def _column_scores(self, features, v, mask):
-        """Scores of the atoms active in mask: atom +/-C e_k has -/+C
-        (features' v)_k, +/-C (-grad)_k up to the order of summation, from a
-        copy of the columns an active atom touches, cached on the mask and
-        keyed on this set, the features object and the mask's active ids
-        (_ActiveColumns)."""
         if mask._columns is None:
             mask._columns = _ActiveColumns()
+        columns = mask._columns
         ids = mask.active_ids()
-        return ids, mask._columns.scores(self, features, ids, v)
+        columns.update(self, features, ids)
+        if columns.sub is None:
+            return super().oracle(features, v, mask)
+        values = columns.neg_factor * (columns.sub.T @ v)[columns.pos]
+        return None, (ids, values), best_atom(ids, values)
 
     def move(self, x, theta, xi, atom_id):
         """Every entry but x_k becomes (1 - theta) x_j plus the formula's
@@ -553,9 +530,10 @@ class _ExplicitList(AtomicSet):
     kind = EXPLICIT
 
     def __init__(self, vectors, scale):
-        mat = np.asarray(vectors, dtype=float)
-        if mat.ndim != 2:
-            raise ContractViolationError("expected a 2-d array of atom rows")
+        mat = _checked(
+            lambda rows: np.asarray(rows, dtype=float), vectors,
+            lambda m: m.ndim == 2, "expected a 2-d array of atom rows",
+        )
         super().__init__(mat.shape[1], scale)
         if mat.shape[0] == 0:
             raise ContractViolationError(

@@ -2,13 +2,26 @@
 
 Every error the library raises deliberately is one of these, so callers
 (and the command line front end) can map failures to exit codes without
-string matching.
+string matching. _checked refuses a bad constructor argument with the first.
 """
 
 
 class ContractViolationError(ValueError):
     """An argument violated a documented precondition (wrong sign, empty
     mask, mismatched dimension, ...)."""
+
+
+def _checked(to, value, ok, message):
+    """to(value) when it converts and ok accepts it, else
+    ContractViolationError(message): None, a word or an infinite count
+    is refused like any other bad argument."""
+    try:
+        value = to(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ContractViolationError(message) from None
+    if not ok(value):
+        raise ContractViolationError(message)
+    return value
 
 
 class InfeasibleGaugeError(ValueError):

@@ -31,6 +31,7 @@ from .errors import (
     ContractViolationError,
     UnboundedConjugateError,
     UnboundedStepError,
+    _checked,
 )
 
 POWER = "power"
@@ -58,9 +59,10 @@ class Penalty:
     derivatives = None
 
     def __init__(self, weight):
-        self.weight = float(weight)
-        if not self.weight > 0 or not math.isfinite(self.weight):
-            raise ContractViolationError("penalty weight must be positive and finite")
+        self.weight = _checked(
+            float, weight, lambda w: 0 < w < math.inf,
+            "penalty weight must be positive and finite",
+        )
 
     # -- constructors ---------------------------------------------------
 
@@ -140,9 +142,10 @@ class _Power(Penalty):
 
     def __init__(self, alpha, weight):
         super().__init__(weight)
-        self.alpha = None if alpha is None else float(alpha)
-        if self.alpha is None or self.alpha < 1 or not math.isfinite(self.alpha):
-            raise ContractViolationError("power exponent must satisfy alpha >= 1")
+        self.alpha = _checked(
+            float, alpha, lambda a: 1 <= a < math.inf,
+            "power exponent must satisfy alpha >= 1",
+        )
         # alpha in [1, 2): no quadratic growth, no rate guarantee
         self.mu = self.weight / self.alpha if self.alpha >= 2.0 else 0.0
 
@@ -180,12 +183,10 @@ class _LogBarrier(Penalty):
 
     def __init__(self, cap, growth, weight):
         super().__init__(weight)
-        self.cap = None if cap is None else float(cap)
-        if self.cap is None or not self.cap > 0:
-            raise ContractViolationError("log-barrier cap must be positive")
-        self.growth = None if growth is None else float(growth)
-        if self.growth is None or not self.growth > 0:
-            raise ContractViolationError("log-barrier growth must be positive")
+        self.cap = _checked(float, cap, lambda c: c > 0, "log-barrier cap must be positive")
+        self.growth = _checked(
+            float, growth, lambda b: b > 0, "log-barrier growth must be positive"
+        )
 
     def _value(self, xi):
         if xi >= self.cap:
@@ -211,9 +212,7 @@ class _Indicator(Penalty):
 
     def __init__(self, cap):
         super().__init__(1.0)
-        self.cap = None if cap is None else float(cap)
-        if self.cap is None or not self.cap > 0:
-            raise ContractViolationError("indicator cap must be positive")
+        self.cap = _checked(float, cap, lambda c: c > 0, "indicator cap must be positive")
 
     def _value(self, xi):
         return 0.0 if xi <= self.cap else math.inf

@@ -38,8 +38,39 @@ def brute_lmo(atomic_set, z, mask=None):
         (lambda: gc.AtomicSet.explicit(np.ones((0, 3))), r"nonempty \(m, d\) array"),
         (lambda: gc.AtomicSet.explicit([[1.0, np.nan]]), "atom vectors must be finite"),
         (lambda: gc.AtomicSet.explicit([[1.0, np.inf]]), "atom vectors must be finite"),
+        (lambda: gc.AtomMask(0), "mask needs at least one atom"),
         # the scale is checked before the atoms
         (lambda: gc.AtomicSet.explicit([[1.0, np.nan]], scale=0.0), "scale must be"),
+        # arguments that do not convert
+        pytest.param(
+            lambda: gc.AtomicSet.signed_basis(None), "dimension must be positive",
+            id="dimension-None",
+        ),
+        pytest.param(
+            lambda: gc.AtomicSet.signed_basis("x"), "dimension must be positive",
+            id="dimension-word",
+        ),
+        pytest.param(
+            lambda: gc.AtomicSet.signed_basis(np.inf), "dimension must be positive",
+            id="dimension-inf",
+        ),
+        pytest.param(
+            lambda: gc.AtomicSet.hypercube(3, scale=None), "scale must be a positive finite",
+            id="scale-None",
+        ),
+        pytest.param(
+            lambda: gc.AtomicSet.hypercube(None, scale=None), "dimension must be positive",
+            id="dimension-before-scale",
+        ),
+        pytest.param(
+            lambda: gc.AtomicSet.explicit([["a", 1.0]]), "expected a 2-d array",
+            id="explicit-word",
+        ),
+        pytest.param(
+            lambda: gc.AtomicSet.explicit([[1.0], [1.0, 2.0]]), "expected a 2-d array",
+            id="explicit-ragged",
+        ),
+        pytest.param(lambda: gc.AtomMask(None), "mask needs at least one atom", id="mask-None"),
     ],
 )
 def test_bad_constructor_arguments_rejected(build, message):
@@ -428,22 +459,30 @@ def test_atom_image_is_features_times_atom():
             )
 
 
+def _compact(aset, mask):
+    """True when the oracle scores from a copy of the active columns: a
+    pruned signed basis whose active atoms touch at most d // 8 columns."""
+    if aset.kind != atoms.SIGNED_BASIS or mask.is_full:
+        return False
+    return np.unique(mask.active_ids() % aset.dimension).size <= aset.dimension // 8
+
+
 def _oracle_matches_scoring(aset, features, v, mask):
     """The oracle against best_atom over dots(-(A'v), mask): to the byte
-    where it scores through dots or lmo; the active columns of a pruned
-    signed basis sum A'v in another order, so there to within rounding."""
+    where it scores through dots or lmo; a copy of the active columns sums
+    A'v in another order, so there to within rounding."""
     full_grad = features.T @ v
     ids, values = aset.dots(-full_grad, mask)
     grad, scores, best = aset.oracle(features, v, mask)
-    pruned_basis = aset.kind == atoms.SIGNED_BASIS and not mask.is_full
-    assert (grad is None) == pruned_basis
+    compact = _compact(aset, mask)
+    assert (grad is None) == compact
     assert (scores is None) == (mask.is_full and aset.kind != atoms.EXPLICIT)
     if scores is None:  # the implicit oracle (see AtomicSet.lmo)
         assert best == aset.lmo(-full_grad)
         assert best[0] == atoms.best_atom(ids, values)[0]
         return
     assert scores[0].tobytes() == ids.tobytes()
-    if not pruned_basis:
+    if not compact:
         assert grad.tobytes() == full_grad.tobytes()
         assert scores[1].tobytes() == values.tobytes()
         assert best == atoms.best_atom(ids, values)
@@ -455,48 +494,56 @@ def _oracle_matches_scoring(aset, features, v, mask):
     assert best == atoms.best_atom(*scores)
 
 
-def test_pruned_columns_are_the_plain_copy_and_reuse_their_memory():
-    # a mask pruned in place, as the solver prunes it: every copy of the
-    # active columns scores to the byte as features[:, cols] does, for row-
-    # and column-major data and in several fill blocks (n=3000). A prune
-    # that leaves the columns as they were keeps the copy; the next copy
-    # goes into the same memory unless it would fill less than half of it.
-    # One cache serves the mask for the whole run, and scoring again
-    # without a prune reuses its copy.
+def test_pruned_columns_are_the_plain_copy_once_few_are_left():
+    # a mask pruned in place, as the solver prunes it. While the active
+    # atoms touch more than d // 8 = 5 columns the oracle copies nothing
+    # and scores, with grad, to the byte as dots(-(A'v), mask) and A'v do.
+    # From then on every copy of the active columns scores to the byte as
+    # features[:, cols] does, for row- and column-major data; a prune that
+    # leaves the columns as they were keeps the copy. One cache serves the
+    # mask for the whole run, and scoring again without a prune reuses it.
     rng = np.random.default_rng(5)
     d = 40
     aset = gc.AtomicSet.signed_basis(d)
-    prunes = (  # (ids switched off, columns left, copy kept, memory kept)
-        ([d + 0], d, False, False),
-        ([d + 1], d, True, True),
-        ([2, d + 2], d - 1, False, True),
-        (list(range(3, 25)) + list(range(d + 3, d + 25)), d - 23, False, False),
-        ([25, d + 25], d - 24, False, True),
+    prunes = (  # (ids switched off, columns left, copy kept; None: no copy)
+        ([d + 0], d, None),
+        ([d + 1], d, None),
+        (list(range(6, d)) + list(range(d + 6, 2 * d)), 6, None),
+        ([5, d + 5], 5, False),
+        ([d + 2], 5, True),
+        ([0], 4, False),
+        ([1, 2, 3, d + 3], 1, False),
     )
-    for n, order in ((9, "C"), (9, "F"), (3000, "C")):
+    for n, order in ((9, "C"), (9, "F"), (300, "C")):
         features = np.asarray(rng.standard_normal((n, d)), order=order)
         v = rng.standard_normal(n)
-        mask, before, cache = aset.full_mask(), (None, None), None
-        for off, columns, same_copy, same_memory in prunes:
+        mask, before, cache = aset.full_mask(), None, None
+        for off, columns, same_copy in prunes:
             mask.deactivate(off)
-            ids, values = aset.oracle(features, v, mask)[1]
-            coords = ids % d
-            cols = np.unique(coords)
-            plain = features[:, cols]
-            expected = (plain.T @ v)[np.searchsorted(cols, coords)]
-            expected *= np.where(ids < d, -1.0, 1.0)
-            assert values.tobytes() == expected.tobytes()
+            grad, (ids, values), _ = aset.oracle(features, v, mask)
             cached = mask._columns
-            assert cached.sub.shape == plain.shape == (n, columns)
-            assert cached.sub.strides == plain.strides
-            if before[0] is not None:
-                assert (cached.sub is before[0]) == same_copy
-                assert (cached.memory is before[1]) == same_memory
-            before = (cached.sub, cached.memory)
             assert cache is None or cached is cache
             cache = cached
+            coords = ids % d
+            cols = np.unique(coords)
+            assert cols.size == columns
+            if same_copy is None:
+                full_grad = features.T @ v
+                assert cached.sub is None
+                assert grad.tobytes() == full_grad.tobytes()
+                assert values.tobytes() == aset.dots(-full_grad, mask)[1].tobytes()
+            else:
+                plain = features[:, cols]
+                expected = (plain.T @ v)[np.searchsorted(cols, coords)]
+                expected *= np.where(ids < d, -1.0, 1.0)
+                assert grad is None
+                assert values.tobytes() == expected.tobytes()
+                assert cached.sub.shape == plain.shape == (n, columns)
+                assert cached.sub.strides == plain.strides
+                assert (cached.sub is before) == same_copy
+            before = cached.sub
             again = aset.oracle(features, v, mask)[1]
-            assert mask._columns is cache and cache.sub is before[0]
+            assert mask._columns is cache and cache.sub is before
             assert again[1].tobytes() == values.tobytes()
 
 
@@ -528,8 +575,9 @@ def test_active_columns_are_the_sorted_distinct_coordinates():
 
 
 def test_oracle_scores_match_dots_on_every_kind():
-    # a pruned signed basis scores from its active columns, an explicit set
-    # or a pruned hypercube through dots, a full implicit set through lmo
+    # a signed basis pruned to at most d // 8 columns scores from a copy of
+    # them, an explicit set or any other pruned set through dots, a full
+    # implicit set through lmo
     rng = np.random.default_rng(31)
     d = 6
     features = rng.standard_normal((9, d))
@@ -547,10 +595,19 @@ def test_oracle_scores_match_dots_on_every_kind():
                 off[int(rng.integers(aset.num_atoms))] = False  # keep one atom
                 mask.deactivate(np.flatnonzero(off))
             _oracle_matches_scoring(aset, features, v, mask)
-    # one-sided (+e_0 only, -e_1 only), two-sided (e_2) and gone (e_3..e_5)
-    aset = sets[0]
+    # at d = 24, random masks of 1 to 6 atoms, then one-sided (+e_0 only,
+    # -e_1 only), two-sided (e_2) and gone (e_3..e_23)
+    d = 24
+    aset = gc.AtomicSet.signed_basis(d, scale=0.3)
+    features = rng.standard_normal((9, d))
+    for trial in range(40):
+        keep = rng.choice(2 * d, size=int(rng.integers(1, 7)), replace=False)
+        mask = aset.full_mask()
+        mask.deactivate(np.setdiff1d(np.arange(2 * d), keep))
+        _oracle_matches_scoring(aset, features, rng.standard_normal(9), mask)
     mask = aset.full_mask()
-    mask.deactivate([3, 4, 5, d + 0, d + 3, d + 4, d + 5])
+    mask.deactivate([1] + list(range(3, d + 1)) + list(range(d + 3, 2 * d)))
+    assert _compact(aset, mask)
     _oracle_matches_scoring(aset, features, rng.standard_normal(9), mask)
 
 
@@ -559,17 +616,19 @@ def test_column_cache_never_outlives_its_mask():
     # deactivated mask, another features object or another set must not
     # read them
     rng = np.random.default_rng(32)
-    features = rng.standard_normal((8, 5))
-    aset = gc.AtomicSet.signed_basis(5, scale=0.3)
+    d = 16
+    features = rng.standard_normal((8, d))
+    aset = gc.AtomicSet.signed_basis(d, scale=0.3)
     v = rng.standard_normal(8)
     mask = aset.full_mask()
-    mask.deactivate([0, 7])
+    mask.deactivate([0, d + 1] + list(range(2, d)) + list(range(d + 2, 2 * d)))
+    assert _compact(aset, mask)
     _oracle_matches_scoring(aset, features, v, mask)  # builds the cache
     other = aset.full_mask()
-    other.deactivate([0, 7, 3, 4])
+    other.deactivate(list(range(1, d)) + list(range(d + 1, 2 * d)))
     _oracle_matches_scoring(aset, features, v, other)
-    mask.deactivate([1, 9])
+    mask.deactivate([d + 0])
     _oracle_matches_scoring(aset, features, v, mask)
     _oracle_matches_scoring(aset, features.copy() * 2.0, v, mask)
-    _oracle_matches_scoring(gc.AtomicSet.signed_basis(5, scale=2.0), features, v, mask)
+    _oracle_matches_scoring(gc.AtomicSet.signed_basis(d, scale=2.0), features, v, mask)
     _oracle_matches_scoring(aset, features, v, other)

@@ -159,10 +159,31 @@ def test_bad_parameters_rejected(build):
         (lambda: gc.Penalty.log_barrier(None), "log-barrier cap must be positive"),
         (lambda: gc.Penalty.log_barrier(1.0, growth=None), "log-barrier growth must be"),
         (lambda: gc.Penalty.indicator(None), "indicator cap must be positive"),
+        # arguments that do not convert
+        pytest.param(
+            lambda: gc.Penalty.power(2.0, weight=None), "penalty weight must be positive",
+            id="weight-None",
+        ),
+        pytest.param(
+            lambda: gc.Penalty.power("a"), "power exponent must satisfy alpha >= 1",
+            id="alpha-word",
+        ),
+        pytest.param(
+            lambda: gc.Penalty.log_barrier("x"), "log-barrier cap must be positive",
+            id="log-barrier-cap-word",
+        ),
+        pytest.param(
+            lambda: gc.Penalty.indicator("x"), "indicator cap must be positive",
+            id="indicator-cap-word",
+        ),
         # the weight is checked first, then the parameters in their order
         (lambda: gc.Penalty.power(None, weight=0.0), "penalty weight must be positive"),
         (lambda: gc.Penalty.log_barrier(0.0, growth=0.0, weight=math.nan), "weight"),
         (lambda: gc.Penalty.log_barrier(0.0, growth=0.0), "log-barrier cap"),
+        pytest.param(
+            lambda: gc.Penalty.power("a", weight=None), "penalty weight must be positive",
+            id="weight-before-alpha-word",
+        ),
     ],
 )
 def test_bad_parameters_name_the_first_bad_one(build, message):

@@ -1,6 +1,7 @@
 """Screening rule against a brute-force oracle, the degeneracy margin, and
 the support certificate."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -186,6 +187,37 @@ def test_solver_screening_matches_brute_force_on_every_set_kind(kind):
         assert event.remaining == len(active) - len(expected)
         active = sorted(snap.active_ids)
         assert len(active) == event.remaining
+
+
+@pytest.mark.parametrize(
+    "seed, n, d, lam, first_compact",
+    [(11, 200, 1000, 0.1, 193), (0, 100, 50, 0.3, 228)],
+)
+def test_screened_signed_basis_follows_the_unscreened_run_until_few_columns_are_left(
+    seed, n, d, lam, first_compact
+):
+    # until its active atoms touch at most d // 8 columns, a screened run's
+    # oracle scores through the unscreened product A'v: every trace column
+    # but active_atoms and elapsed_s, and every x, match the unscreened run
+    # to the byte, up to the step that first scores from a column copy
+    loss, penalty, aset = synthetic_problem(seed, lam, n=n, d=d)
+    on = gc.SolverConfig(max_iters=first_compact, screening_enabled=True)
+    off = gc.SolverConfig(max_iters=first_compact)
+    screened, plain = gc.SolverState(aset), gc.SolverState(aset)
+    skip = {"active_atoms", "elapsed_s"}
+    while np.unique(screened.mask.active_ids() % d).size > d // 8:
+        t = screened.t
+        gc.step(screened, loss, penalty, aset, on)
+        gc.step(plain, loss, penalty, aset, off)
+        rows = [
+            {k: repr(v) for k, v in dataclasses.asdict(state.trace[-1]).items() if k not in skip}
+            for state in (screened, plain)
+        ]
+        assert rows[0] == rows[1], t
+        assert screened.x.tobytes() == plain.x.tobytes(), t
+    assert screened.t == first_compact
+    # over a hundred of the steps compared ran on a pruned mask
+    assert screened.screen_events[0].t < first_compact - 100
 
 
 def test_rounding_floor_is_read_only_when_atoms_would_go():
