@@ -342,7 +342,8 @@ class AtomicSet:
 
         Returns ``(value, coeffs)`` where coeffs is a dense array over atom
         ids with ``coeffs @ atoms == x`` and ``coeffs.sum() == value``.
-        Not available for hypercube sets (no materialized witness).
+        A small linear program over the enumerated atoms except on the
+        signed basis, so a hypercube must be desk scale (atoms_matrix).
         """
         return self._gauge_lp(self._check_point(x))
 
@@ -518,12 +519,6 @@ class _Hypercube(AtomicSet):
 
     def gram_bound(self, features):
         return self.scale**2 * float(np.sum(np.sqrt(_column_sq_norms(features)))) ** 2
-
-    def gauge_decomposition(self, x):
-        self._check_point(x)
-        raise ContractViolationError(
-            "hypercube sets have no materialized decomposition witness"
-        )
 
 
 class _ExplicitList(AtomicSet):

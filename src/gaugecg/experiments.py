@@ -28,6 +28,7 @@ from .errors import (
     FileFormatError,
     ReferenceMismatchError,
     UnboundedStepError,
+    _checked,
 )
 from .losses import DataMatrix, LogisticLoss
 from .penalties import INDICATOR, LOG_BARRIER, POWER, Penalty
@@ -55,8 +56,7 @@ def gen_synthetic(seed, n=100, d=50):
     All randomness flows through numpy's default generator (PCG64) keyed
     by the seed, so the matrix is reproducible across platforms.
     """
-    if n < 1 or d < 1:
-        raise ContractViolationError("n and d must be >= 1")
+    n, d = (_checked(operator.index, v, lambda v: v >= 1, "n and d must be >= 1") for v in (n, d))
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ContractViolationError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
@@ -185,16 +185,14 @@ def load_reference(path):
         ) from None
 
 
-# Checkpoints at which the CG run pauses for the restricted polish. The
-# first is the warm start: 10 steps give the polish a seed support, which it
-# grows to the solution's, at most doubling it per round, and certifies
-# gap <= tol on every instance surveyed (logistic at alpha 2, 2.5 and 3
-# with n=100, d=50, at alpha 2 with n=200, d=1000, small quadratics over
-# explicit sets, and hypercube(6)). On the d=50 survey a first checkpoint
-# of 5 to 50 cost within 20% of 10, 1 and 3 up to 1.5x, and 200 3.3x. The
-# later ones are the fallback for a problem on which that polish falls
-# short.
-_REFERENCE_PHASES = (10, 1_000, 5_000, 20_000, 60_000, 150_000, 400_000, 1_000_000)
+# CG steps before the polish of a power penalty: they give it a seed
+# support, which it grows to the solution's, at most doubling it per round,
+# and certifies gap <= tol on every instance surveyed (logistic at alpha 2,
+# 2.5 and 3 with n=100, d=50, at alpha 2 with n=200, d=1000, small
+# quadratics over explicit sets, and hypercube(6); none of 116 needed a
+# longer CG run). On the d=50 survey 5 to 50 steps cost within 20% of 10,
+# 1 and 3 up to 1.5x, and 200 3.3x.
+_WARM_START = 10
 
 
 def _restricted_minimize(loss, penalty, mat, c0):
@@ -291,7 +289,7 @@ def _polish(loss, penalty, atomic_set, state, tol):
     support = sorted(_screening.support_of(coeffs))
     if not support or penalty.derivatives is None:
         x = state.x.copy()
-        cert = certificate(loss, penalty, atomic_set, loss.margins(x), state.kappa_bound)
+        cert = certificate(loss, penalty, atomic_set, loss.margins(x), state.kappa_bound, state)
     else:
         c = np.array([coeffs[i] for i in support])
         for _ in range(50):
@@ -310,25 +308,24 @@ def _polish(loss, penalty, atomic_set, state, tol):
         "grad": cert.grad,
         "objective": loss.value(x) + cert.h_x,
         "gap": cert.gap,
-        "support": _screening.support_of(coeffs),
+        "support_ids": _screening.support_of(coeffs),
     }
 
 
 def reference_solve(loss, penalty, atomic_set, iters=1_000_000, tol=1e-10):
     """High-accuracy solution by a working-set method.
 
-    A warm start of 10 plain unscreened CG steps gives a seed support; the
-    polish then minimizes the problem restricted to that support and adds
-    the best-scoring outside atoms, at most doubling the support per round,
-    until the full-set gap is <= tol. When the polish falls short, the CG run goes on to the next checkpoint of
-    _REFERENCE_PHASES and polishes again. Stops at the first candidate
-    that certifies a full-set gap <= tol; otherwise exhausts the iteration
-    budget and returns the best candidate with reached=False so callers
-    can skip. iters_used is the number of CG steps behind the returned
-    candidate. A CG run that aborts with DivergenceError (open-loop steps
-    can overshoot before the support settles) is not an error here: the
-    state it leaves is polished like a checkpoint, and its candidate is the
-    last one. So is a CG run that stops on an exact zero gap.
+    For a power penalty a warm start of min(10, iters) plain unscreened CG
+    steps gives a seed support; the polish then minimizes the problem
+    restricted to that support and adds the best-scoring outside atoms, at
+    most doubling the support per round, until the full-set gap is <= tol
+    (_polish). Any other penalty has no polish: the candidate is the CG
+    run's first iterate whose gap is <= tol, else its iterate after iters
+    steps. reached is False when the candidate's full-set gap is above tol,
+    so callers can skip. iters_used is the number of CG steps behind it. A
+    CG run that aborts with DivergenceError (open-loop steps can overshoot
+    before the support settles) is not an error here: the state it leaves
+    is polished, as is one that stops on an exact zero gap.
     """
     check_count("iters", iters)
     check_tolerance("tol", tol)
@@ -337,35 +334,23 @@ def reference_solve(loss, penalty, atomic_set, iters=1_000_000, tol=1e-10):
             "reference oracle requires a penalty with quadratic growth"
         )
     _check_enumerable(atomic_set)
-    iters = int(iters)
-    checkpoints = sorted({min(p, iters) for p in _REFERENCE_PHASES} | {iters})
-    config = SolverConfig(max_iters=iters, trace_every=iters)
+    polished = penalty.derivatives is not None
+    budget = min(_WARM_START, int(iters)) if polished else int(iters)
+    config = SolverConfig(budget, 0.0 if polished else tol, trace_every=budget)
     state = SolverState(atomic_set)
-    best = None
-    for target in checkpoints:
-        stopped = False
-        try:
-            while state.t <= target and not stopped:
-                t = state.t
-                stopped = step(state, loss, penalty, atomic_set, config).t == t
-        except DivergenceError:
-            stopped = True
-        candidate = _polish(loss, penalty, atomic_set, state, tol)
-        if best is None or candidate["gap"] < best["gap"]:
-            best = candidate
-            used = state.t - 1
-        if best["gap"] <= tol or stopped:
-            break
-    margin = _screening.delta(atomic_set, best["grad"], best["support"])
+    t = None
+    try:
+        while state.t != t and state.t <= budget:  # a step at gap <= tol does not move
+            t = state.t
+            step(state, loss, penalty, atomic_set, config)
+    except DivergenceError:
+        pass
+    candidate = _polish(loss, penalty, atomic_set, state, tol)
     return ReferenceSolution(
-        x=best["x"],
-        grad=best["grad"],
-        objective=best["objective"],
-        support_ids=best["support"],
-        delta=margin,
-        gap=best["gap"],
-        iters_used=used,
-        reached=best["gap"] <= tol,
+        **candidate,
+        delta=_screening.delta(atomic_set, candidate["grad"], candidate["support_ids"]),
+        iters_used=state.t - 1,
+        reached=candidate["gap"] <= tol,
         fingerprint=problem_fingerprint(loss, penalty, atomic_set),
     )
 
@@ -576,14 +561,15 @@ def read_trace_csv(path):
     return [TraceRecord(*row) for row in zip(*columns)]
 
 
-# Per penalty kind: whether an experiment's grid sweeps alpha (the power
-# kind alone reads it), and the penalty of a config at one grid point.
+# Per penalty kind: whether an experiment's grid sweeps alpha and the weight
+# (the power kind reads both, the indicator neither; the first value stands
+# for an axis not swept), and the penalty of a config at one grid point.
 _PENALTY_KINDS = {
-    POWER: (True, lambda cfg, alpha, weight: Penalty.power(alpha, weight)),
-    LOG_BARRIER: (False, lambda cfg, alpha, weight: Penalty.log_barrier(
+    POWER: (True, True, lambda cfg, alpha, weight: Penalty.power(alpha, weight)),
+    LOG_BARRIER: (False, True, lambda cfg, alpha, weight: Penalty.log_barrier(
         cfg.capacity, growth=cfg.growth, weight=weight
     )),
-    INDICATOR: (False, lambda cfg, alpha, weight: Penalty.indicator(cfg.capacity)),
+    INDICATOR: (False, False, lambda cfg, alpha, weight: Penalty.indicator(cfg.capacity)),
 }
 
 
@@ -632,14 +618,15 @@ class ExperimentConfig:
         self.digits = tuple(int(v) for v in self.digits)
 
     def build_penalty(self, alpha, weight):
-        _, build = _PENALTY_KINDS[self.penalty_kind]
+        *_, build = _PENALTY_KINDS[self.penalty_kind]
         return build(self, alpha, weight)
 
     def grid(self):
-        """Penalty grid: alpha varies only for the power kind."""
-        sweeps_alpha, _ = _PENALTY_KINDS[self.penalty_kind]
+        """Penalty grid over the parameters the kind reads (_PENALTY_KINDS)."""
+        sweeps_alpha, sweeps_weight, _ = _PENALTY_KINDS[self.penalty_kind]
         alphas = self.alphas if sweeps_alpha else self.alphas[:1]
-        return [(a, w) for a in alphas for w in self.weights]
+        weights = self.weights if sweeps_weight else self.weights[:1]
+        return [(a, w) for a in alphas for w in weights]
 
     def build_problem(self):
         """(loss, atomic_set): the logistic loss on the experiment's data

@@ -17,22 +17,22 @@ own atoms: the set's bound on |<A p, A q>| over atom pairs
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, _checked
 
 
 class DataMatrix:
     """Dense feature matrix plus one target per row."""
 
     def __init__(self, features, targets):
-        self.features = np.asarray(features, dtype=float)
-        self.targets = np.asarray(targets, dtype=float)
-        if self.features.ndim != 2:
-            raise ContractViolationError("features must be a 2-d array")
-        n, _ = self.features.shape
-        if self.targets.shape != (n,):
-            raise ContractViolationError(
-                f"targets must have one entry per row, got {self.targets.shape}"
-            )
+        self.features = _checked(
+            lambda a: np.asarray(a, dtype=float), features, lambda a: a.ndim == 2,
+            "features must be a 2-d array",
+        )
+        n = self.features.shape[0]
+        self.targets = _checked(
+            lambda a: np.asarray(a, dtype=float), targets, lambda a: a.shape == (n,),
+            f"targets must have one entry per row ({n})",
+        )
         if not np.all(np.isfinite(self.features)) or not np.all(
             np.isfinite(self.targets)
         ):

@@ -122,6 +122,11 @@ class Penalty:
             return 0.0
         return self._xi_step(nu)
 
+    def _value_rounded(self, xi, rounding):
+        """phi at a xi pushed past the domain by at most rounding: +inf on
+        every kind but the indicator, whose domain is closed."""
+        return self._value(xi)
+
     def fingerprint_bytes(self):
         return (
             f"{self.kind}|{self.weight!r}|{self.alpha!r}|{self.cap!r}|"
@@ -216,6 +221,9 @@ class _Indicator(Penalty):
 
     def _value(self, xi):
         return 0.0 if xi <= self.cap else math.inf
+
+    def _value_rounded(self, xi, rounding):
+        return self._value(xi - rounding)  # [0, cap] is closed
 
     def _conjugate(self, nu):
         return self.cap * nu

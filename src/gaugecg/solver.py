@@ -317,17 +317,25 @@ def certificate(loss, penalty, atomic_set, ax, kappa, state=None):
         cert.error = err
         return cert
     cert.image = cert.xi * atomic_set.image(loss.data.features, atom_id)
-    if not math.isinf(cert.h_x):
-        cert._h_xi = penalty.value(cert.xi)
-        gap = float(v @ (ax - cert.image)) + cert.h_x - cert._h_xi
-        # The gap is nonnegative by weak duality. A negative value within its
-        # rounding error has no sign and reads as zero; a larger one is kept,
-        # so corruption still shows.
-        if -math.inf < gap < 0.0 and gap >= -cert.rounding():
-            gap = 0.0
-        if math.isnan(gap):
-            cert.error = DivergenceError(f"gap is NaN{_at(state)}")
-        cert.gap = gap
+    if math.isinf(cert.h_x):
+        # kappa at step t came through t - 1 moves of at most 3 roundings each
+        # (to (1 - theta) kappa + theta xi, in x or the ledger) and a final sum
+        # of d terms, so it passes the exact recursion's by < (3t + d) eps kappa
+        if state is not None:
+            rounding = (3 * state.t + atomic_set.dimension) * _EPS * kappa
+            cert.h_x = penalty._value_rounded(kappa, rounding)
+        if math.isinf(cert.h_x):
+            return cert
+    cert._h_xi = penalty.value(cert.xi)
+    gap = float(v @ (ax - cert.image)) + cert.h_x - cert._h_xi
+    # The gap is nonnegative by weak duality. A negative value within its
+    # rounding error has no sign and reads as zero; a larger one is kept,
+    # so corruption still shows.
+    if -math.inf < gap < 0.0 and gap >= -cert.rounding():
+        gap = 0.0
+    if math.isnan(gap):
+        cert.error = DivergenceError(f"gap is NaN{_at(state)}")
+    cert.gap = gap
     return cert
 
 

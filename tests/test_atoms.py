@@ -245,8 +245,14 @@ def test_hypercube_gauge_is_scaled_inf_norm():
     aset = gc.AtomicSet.hypercube(5, scale=2.0)
     x = np.array([0.5, -3.0, 1.0, 0.0, 2.0])
     assert aset.gauge_value(x) == pytest.approx(1.5)
-    with pytest.raises(ContractViolationError):
-        aset.gauge_decomposition(x)
+    # the witness is the linear program's over the 32 enumerated vertices;
+    # a hypercube too large to enumerate has none
+    value, coeffs = aset.gauge_decomposition(x)
+    assert value == pytest.approx(1.5)
+    np.testing.assert_allclose(coeffs @ aset.atoms_matrix(), x, atol=1e-12)
+    assert np.all(coeffs >= 0)
+    with pytest.raises(ContractViolationError, match="limited to desk scale"):
+        gc.AtomicSet.hypercube(23).gauge_decomposition(np.ones(23))
 
 
 # -------------------------------------------------------------- explicit lists

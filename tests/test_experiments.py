@@ -69,6 +69,9 @@ def test_gen_synthetic_moments():
 def test_gen_synthetic_validation():
     with pytest.raises(ContractViolationError):
         gc.gen_synthetic(0, n=0, d=5)
+    for n, d in (("x", 3), (2.5, 3), (3, None)):
+        with pytest.raises(ContractViolationError, match="n and d must be >= 1"):
+            gc.gen_synthetic(0, n=n, d=d)
     for seed in (-1, 1.5, "3", None):
         with pytest.raises(ContractViolationError, match="seed"):
             gc.gen_synthetic(seed, n=5, d=5)
@@ -356,6 +359,48 @@ def test_reference_rejects_non_numbers(kwargs):
     loss, penalty, aset = one_dim_problem()
     with pytest.raises(ContractViolationError):
         gc.reference_solve(loss, penalty, aset, **kwargs)
+
+
+def test_reference_polishes_once(monkeypatch):
+    # one path: the 10-step warm start is polished once and certifies
+    calls = []
+    inner = experiments._polish
+
+    def spy(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(experiments, "_polish", spy)
+    for lam in (0.01, 1.0):
+        loss, penalty, aset = synthetic_problem(3, lam=lam)
+        ref = gc.reference_solve(loss, penalty, aset, iters=10**6, tol=1e-10)
+        assert ref.reached and ref.iters_used == 10
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "penalty",
+    [gc.Penalty.log_barrier(1.0, weight=0.01), gc.Penalty.indicator(1.0)],
+    ids=["log-barrier", "indicator"],
+)
+def test_reference_without_polish_is_the_solver_run(penalty):
+    # no derivatives, no polish: the reference is the CG run under the
+    # solver's own tolerance stop, the iterate its first gap <= tol certified,
+    # or the iterate after iters steps
+    loss, _, aset = synthetic_problem(0)
+    for iters, tol in ((5000, 1e-3), (200, 1e-10)):
+        cfg = gc.SolverConfig(max_iters=iters, gap_tolerance=tol)
+        run = gc.run(loss, penalty, aset, cfg)
+        ref = gc.reference_solve(loss, penalty, aset, iters=iters, tol=tol)
+        last = run.trace[-1]
+        assert ref.iters_used == last.t - 1
+        assert ref.x.tobytes() == run.state.x.tobytes()
+        assert ref.reached is (last.gap <= tol)
+        if ref.reached:
+            assert ref.iters_used < iters
+            assert all(row.gap > tol for row in run.trace[:-1])
+        else:
+            assert ref.iters_used == iters
 
 
 def test_reference_unreached_flag():
@@ -818,6 +863,36 @@ def test_barrier_grid_ignores_alpha_axis():
     assert cfg.grid() == [(2.0, 0.5)]
     penalty = cfg.build_penalty(2.0, 0.5)
     assert penalty.kind == "log-barrier" and penalty.cap == 2.0
+
+
+def test_indicator_grid_ignores_alpha_and_weight_axes():
+    # the indicator reads neither, so a weight list is one run, not one
+    # identical trace per weight under different stems
+    cfg = ExperimentConfig(
+        "synthetic", penalty_kind="indicator", alphas=(2.0, 3.0), weights=(0.1, 1.0),
+    )
+    assert cfg.grid() == [(2.0, 0.1)]
+    barrier = ExperimentConfig("synthetic", penalty_kind="log-barrier", weights=(0.1, 1.0))
+    assert barrier.grid() == [(2.0, 0.1), (2.0, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "kind, stems",
+    [
+        ("power", ("synthetic-5943dae67314", "synthetic-611f0fa727c8")),
+        ("log-barrier", ("synthetic-f7dda233b63d", "synthetic-deb447c0fa42")),
+        ("indicator", ("synthetic-772a5030f971", "synthetic-35714e7eb4e2")),
+    ],
+)
+def test_single_point_stems_are_pinned(kind, stems):
+    # a grid of one point keeps its file name whatever the axes a kind reads
+    configs = (
+        ExperimentConfig("synthetic", penalty_kind=kind),
+        ExperimentConfig(
+            "synthetic", penalty_kind=kind, alphas=(3.0,), weights=(0.1,), capacity=5.0
+        ),
+    )
+    assert tuple(cfg.stem(*point) for cfg in configs for point in cfg.grid()) == stems
 
 
 def test_run_experiment_single_point(tmp_path):

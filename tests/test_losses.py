@@ -54,6 +54,10 @@ def test_data_matrix_validation():
         gc.DataMatrix(np.array([[1.0, math.nan]]), np.ones(1))
     with pytest.raises(ContractViolationError):
         gc.DataMatrix(np.ones(3), np.ones(3))  # features must be 2-d
+    with pytest.raises(ContractViolationError, match="features must be a 2-d array"):
+        gc.DataMatrix([["a"]], [1.0])
+    with pytest.raises(ContractViolationError, match="targets must have one entry per row"):
+        gc.DataMatrix([[1.0]], ["a"])
 
 
 def test_logistic_requires_sign_targets():

@@ -169,6 +169,9 @@ def test_x0_validation():
         gc.SolverState(aset, x0=np.ones(3))
     with pytest.raises(ContractViolationError):
         gc.SolverState(aset, x0=np.array([1.0, math.inf]))
+    # a nonzero start is decomposed over the enumerated atoms
+    with pytest.raises(ContractViolationError, match="limited to desk scale"):
+        gc.SolverState(gc.AtomicSet.hypercube(23), x0=np.ones(23))
 
 
 def test_run_from_optimum_sees_zero_gap_immediately():
@@ -209,14 +212,15 @@ def test_in_place_move_is_the_formula_to_the_bit(kind):
                 assert np.all(np.abs(x[others]) <= np.abs(start[others]))
 
 
-@pytest.mark.parametrize("kind", ["signed-basis", "explicit-list"])
+@pytest.mark.parametrize("kind", ["signed-basis", "hypercube", "explicit-list"])
 def test_in_place_steps_leave_x0_and_snapshots_alone(kind):
     # the step updates x in place: the caller's x0 must not move, and each
     # snapshot must hold the iterate of its own t, not the final one
     rng = np.random.default_rng(4)
-    if kind == "signed-basis":
+    if kind != "explicit-list":
         data = gc.gen_synthetic(3, n=20, d=5)
-        loss, aset = gc.LogisticLoss(data), gc.AtomicSet.signed_basis(5)
+        loss = gc.LogisticLoss(data)
+        aset = gc.AtomicSet.signed_basis(5) if kind == "signed-basis" else gc.AtomicSet.hypercube(5)
         x0 = np.array([0.0, -0.4, 0.0, 0.2, 0.0])
     else:
         loss, aset = tame_quadratic(rng)
@@ -423,6 +427,56 @@ def test_objective_row_is_consistent(seed):
         # the row objective includes the penalty at the ledger bound, which
         # upper-bounds the true penalty at the iterate
         assert row.objective >= value - 1e-12
+
+
+@pytest.mark.parametrize("screening", [False, True])
+@pytest.mark.parametrize("set_kind", ["signed-basis", "hypercube"])
+def test_indicator_iterates_read_feasible(set_kind, screening):
+    # every move is a convex combination of points within the cap, so the
+    # gauge passes the cap by rounding alone: |x|_1 / C on the signed basis
+    # first did at t = 28 here, the ledger sum on the hypercube at t = 9
+    if set_kind == "signed-basis":
+        d, aset = 50, gc.AtomicSet.signed_basis(50)
+    else:
+        d, aset = 6, gc.AtomicSet.hypercube(6)
+    loss = gc.LogisticLoss(gc.gen_synthetic(0, n=100, d=d))
+    cfg = gc.SolverConfig(max_iters=200, screening_enabled=screening)
+    result = gc.run(loss, gc.Penalty.indicator(1.0), aset, cfg)
+    assert all(math.isfinite(row.gap) for row in result.trace)
+    assert all(math.isfinite(row.objective) for row in result.trace)
+
+
+def test_indicator_admits_only_the_rounding_of_its_gauge():
+    # at t = 1 the bound is (3 + d) eps kappa, about 1.2e-14 here: a start
+    # 4 ulps past the cap is within it, one 1e-12 past is infeasible
+    loss = gc.LogisticLoss(gc.gen_synthetic(0, n=100, d=50))
+    aset = gc.AtomicSet.signed_basis(50)
+    eps = np.finfo(float).eps
+    for excess, feasible in ((4 * eps, True), (1e-12, False)):
+        x0 = np.zeros(50)
+        x0[0] = 1.0 + excess
+        result = gc.run(
+            loss, gc.Penalty.indicator(1.0), aset, gc.SolverConfig(max_iters=2), x0=x0
+        )
+        first = result.trace[0]
+        assert math.isfinite(first.gap) is feasible, excess
+        assert math.isfinite(first.objective) is feasible, excess
+        assert math.isfinite(result.trace[-1].gap)
+
+
+def test_finite_penalty_values_never_ask_for_the_rounding_bound(monkeypatch):
+    # the admission is reached only where value(kappa) reads inf, so the
+    # power and log-barrier steps do no extra work for it
+    def refuse(self, xi, rounding):
+        raise AssertionError(f"{self!r} asked to admit {xi!r}")
+
+    monkeypatch.setattr(gc.Penalty, "_value_rounded", refuse)
+    loss, _, aset = synthetic_problem(0)
+    for penalty in (
+        gc.Penalty.power(2.0, weight=0.01),
+        gc.Penalty.log_barrier(1.0, weight=0.01),
+    ):
+        gc.run(loss, penalty, aset, gc.SolverConfig(max_iters=300, screening_enabled=True))
 
 
 def test_ledger_reconstructs_x_after_a_long_run():
