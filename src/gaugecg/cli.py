@@ -7,6 +7,7 @@ run ended in divergence or an unbounded step, 3 format or usage errors.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -30,7 +31,7 @@ from .experiments import (
     save_reference,
     write_residuals_csv,
 )
-from .penalties import INDICATOR, LOG_BARRIER, POWER
+from .penalties import KINDS, POWER
 from .solver import SolverConfig, run
 
 def _grid(text):
@@ -53,36 +54,41 @@ def _digit_pair(text):
     return values
 
 
+# A run flag's dest is the ExperimentConfig or SolverConfig field it sets
+# (_experiment_config), and its metavar the name --help has always shown.
 def _add_run_flags(sub, iters_default=1000, gap_tol_default=0.0):
     sub.add_argument("--config", help="key=value file; command-line flags override it")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--n", type=int, default=100)
     sub.add_argument("--d", type=int, default=50)
-    sub.add_argument("--penalty", choices=sorted((POWER, LOG_BARRIER, INDICATOR)), default=POWER)
-    sub.add_argument("--alpha", type=_grid, default=(2.0,),
+    sub.add_argument("--penalty", dest="penalty_kind", choices=sorted(KINDS), default=POWER)
+    sub.add_argument("--alpha", dest="alphas", metavar="ALPHA", type=_grid, default=(2.0,),
                      help="power exponent, or a comma list to sweep")
     sub.add_argument("--lambda", dest="weights", type=_grid, default=(1.0,),
                      help="penalty weight, or a comma list to sweep")
     sub.add_argument("--capacity", type=float, default=1.0,
                      help="cap for log-barrier / indicator penalties")
-    sub.add_argument("--beta", type=float, default=1.0,
+    sub.add_argument("--beta", dest="growth", metavar="BETA", type=float, default=1.0,
                      help="log-barrier growth constant")
     sub.add_argument("--scale", type=float, default=1.0,
                      help="atomic set magnification C")
-    sub.add_argument("--iters", type=int, default=iters_default)
-    sub.add_argument("--gap-tol", type=float, default=gap_tol_default)
-    sub.add_argument("--out", default=".")
+    sub.add_argument("--iters", dest="max_iters", metavar="ITERS", type=int, default=iters_default)
+    sub.add_argument("--gap-tol", dest="gap_tolerance", metavar="GAP_TOL", type=float,
+                     default=gap_tol_default)
+    sub.add_argument("--out", dest="out_dir", metavar="OUT", default=".")
 
 
 def _add_solver_flags(sub):
     sub.add_argument("--screen", choices=("prune", "off"), default="off")
-    sub.add_argument("--theta", choices=("2t1", "4t2"), default="2t1")
+    sub.add_argument("--theta", dest="step_schedule", choices=("2t1", "4t2"), default="2t1")
     sub.add_argument("--trace-every", type=int, default=1)
 
 
 def _add_mnist_flags(sub):
-    sub.add_argument("--images", help="IDX images file (optionally .gz)")
-    sub.add_argument("--labels", help="IDX labels file (optionally .gz)")
+    sub.add_argument("--images", dest="images_path", metavar="IMAGES",
+                     help="IDX images file (optionally .gz)")
+    sub.add_argument("--labels", dest="labels_path", metavar="LABELS",
+                     help="IDX labels file (optionally .gz)")
     sub.add_argument("--digits", type=_digit_pair, default=(4, 9))
 
 
@@ -96,16 +102,19 @@ def _build_parser():
     sub = verbs.add_parser("synthetic", help="seeded Gaussian logistic experiment")
     _add_run_flags(sub)
     _add_solver_flags(sub)
+    sub.set_defaults(handler=_cmd_experiment, experiment="synthetic")
 
     sub = verbs.add_parser("mnist", help="MNIST two-digit logistic experiment")
     _add_run_flags(sub)
     _add_solver_flags(sub)
     _add_mnist_flags(sub)
+    sub.set_defaults(handler=_cmd_experiment, experiment="mnist")
 
     sub = verbs.add_parser("reference", help="high-accuracy reference solution")
     _add_run_flags(sub, iters_default=1_000_000, gap_tol_default=1e-10)
     _add_mnist_flags(sub)
     sub.add_argument("--experiment", choices=("synthetic", "mnist"), default="synthetic")
+    sub.set_defaults(handler=_cmd_reference)
 
     sub = verbs.add_parser("residuals", help="rerun and compare against a reference")
     _add_run_flags(sub)
@@ -113,6 +122,7 @@ def _build_parser():
     _add_mnist_flags(sub)
     sub.add_argument("--experiment", choices=("synthetic", "mnist"), default="synthetic")
     sub.add_argument("--reference", required=True, help="reference JSON path")
+    sub.set_defaults(handler=_cmd_residuals)
 
     sub = verbs.add_parser(
         "rate",
@@ -123,6 +133,7 @@ def _build_parser():
     sub.add_argument("--column", default="objective_error")
     sub.add_argument("--t-lo", type=float, default=100.0)
     sub.add_argument("--t-hi", type=float, default=10_000.0)
+    sub.set_defaults(handler=_cmd_rate)
 
     return parser
 
@@ -160,55 +171,44 @@ def _parse(parser, argv):
     return args
 
 
-def _experiment_config(args, experiment, keep_snapshots=False):
-    return ExperimentConfig(
-        experiment=experiment,
-        seed=args.seed,
-        n=args.n,
-        d=args.d,
-        penalty_kind=args.penalty,
-        alphas=args.alpha,
-        weights=args.weights,
-        capacity=args.capacity,
-        growth=args.beta,
-        scale=args.scale,
-        # reference takes no solver flags; its stem hashes their defaults
-        solver=SolverConfig(
-            max_iters=args.iters,
-            gap_tolerance=args.gap_tol,
-            step_schedule=getattr(args, "theta", SolverConfig.step_schedule),
-            screening_enabled=getattr(args, "screen", "off") == "prune",
-            trace_every=getattr(args, "trace_every", SolverConfig.trace_every),
-            keep_snapshots=keep_snapshots,
-        ),
-        out_dir=args.out,
-        images_path=getattr(args, "images", None),
-        labels_path=getattr(args, "labels", None),
-        digits=getattr(args, "digits", (4, 9)),
-    )
+def _fields(cls, values):
+    return {f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values}
+
+
+def _experiment_config(args, keep_snapshots=False):
+    values = vars(args)
+    # reference takes no solver flags; its stem hashes their defaults
+    solver = SolverConfig(**_fields(SolverConfig, values), keep_snapshots=keep_snapshots,
+                          screening_enabled=values.get("screen") == "prune")
+    return ExperimentConfig(**_fields(ExperimentConfig, values), solver=solver)
 
 
 def _single_point(args, keep_snapshots=False):
     """(config, loss, penalty, atomic_set, stem) for verbs that need one
-    grid point."""
-    if len(args.alpha) != 1 or len(args.weights) != 1:
+    grid point: any flags the kind's grid collapses to one point."""
+    cfg = _experiment_config(args, keep_snapshots=keep_snapshots)
+    point, *others = cfg.grid()
+    if others:
         raise ContractViolationError(
             "this verb needs a single --alpha and --lambda value, not a grid"
         )
-    cfg = _experiment_config(args, args.experiment, keep_snapshots=keep_snapshots)
     loss, atomic_set = cfg.build_problem()
-    (point,) = cfg.grid()
     return cfg, loss, cfg.build_penalty(*point), atomic_set, cfg.stem(*point)
 
 
-def _cmd_experiment(args, experiment):
-    config = _experiment_config(args, experiment)
-    summaries = run_experiment(config)
+def _cmd_experiment(args):
+    config = _experiment_config(args)
+    reads = KINDS[config.penalty_kind].params
     failed = False
-    for item in summaries:
+    for item in run_experiment(config):
+        # the grid point, as far as the kind reads it
+        point = "".join(
+            f"{flag}={item[name]:g} "
+            for name, flag in (("alpha", "alpha"), ("weight", "lambda"))
+            if name in reads
+        )
         line = (
-            f"{item['stem']}: {item['status']} alpha={item['alpha']:g} "
-            f"lambda={item['weight']:g} iters={item['iterations']} "
+            f"{item['stem']}: {item['status']} {point}iters={item['iterations']} "
             f"min_gap={item['min_gap']:.6g} trace={item['trace_path']}"
         )
         if item["screen_path"]:
@@ -223,10 +223,10 @@ def _cmd_experiment(args, experiment):
 def _cmd_reference(args):
     _, loss, penalty, atomic_set, stem = _single_point(args)
     reference = reference_solve(
-        loss, penalty, atomic_set, iters=args.iters, tol=args.gap_tol
+        loss, penalty, atomic_set, iters=args.max_iters, tol=args.gap_tolerance
     )
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"reference-{stem}.json")
+    os.makedirs(args.out_dir, exist_ok=True)
+    path = os.path.join(args.out_dir, f"reference-{stem}.json")
     save_reference(reference, path)
     note = "" if reference.reached else " (tolerance NOT reached)"
     print(
@@ -243,9 +243,9 @@ def _cmd_residuals(args):
     result = run(loss, penalty, atomic_set, cfg.solver)
     series = residuals(result, reference)
     certificate = build_certificate(result, reference)
-    os.makedirs(args.out, exist_ok=True)
-    res_path = os.path.join(args.out, f"residuals-{stem}.csv")
-    cert_path = os.path.join(args.out, f"certificate-{stem}.json")
+    os.makedirs(args.out_dir, exist_ok=True)
+    res_path = os.path.join(args.out_dir, f"residuals-{stem}.csv")
+    cert_path = os.path.join(args.out_dir, f"certificate-{stem}.json")
     write_residuals_csv(series, res_path)
     with open(cert_path, "w", encoding="ascii") as fh:
         fh.write(certificate.to_json())
@@ -286,22 +286,11 @@ def main(argv=None):
         return 3
 
     try:
-        if args.verb in ("synthetic", "mnist"):
-            return _cmd_experiment(args, args.verb)
-        if args.verb == "reference":
-            return _cmd_reference(args)
-        if args.verb == "residuals":
-            return _cmd_residuals(args)
-        if args.verb == "rate":
-            return _cmd_rate(args)
-        raise ContractViolationError(f"unknown verb {args.verb!r}")
+        return args.handler(args)
     except (DivergenceError, UnboundedStepError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (FileFormatError, ContractViolationError, ReferenceMismatchError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except OSError as err:
+    except (FileFormatError, ContractViolationError, ReferenceMismatchError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
 

@@ -31,7 +31,7 @@ from .errors import (
     _checked,
 )
 from .losses import DataMatrix, LogisticLoss
-from .penalties import INDICATOR, LOG_BARRIER, POWER, Penalty
+from .penalties import KINDS, POWER
 from .solver import (
     SolverConfig,
     SolverState,
@@ -380,7 +380,8 @@ def residuals(result, reference):
     support value of the symmetrized set. The run must have been made with
     keep_snapshots=True (gradient and active-set errors need the stored
     iterate data) and on the same problem as the reference (fingerprints
-    are compared).
+    are compared). Of an aborted run's partial result, the rows observed
+    before the abort are covered; its diagnostic row has no snapshot.
     """
     if reference.fingerprint and result.fingerprint != reference.fingerprint:
         raise ReferenceMismatchError(
@@ -393,15 +394,20 @@ def residuals(result, reference):
             f"reference x and grad have shapes {reference.x.shape} and "
             f"{reference.grad.shape}; the run's dimension is {d}"
         )
+    trace = result.trace[:-1] if result.aborted else result.trace
+    if not trace:
+        raise ContractViolationError(
+            f"run aborted at t={result.trace[-1].t} before it observed an iterate"
+        )
     if not result.snapshots:
         raise ContractViolationError(
             "run kept no snapshots; rerun with keep_snapshots=True"
         )
-    if len(result.snapshots) != len(result.trace):
+    if len(result.snapshots) != len(trace):
         raise ContractViolationError("trace and snapshots are misaligned")
     aset = result.atomic_set
     ts, obj_err, gaps, grad_err, supp_err = [], [], [], [], []
-    for row, snap in zip(result.trace, result.snapshots):
+    for row, snap in zip(trace, result.snapshots):
         if row.t != snap.t:
             raise ContractViolationError("trace and snapshots are misaligned")
         ts.append(row.t)
@@ -561,18 +567,6 @@ def read_trace_csv(path):
     return [TraceRecord(*row) for row in zip(*columns)]
 
 
-# Per penalty kind: whether an experiment's grid sweeps alpha and the weight
-# (the power kind reads both, the indicator neither; the first value stands
-# for an axis not swept), and the penalty of a config at one grid point.
-_PENALTY_KINDS = {
-    POWER: (True, True, lambda cfg, alpha, weight: Penalty.power(alpha, weight)),
-    LOG_BARRIER: (False, True, lambda cfg, alpha, weight: Penalty.log_barrier(
-        cfg.capacity, growth=cfg.growth, weight=weight
-    )),
-    INDICATOR: (False, False, lambda cfg, alpha, weight: Penalty.indicator(cfg.capacity)),
-}
-
-
 @dataclasses.dataclass
 class ExperimentConfig:
     """One experiment invocation, possibly fanning out over a penalty grid.
@@ -604,7 +598,7 @@ class ExperimentConfig:
             )
         if self.experiment == "mnist" and (self.images_path is None or self.labels_path is None):
             raise ContractViolationError("mnist experiment needs images and labels paths")
-        if self.penalty_kind not in _PENALTY_KINDS:
+        if self.penalty_kind not in KINDS:
             raise ContractViolationError(f"unknown penalty kind {self.penalty_kind!r}")
         if not self.alphas or not self.weights:
             raise ContractViolationError("alpha and weight grids must be nonempty")
@@ -618,14 +612,17 @@ class ExperimentConfig:
         self.digits = tuple(int(v) for v in self.digits)
 
     def build_penalty(self, alpha, weight):
-        *_, build = _PENALTY_KINDS[self.penalty_kind]
-        return build(self, alpha, weight)
+        """The penalty at one grid point, given the parameters its kind reads."""
+        values = {"alpha": alpha, "weight": weight, "cap": self.capacity, "growth": self.growth}
+        kind = KINDS[self.penalty_kind]
+        return kind(**{name: values[name] for name in kind.params})
 
     def grid(self):
-        """Penalty grid over the parameters the kind reads (_PENALTY_KINDS)."""
-        sweeps_alpha, sweeps_weight, _ = _PENALTY_KINDS[self.penalty_kind]
-        alphas = self.alphas if sweeps_alpha else self.alphas[:1]
-        weights = self.weights if sweeps_weight else self.weights[:1]
+        """(alpha, weight) points over the axes the kind reads; the first
+        value stands for an axis it does not read."""
+        reads = KINDS[self.penalty_kind].params
+        alphas = self.alphas if "alpha" in reads else self.alphas[:1]
+        weights = self.weights if "weight" in reads else self.weights[:1]
         return [(a, w) for a in alphas for w in weights]
 
     def build_problem(self):

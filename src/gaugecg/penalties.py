@@ -53,6 +53,8 @@ class Penalty:
     build the subclass of each kind."""
 
     kind = None
+    # the constructor parameters the kind reads, in the constructor's order
+    params = ()
     alpha = cap = growth = None
     # (phi'(xi), phi''(xi)) on the kinds smooth enough for the reference
     # polish (experiments._polish); None on the others
@@ -134,16 +136,13 @@ class Penalty:
         )
 
     def __repr__(self):
-        params = ", ".join(
-            f"{name}={getattr(self, name)}"
-            for name in ("alpha", "cap", "growth")
-            if getattr(self, name) is not None
-        )
-        return f"Penalty({self.kind}, weight={self.weight}, {params})"
+        values = "".join(f", {name}={getattr(self, name)}" for name in self.params)
+        return f"Penalty({self.kind}{values})"
 
 
 class _Power(Penalty):
     kind = POWER
+    params = ("alpha", "weight")
 
     def __init__(self, alpha, weight):
         super().__init__(weight)
@@ -184,6 +183,7 @@ class _Power(Penalty):
 
 class _LogBarrier(Penalty):
     kind = LOG_BARRIER
+    params = ("cap", "growth", "weight")
     mu = math.inf
 
     def __init__(self, cap, growth, weight):
@@ -213,6 +213,7 @@ class _LogBarrier(Penalty):
 
 class _Indicator(Penalty):
     kind = INDICATOR
+    params = ("cap",)
     mu = math.inf
 
     def __init__(self, cap):
@@ -230,3 +231,7 @@ class _Indicator(Penalty):
 
     def _xi_step(self, nu):
         return self.cap
+
+
+# the class of each kind, by its name
+KINDS = {cls.kind: cls for cls in (_Power, _LogBarrier, _Indicator)}

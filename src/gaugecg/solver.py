@@ -29,6 +29,7 @@ and does not move: the run returns the iterate its last row certifies.
 """
 
 import dataclasses
+import functools
 import hashlib
 import math
 import numbers
@@ -215,17 +216,24 @@ class SolverState:
 
 
 class RunResult:
-    """Final state plus everything recorded along the way."""
+    """Final state plus everything recorded along the way. aborted marks an
+    abort's partial result, whose last trace row is the diagnostic row."""
 
-    def __init__(self, loss, penalty, atomic_set, config, state):
+    def __init__(self, loss, penalty, atomic_set, config, state, aborted=False):
         self.loss = loss
+        self.penalty = penalty
         self.atomic_set = atomic_set
         self.config = config
         self.state = state
         self.trace = state.trace
         self.screen_events = state.screen_events
         self.snapshots = state.snapshots
-        self.fingerprint = problem_fingerprint(loss, penalty, atomic_set)
+        self.aborted = aborted
+
+    @functools.cached_property
+    def fingerprint(self):
+        # hashes the whole data matrix, so only on first read
+        return problem_fingerprint(self.loss, self.penalty, self.atomic_set)
 
 
 def problem_fingerprint(loss, penalty, atomic_set):
@@ -378,7 +386,7 @@ def _abort(state, loss, penalty, atomic_set, config, t, exc, sigma, xi, gap):
         objective = math.nan
     _record(state, t, objective, gap, sigma, xi)
     exc.t = t
-    exc.result = RunResult(loss, penalty, atomic_set, config, state)
+    exc.result = RunResult(loss, penalty, atomic_set, config, state, aborted=True)
     raise exc
 
 

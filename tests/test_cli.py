@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, file outputs, config-file layering,
 and the reference -> residuals -> rate pipeline."""
 
+import argparse
+import dataclasses
 import glob
 import json
 import os
@@ -10,6 +12,7 @@ import sys
 import pytest
 
 import gaugecg as gc
+from gaugecg import cli
 from gaugecg.cli import main
 from gaugecg.experiments import (
     ExperimentConfig,
@@ -113,6 +116,64 @@ def test_digit_pair_flag(tmp_path, mnist_fixture, digits, code, complaint, capsy
         "--iters", "5", "--out", str(tmp_path),
     ]) == code
     assert complaint in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "weights, code, complaint",
+    [("0.5,1", 0, ""), ("0.5,x", 3, "bad numeric list '0.5,x'"),
+     (",", 3, "empty numeric list ','")],
+    ids=["list", "bad-list", "empty-list"],
+)
+def test_numeric_list_flag(tmp_path, weights, code, complaint, capsys):
+    assert main([
+        "synthetic", "--n", "20", "--d", "5", "--lambda", weights,
+        "--iters", "5", "--out", str(tmp_path),
+    ]) == code
+    assert complaint in capsys.readouterr().err
+
+
+def test_summary_line_shows_the_parameters_the_kind_reads(tmp_path, capsys):
+    base = ["synthetic", "--n", "20", "--d", "5", "--iters", "5", "--out", str(tmp_path)]
+    assert main([*base, "--alpha", "3", "--lambda", "0.5"]) == 0
+    assert " ok alpha=3 lambda=0.5 iters=5 " in capsys.readouterr().out
+    assert main([*base, "--penalty", "log-barrier", "--alpha", "3", "--lambda", "0.5"]) == 0
+    assert " ok lambda=0.5 iters=5 " in capsys.readouterr().out
+    assert main([*base, "--penalty", "indicator", "--alpha", "3", "--lambda", "0.5"]) == 0
+    assert " ok iters=5 " in capsys.readouterr().out
+
+
+# The parser's dests that name no ExperimentConfig or SolverConfig field.
+_CLI_ONLY_DESTS = {"config", "screen", "reference", "verb", "handler"}
+_CONFIG_FIELDS = {
+    f.name for cls in (ExperimentConfig, gc.SolverConfig) for f in dataclasses.fields(cls)
+}
+
+
+def _verb_parsers():
+    parser = cli._build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return verbs.choices
+
+
+@pytest.mark.parametrize("verb", ["synthetic", "mnist", "reference", "residuals"])
+def test_every_run_flag_is_named_for_the_field_it_sets(verb):
+    # _experiment_config builds the configs from vars(args): a dest that
+    # names no field would leave the field it means at its default
+    sub = _verb_parsers()[verb]
+    dests = {a.dest for a in sub._actions if a.dest != "help"} | set(sub._defaults)
+    assert dests - _CONFIG_FIELDS - _CLI_ONLY_DESTS == set()
+    assert "max_iters" in dests and "weights" in dests and "handler" in dests
+
+
+@pytest.mark.parametrize(
+    "verb", ["top", "synthetic", "mnist", "reference", "residuals", "rate"]
+)
+def test_help_text_is_pinned(verb, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(([] if verb == "top" else [verb]) + ["--help"]) == 0
+    pinned = os.path.join(os.path.dirname(__file__), "cli_help", f"{verb}.txt")
+    with open(pinned, encoding="ascii") as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 # ----------------------------------------------------------------- config file
@@ -275,6 +336,31 @@ def test_reference_takes_no_solver_flags(flag):
 def test_reference_rejects_grids(capsys):
     assert main(["reference", "--lambda", "0.5,1.0", "--iters", "10"]) == 3
     assert "single" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, alphas, weights",
+    [("log-barrier", "2,3", "1"), ("indicator", "2,3", "0.5,1")],
+)
+def test_reference_and_residuals_take_a_grid_of_one_point(tmp_path, kind, alphas, weights, capsys):
+    # the kind reads no alpha (nor, for the indicator, a weight): the grid
+    # has one point, whose stem is that of the first values
+    base = [
+        "--seed", "5", "--n", "20", "--d", "6", "--penalty", kind,
+        "--alpha", alphas, "--lambda", weights, "--out", str(tmp_path),
+    ]
+    assert main(["reference", *base, "--iters", "50"]) == 0
+    (ref_path,) = glob.glob(str(tmp_path / "reference-*.json"))
+    cfg = ExperimentConfig(
+        "synthetic", seed=5, n=20, d=6, penalty_kind=kind,
+        alphas=cli._grid(alphas), weights=cli._grid(weights),
+        solver=gc.SolverConfig(max_iters=50, gap_tolerance=1e-10),
+    )
+    (point,) = cfg.grid()
+    assert point == (2.0, cli._grid(weights)[0])
+    assert os.path.basename(ref_path) == f"reference-{cfg.stem(*point)}.json"
+    assert main(["residuals", *base, "--iters", "20", "--reference", ref_path]) == 0
+    assert "residuals: rows=21 " in capsys.readouterr().out
 
 
 def test_reference_on_mnist(tmp_path, mnist_fixture, capsys):

@@ -16,6 +16,7 @@ from gaugecg.errors import (
     DivergenceError,
     FileFormatError,
     ReferenceMismatchError,
+    UnboundedStepError,
 )
 from gaugecg.experiments import (
     RESIDUAL_COLUMNS,
@@ -513,6 +514,37 @@ def test_residuals_need_snapshots():
         residuals(bare, ref)
 
 
+def test_residuals_cover_the_rows_an_abort_observed(monkeypatch):
+    # the divergence guard fires after the first move: the partial result
+    # has the observed row at t = 1 and the abort's diagnostic row
+    loss, penalty, aset = synthetic_problem(0, lam=0.01)
+    ref = gc.reference_solve(loss, penalty, aset, iters=1000)
+    monkeypatch.setattr("gaugecg.solver._DIVERGENCE_LIMIT", 5.0)
+    cfg = gc.SolverConfig(max_iters=100, keep_snapshots=True)
+    with pytest.raises(DivergenceError) as info:
+        gc.run(loss, penalty, aset, cfg)
+    result = info.value.result
+    assert [row.t for row in result.trace] == [1, 1] and len(result.snapshots) == 1
+    series = residuals(result, ref)
+    assert series.ts == [1]
+    assert series.gap == [result.trace[0].gap]
+
+
+def test_residuals_of_an_abort_before_any_observed_row():
+    # a linear penalty this weak has no finite step at t = 1: the only row
+    # is the abort's, and snapshots were kept
+    loss, _, aset = synthetic_problem(0)
+    cfg = gc.SolverConfig(max_iters=10, keep_snapshots=True)
+    with pytest.raises(UnboundedStepError) as info:
+        gc.run(loss, gc.Penalty.power(1.0, weight=0.001), aset, cfg)
+    ref = ReferenceSolution(
+        x=np.zeros(50), grad=np.zeros(50), objective=0.0, support_ids=[],
+        delta=0.0, gap=0.0, iters_used=0, reached=True, fingerprint="",
+    )
+    with pytest.raises(ContractViolationError, match="run aborted at t=1 before"):
+        residuals(info.value.result, ref)
+
+
 def test_identified_at_threshold():
     rows = [
         TraceRecord(t=1, objective=1, gap=1, min_gap=1.0, sigma=0,
@@ -536,6 +568,18 @@ def test_build_certificate_on_the_frozen_problem():
     assert cert.support_ids == ref.support_ids
     clone = gc.SupportCertificate.from_json(cert.to_json())
     assert clone == cert
+
+
+def test_build_certificate_of_an_unscreened_run_claims_the_ledger_support():
+    loss, penalty, aset = synthetic_problem(3, n=40, d=12)
+    ref = gc.reference_solve(loss, penalty, aset, iters=1000)
+    result = gc.run(loss, penalty, aset, gc.SolverConfig(max_iters=200))
+    cert = gc.build_certificate(result, ref)
+    support = gc.support_of(result.state.coeffs)
+    assert cert.support_ids == support
+    # the unscreened mask keeps every atom: claiming it would claim them all
+    assert 0 < len(support) < aset.num_atoms
+    assert cert.L == loss.smoothness_wrt(aset) and cert.min_gap == result.state.min_gap
 
 
 # ------------------------------------------------------------------- rate fits
@@ -570,6 +614,8 @@ def test_rate_slope_validation():
         rate_slope((ts, np.zeros(10)), 1, 10)
     with pytest.raises(ContractViolationError):
         rate_slope((ts, 1.0 / ts[:5]), 1, 10)
+    with pytest.raises(ContractViolationError, match="finite on the window"):
+        rate_slope((ts, np.where(ts == 8, np.inf, 1.0 / ts)), 1, 10)
 
 
 # -------------------------------------------------------------- CSV round-trip
@@ -672,6 +718,12 @@ def test_read_csv_columns_rejects_text(tmp_path):
         with pytest.raises(FileFormatError, match="x.csv:2: byte outside ASCII") as info:
             reader(str(path))
         assert info.value.offset == 2
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False)], ids=["bool", "numpy-bool"])
+def test_csv_cells_refuse_booleans(value):
+    with pytest.raises(ContractViolationError, match="booleans"):
+        experiments._cell(value)
 
 
 def test_float_cells_are_bit_exact(tmp_path):

@@ -220,6 +220,12 @@ def test_smoothness_closed_forms():
     assert loss.smoothness_wrt(cube) == pytest.approx(0.25 * float(col_norms.sum()) ** 2)
 
 
+def test_smoothness_refuses_a_set_of_another_dimension():
+    loss, _ = small_quadratic(d=5)
+    with pytest.raises(ContractViolationError, match="dimension does not match"):
+        loss.smoothness_wrt(gc.AtomicSet.signed_basis(4))
+
+
 def _layouts(rng):
     """(name, features) in the layouts gram_bound must handle, including
     the shapes whose column blocks would leave one column over."""

@@ -2,6 +2,7 @@
 dense grid maximizer built from the closed-form definitions written here,
 independent of the Penalty class internals."""
 
+import inspect
 import math
 
 import numpy as np
@@ -189,6 +190,19 @@ def test_bad_parameters_rejected(build):
 def test_bad_parameters_name_the_first_bad_one(build, message):
     with pytest.raises(ContractViolationError, match=message):
         build()
+
+
+def test_each_kind_declares_its_constructor_parameters():
+    for cls in gc.Penalty.__subclasses__():
+        assert tuple(inspect.signature(cls).parameters) == cls.params, cls
+
+
+def test_repr_shows_the_parameters_the_kind_reads():
+    assert repr(gc.Penalty.power(2.0, weight=0.5)) == "Penalty(power, alpha=2.0, weight=0.5)"
+    assert repr(gc.Penalty.log_barrier(1.0, growth=2.0, weight=0.5)) == (
+        "Penalty(log-barrier, cap=1.0, growth=2.0, weight=0.5)"
+    )
+    assert repr(gc.Penalty.indicator(2.0)) == "Penalty(indicator, cap=2.0)"
 
 
 def test_no_kind_overrides_a_checked_evaluation():

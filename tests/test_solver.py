@@ -528,6 +528,19 @@ def test_problem_fingerprint_is_stable_and_sensitive():
     assert gc.run(loss, penalty, aset, gc.SolverConfig(max_iters=3)).fingerprint == a
 
 
+def test_a_run_hashes_its_problem_only_when_asked(monkeypatch):
+    calls = []
+    hash_problem = gc.solver.problem_fingerprint
+    monkeypatch.setattr(
+        "gaugecg.solver.problem_fingerprint", lambda *args: calls.append(1) or hash_problem(*args)
+    )
+    loss, penalty, aset = one_dim_problem()
+    result = gc.run(loss, penalty, aset, gc.SolverConfig(max_iters=3))
+    assert calls == []
+    assert result.fingerprint == result.fingerprint == hash_problem(loss, penalty, aset)
+    assert calls == [1]
+
+
 def test_problem_fingerprint_hashes_the_joined_fingerprint_bytes():
     # the pieces are hashed in turn, the arrays without a copy; the digest
     # and the bytes stay those of the joined byte strings, whatever the
