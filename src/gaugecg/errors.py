@@ -2,8 +2,11 @@
 
 Every error the library raises deliberately is one of these, so callers
 (and the command line front end) can map failures to exit codes without
-string matching. _checked refuses a bad constructor argument with the first.
+string matching. _checked refuses a bad constructor argument with the first,
+and _real converts a number for it.
 """
+
+import numpy as np
 
 
 class ContractViolationError(ValueError):
@@ -22,6 +25,14 @@ def _checked(to, value, ok, message):
     if not ok(value):
         raise ContractViolationError(message)
     return value
+
+
+def _real(value):
+    """float(value) for _checked where a number is expected; a bool, which
+    float reads as 0 or 1, raises TypeError."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError("a bool is not a number")
+    return float(value)
 
 
 class InfeasibleGaugeError(ValueError):

@@ -33,6 +33,7 @@ from .errors import (
 from .losses import DataMatrix, LogisticLoss
 from .penalties import KINDS, POWER
 from .solver import (
+    RunResult,
     SolverConfig,
     SolverState,
     TraceRecord,
@@ -383,6 +384,8 @@ def residuals(result, reference):
     are compared). Of an aborted run's partial result, the rows observed
     before the abort are covered; its diagnostic row has no snapshot.
     """
+    if not (isinstance(result, RunResult) and isinstance(reference, ReferenceSolution)):
+        raise ContractViolationError("residuals needs a RunResult and a ReferenceSolution")
     if reference.fingerprint and result.fingerprint != reference.fingerprint:
         raise ReferenceMismatchError(
             "run and reference come from different problems "
@@ -457,11 +460,11 @@ def rate_slope(series, t_lo, t_hi):
     accuracy, and the points from there on carry no rate. At least 5
     positive values must come before it.
     """
-    ts, values = series
-    ts = np.asarray(ts, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if ts.shape != values.shape:
-        raise ContractViolationError("ts and values must have matching length")
+    ts, values = _checked(
+        lambda pair: [np.asarray(a, dtype=float) for a in pair], series,
+        lambda pair: len(pair) == 2 and pair[0].shape == pair[1].shape,
+        "series must be a (ts, values) pair of real arrays of matching length",
+    )
     if not (t_lo > 0 and t_hi > t_lo):
         raise ContractViolationError("need 0 < t_lo < t_hi")
     inside = (ts >= t_lo) & (ts <= t_hi)

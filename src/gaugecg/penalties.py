@@ -32,6 +32,7 @@ from .errors import (
     UnboundedConjugateError,
     UnboundedStepError,
     _checked,
+    _real,
 )
 
 POWER = "power"
@@ -62,7 +63,7 @@ class Penalty:
 
     def __init__(self, weight):
         self.weight = _checked(
-            float, weight, lambda w: 0 < w < math.inf,
+            _real, weight, lambda w: 0 < w < math.inf,
             "penalty weight must be positive and finite",
         )
 
@@ -147,7 +148,7 @@ class _Power(Penalty):
     def __init__(self, alpha, weight):
         super().__init__(weight)
         self.alpha = _checked(
-            float, alpha, lambda a: 1 <= a < math.inf,
+            _real, alpha, lambda a: 1 <= a < math.inf,
             "power exponent must satisfy alpha >= 1",
         )
         # alpha in [1, 2): no quadratic growth, no rate guarantee
@@ -188,9 +189,9 @@ class _LogBarrier(Penalty):
 
     def __init__(self, cap, growth, weight):
         super().__init__(weight)
-        self.cap = _checked(float, cap, lambda c: c > 0, "log-barrier cap must be positive")
+        self.cap = _checked(_real, cap, lambda c: c > 0, "log-barrier cap must be positive")
         self.growth = _checked(
-            float, growth, lambda b: b > 0, "log-barrier growth must be positive"
+            _real, growth, lambda b: b > 0, "log-barrier growth must be positive"
         )
 
     def _value(self, xi):
@@ -218,7 +219,7 @@ class _Indicator(Penalty):
 
     def __init__(self, cap):
         super().__init__(1.0)
-        self.cap = _checked(float, cap, lambda c: c > 0, "indicator cap must be positive")
+        self.cap = _checked(_real, cap, lambda c: c > 0, "indicator cap must be positive")
 
     def _value(self, xi):
         return 0.0 if xi <= self.cap else math.inf

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import CertificateCorruptionError, ContractViolationError
+from .errors import CertificateCorruptionError, ContractViolationError, _checked, _real
 
 
 @dataclasses.dataclass(slots=True)
@@ -154,17 +154,29 @@ class SupportCertificate:
     min_gap: float
 
     def __post_init__(self):
-        self.support_ids = frozenset(int(i) for i in self.support_ids)
-        self.delta = float(self.delta)
-        if self.delta < 0:
-            raise ContractViolationError("delta must be nonnegative")
+        self.support_ids = _checked(
+            lambda ids: frozenset(int(i) for i in ids), self.support_ids,
+            lambda ids: True, "support_ids must be atom ids",
+        )
+        self.delta = _checked(_real, self.delta, lambda v: not v < 0, "delta must be nonnegative")
         if self.identified_at is not None:
-            self.identified_at = int(self.identified_at)
-        self.L = float(self.L)
-        self.min_gap = float(self.min_gap)
+            self.identified_at = _checked(
+                int, self.identified_at, lambda t: True, "identified_at must be an iteration"
+            )
+        self.L, self.min_gap = (
+            _checked(_real, v, lambda v: True, "L and min_gap must be reals")
+            for v in (self.L, self.min_gap)
+        )
 
     to_json = _record_json
 
     @classmethod
     def from_json(cls, text):
-        return cls(**json.loads(text))
+        """Read text written by to_json; text that is not JSON, or not an
+        object with exactly the certificate's fields, is refused."""
+        names = {f.name for f in dataclasses.fields(cls)}
+        fields = _checked(
+            json.loads, text, lambda f: isinstance(f, dict) and set(f) == names,
+            f"not a support certificate: need a JSON object with {sorted(names)}",
+        )
+        return cls(**fields)

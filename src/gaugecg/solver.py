@@ -17,8 +17,11 @@ full-set gap of the reference oracle. The loss value is computed only for
 trace rows.
 
 At most one score vector serves each step: the screening rule reads the
-scores of the certificate's oracle (AtomicSet.oracle). The step moves x
-(AtomicSet.move) and ax in place, bit-identical to the formulas above.
+scores of the certificate's oracle (AtomicSet.oracle). A step that does
+not screen reads only the oracle's answer, so on large data the signed
+basis gives it from a certified window of columns, without forming A'v
+(atoms._Window). The step moves x (AtomicSet.move) and ax in place,
+bit-identical to the formulas above.
 
 The conic coefficient ledger is kept as raw weights plus one global decay
 multiplier, so the (1 - theta) rescale of every step is O(1).
@@ -42,6 +45,7 @@ from .errors import (
     ContractViolationError,
     DivergenceError,
     UnboundedStepError,
+    _checked,
 )
 
 _SCHEDULES = ("2t1", "4t2")
@@ -108,8 +112,10 @@ class SolverConfig:
                 f"step_schedule must be one of {_SCHEDULES}, got {self.step_schedule!r}"
             )
         self.gap_tolerance = float(self.gap_tolerance)
-        self.screening_enabled = bool(self.screening_enabled)
-        self.keep_snapshots = bool(self.keep_snapshots)
+        for name in ("screening_enabled", "keep_snapshots"):
+            # bool("no") is True, so anything but a bool is refused
+            if not isinstance(getattr(self, name), bool):
+                raise ContractViolationError(f"{name} must be True or False")
 
 
 @dataclasses.dataclass(slots=True)
@@ -129,7 +135,9 @@ class TraceRecord:
 
 @dataclasses.dataclass(slots=True, eq=False)
 class Snapshot:
-    """Iterate-level data kept when config.keep_snapshots is on."""
+    """Iterate-level data kept when config.keep_snapshots is on. active_ids
+    are the mask's active atoms in a screened run and the ledger support
+    (screening.support_of) otherwise, where the mask keeps every atom."""
 
     t: int
     x: np.ndarray
@@ -145,9 +153,10 @@ class SolverState:
         if x0 is None:
             x = np.zeros(d)
         else:
-            x = np.array(x0, dtype=float)
-            if x.shape != (d,):
-                raise ContractViolationError(f"x0 must have shape ({d},)")
+            x = _checked(
+                lambda a: np.array(a, dtype=float), x0, lambda a: a.shape == (d,),
+                f"x0 must be a real vector of shape ({d},)",
+            )
             if not np.all(np.isfinite(x)):
                 raise ContractViolationError("x0 must be finite")
         self.x = x
@@ -301,7 +310,7 @@ def _at(state):
     return "" if state is None else f" at iteration {state.t}"
 
 
-def certificate(loss, penalty, atomic_set, ax, kappa, state=None):
+def certificate(loss, penalty, atomic_set, ax, kappa, state=None, lazy=False):
     """Oracle answer and duality gap at a point with margins ax = A x and
     gauge bound kappa, the one gap computation of the package.
 
@@ -311,10 +320,14 @@ def certificate(loss, penalty, atomic_set, ax, kappa, state=None):
     oracle runs over the full atom set; with the solver state it runs over
     state.mask. It scores the atoms at most once, keeps the scores for the
     screening rule, and takes the first maximum (see AtomicSet.oracle).
+    lazy, for a step that screens nothing, lets the oracle answer without
+    grad or scores (a signed basis's window of columns).
     """
     v = loss.link(ax)
     mask = None if state is None else state.mask
-    grad, scores, (atom_id, sigma) = atomic_set.oracle(loss.data.features, v, mask)
+    grad, scores, (atom_id, sigma) = atomic_set.oracle(
+        loss.data.features, v, mask, lazy
+    )
     cert = _Certificate(v, grad, scores, atom_id, sigma, penalty.value(kappa), ax)
     if not math.isfinite(sigma):
         cert.error = DivergenceError(f"support value {sigma!r}{_at(state)}")
@@ -372,8 +385,11 @@ def _record(state, t, objective, gap, sigma, xi):
     )
 
 
-def _snapshot(state, loss, t, v):
-    ids = frozenset(int(i) for i in state.mask.active_ids())
+def _snapshot(state, loss, t, v, screened):
+    if screened:
+        ids = frozenset(int(i) for i in state.mask.active_ids())
+    else:
+        ids = frozenset(_screening.support_of(state.coeffs))
     grad = loss.data.features.T @ v  # the full gradient, whatever the mask
     state.snapshots.append(Snapshot(t, state.x.copy(), grad, ids))
 
@@ -398,7 +414,10 @@ def step(state, loss, penalty, atomic_set, config):
     t = state.t
     x = state.x
     ax = _margins(state, loss)
-    cert = certificate(loss, penalty, atomic_set, ax, state.kappa_bound, state)
+    screened = config.screening_enabled
+    cert = certificate(
+        loss, penalty, atomic_set, ax, state.kappa_bound, state, lazy=not screened
+    )
     if cert.error is not None:
         _abort(
             state, loss, penalty, atomic_set, config, t, cert.error,
@@ -409,7 +428,7 @@ def step(state, loss, penalty, atomic_set, config):
         state.min_gap = gap
     last = t > config.max_iters or gap <= config.gap_tolerance
 
-    if config.screening_enabled and t <= config.max_iters:
+    if screened and t <= config.max_iters:
         if state._smoothness is None:
             state._smoothness = loss.smoothness_wrt(atomic_set)
         ids, values = cert.scores(atomic_set, state.mask)
@@ -423,7 +442,7 @@ def step(state, loss, penalty, atomic_set, config):
     if last or t == 1 or t % config.trace_every == 0:
         _record(state, t, loss.value(x) + cert.h_x, gap, sigma, xi)
         if config.keep_snapshots:
-            _snapshot(state, loss, t, cert.v)
+            _snapshot(state, loss, t, cert.v, screened)
     if last:
         return state
 

@@ -582,6 +582,47 @@ def test_build_certificate_of_an_unscreened_run_claims_the_ledger_support():
     assert cert.L == loss.smoothness_wrt(aset) and cert.min_gap == result.state.min_gap
 
 
+def test_unscreened_residuals_count_the_ledger_support():
+    # an unscreened mask keeps every atom, so its snapshots hold the ledger
+    # support, as build_certificate claims it; the mask's ids would read
+    # num_atoms - |S*| = 23 on every row here
+    loss, penalty, aset = synthetic_problem(5, lam=0.5, n=40, d=12)
+    ref = gc.reference_solve(loss, penalty, aset)
+    config = gc.SolverConfig(max_iters=1000, step_schedule="4t2", keep_snapshots=True)
+    result = gc.run(loss, penalty, aset, config)
+    series = residuals(result, ref)
+    assert [snap.active_ids for snap in result.snapshots][-1] == gc.support_of(
+        result.state.coeffs
+    )
+    assert series.support_error[-1] == 0
+    assert series.support_error[0] == 1  # x = 0 at t = 1: the empty support
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gc.run(*synthetic_problem(0), gc.SolverConfig(max_iters=2), x0="abc"),
+        lambda: gc.SupportCertificate.from_json("{}"),
+        lambda: gc.SupportCertificate.from_json("[1, 2]"),
+        lambda: gc.SupportCertificate.from_json(
+            '{"support_ids": [1], "delta": "x", "identified_at": null, "L": 1, "min_gap": 0}'
+        ),
+        lambda: rate_slope(("a", "b"), 1, 2),
+        lambda: residuals(None, None),
+        lambda: gc.Penalty.power(2, weight=True),
+        lambda: gc.Penalty.log_barrier(np.bool_(True)),
+    ],
+    ids=[
+        "x0-word", "certificate-empty", "certificate-list", "certificate-word",
+        "rate-slope-words",
+        "residuals-none", "power-weight-bool", "log-barrier-cap-bool",
+    ],
+)
+def test_public_calls_refuse_bad_arguments_with_the_contract_error(call):
+    with pytest.raises(ContractViolationError):
+        call()
+
+
 # ------------------------------------------------------------------- rate fits
 
 

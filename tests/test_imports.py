@@ -1,5 +1,5 @@
 """What importing and running the package loads, and what memory a
-screened solve holds.
+screened or an unscreened solve holds.
 
 A screened signed-basis solve, a CLI sweep, the trace files and a
 signed-basis reference solve need only numpy: no scipy module is loaded.
@@ -124,6 +124,41 @@ def test_a_screened_solve_holds_at_most_an_eighth_of_the_features(tmp_path):
             )
             assert result.screen_events, "the run never screened"
             del result
+        print(peak_bytes() - base)
+        """,
+        tmp_path,
+    )
+    assert int(out.split()[-1]) <= n * d * 8 // 8 + 512 * 1024
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc"
+)
+def test_an_unscreened_solve_holds_at_most_an_eighth_of_the_features(tmp_path):
+    # an unscreened signed basis above the size floor scores from a window
+    # of at most d // 8 copied columns (atoms._Window), so the solve raises
+    # the peak by at most n*d*8 // 8 bytes and the margin the screened test
+    # allows. A first solve on 40 rows loads the code the window runs, so
+    # what is measured is what the 200-row data adds (24 KiB on seed 3); a
+    # copy of every column would add 1.6 MB.
+    n, d = 200, 1000
+    out = run_fresh(
+        f"""
+        import gaugecg as gc
+
+        def peak_bytes():
+            with open("/proc/self/status", encoding="ascii") as fh:
+                line = next(line for line in fh if line.startswith("VmHWM:"))
+            return 1024 * int(line.split()[1])
+
+        penalty, aset = gc.Penalty.power(2.0, weight=0.1), gc.AtomicSet.signed_basis({d})
+        config = gc.SolverConfig(max_iters=300)
+        gc.run(gc.LogisticLoss(gc.gen_synthetic(0, n=40, d={d})), penalty, aset, config)
+        loss = gc.LogisticLoss(gc.gen_synthetic(3, n={n}, d={d}))
+        base = peak_bytes()
+        result = gc.run(loss, penalty, aset, config)
+        window = result.state.mask._window
+        assert window.columns is not None, "no window was open at the end"
         print(peak_bytes() - base)
         """,
         tmp_path,

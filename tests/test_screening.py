@@ -194,12 +194,15 @@ def test_solver_screening_matches_brute_force_on_every_set_kind(kind):
     [(11, 200, 1000, 0.1, 193), (0, 100, 50, 0.3, 228)],
 )
 def test_screened_signed_basis_follows_the_unscreened_run_until_few_columns_are_left(
-    seed, n, d, lam, first_compact
+    seed, n, d, lam, first_compact, monkeypatch
 ):
     # until its active atoms touch at most d // 8 columns, a screened run's
     # oracle scores through the unscreened product A'v: every trace column
     # but active_atoms and elapsed_s, and every x, match the unscreened run
-    # to the byte, up to the step that first scores from a column copy
+    # to the byte, up to the step that first scores from a column copy. The
+    # unscreened comparator forms A'v on every step: its window of columns
+    # (atoms._Window) is held off by a floor above n*d.
+    monkeypatch.setattr("gaugecg.atoms._WINDOW_FLOOR", n * d + 1)
     loss, penalty, aset = synthetic_problem(seed, lam, n=n, d=d)
     on = gc.SolverConfig(max_iters=first_compact, screening_enabled=True)
     off = gc.SolverConfig(max_iters=first_compact)

@@ -1,6 +1,7 @@
 """Solver iteration: hand-derived values on the 1-d two-atom problem, trace
 bookkeeping, the state invariants as properties, and both failure paths."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gaugecg as gc
+from gaugecg import atoms, solver
 from gaugecg.errors import ContractViolationError, DivergenceError, UnboundedStepError
 
 from conftest import one_dim_problem, synthetic_problem, tame_quadratic
@@ -44,6 +46,11 @@ def test_theta_schedule_values():
         {"gap_tolerance": "x"},
         {"trace_every": math.nan},
         {"trace_every": math.inf},
+        # bool("no") is True: only a bool switches
+        {"screening_enabled": "no"},
+        {"screening_enabled": 1},
+        {"keep_snapshots": "no"},
+        {"keep_snapshots": None},
     ],
 )
 def test_config_validation(kwargs):
@@ -678,6 +685,117 @@ def test_screening_changes_nothing_but_the_work():
             assert getattr(a, name) == pytest.approx(
                 getattr(b, name), rel=1e-9, abs=1e-15
             ), name
+
+
+# ---------------------------------------- the unscreened window of columns
+
+
+def _window_case(case):
+    """(loss, penalty, atomic_set, config, x0) of one unscreened run above
+    the window's size floor (atoms._WINDOW_FLOOR)."""
+    seed = 11 if case == "logistic-11" else 3
+    data = gc.gen_synthetic(seed, n=200, d=300 if case == "quadratic" else 1000)
+    loss = gc.LogisticLoss(data)
+    if case == "quadratic":
+        features = data.features / math.sqrt(200)
+        noise = np.random.default_rng(seed).standard_normal(200)
+        targets = features[:, :5].sum(axis=1) + 0.1 * noise
+        loss = gc.QuadraticLoss(gc.DataMatrix(features, targets))
+    d = loss.data.d
+    aset = gc.AtomicSet.signed_basis(d, scale=0.3 if case == "scale-0.3" else 1.0)
+    x0 = None
+    if case == "warm-start":
+        x0 = np.zeros(d)
+        x0[:20] = np.linspace(-0.5, 0.5, 20)
+    schedule = "4t2" if case in ("warm-start", "4t2") else "2t1"
+    config = gc.SolverConfig(max_iters=400, step_schedule=schedule)
+    return loss, gc.Penalty.power(2.0, weight=0.1), aset, config, x0
+
+
+@pytest.mark.parametrize(
+    "case", ["logistic-3", "logistic-11", "quadratic", "scale-0.3", "warm-start", "4t2"]
+)
+def test_the_window_picks_the_atom_of_the_full_product(case, monkeypatch):
+    # at every step the atom equals the full-product oracle's, recomputed
+    # from the margins the step reads, and sigma is within the rounding of
+    # two length-n dot products, 2 C n eps max|a_k| |v| (atoms._Window); a
+    # step that formed the product reads the full oracle's sigma to the bit
+    loss, penalty, aset, config, x0 = _window_case(case)
+    served, moves = [], []
+    answer, move = atoms._Window.answer, aset.move
+
+    def counted(window, v):
+        out = answer(window, v)
+        served.append(out is not None)
+        return out
+
+    def recorded(x, theta, xi, atom_id):
+        moves.append(atom_id)
+        return move(x, theta, xi, atom_id)
+
+    monkeypatch.setattr(atoms._Window, "answer", counted)
+    aset.move = recorded
+    features = loss.data.features
+    top_norm = math.sqrt(float(np.max(np.sum(features * features, axis=0))))
+    state = gc.SolverState(aset, x0=x0)
+    for t in range(1, config.max_iters + 1):
+        v = loss.link(solver._margins(state, loss))
+        atom_id, sigma = aset.lmo(-(features.T @ v))
+        gc.step(state, loss, penalty, aset, config)
+        assert moves[-1] == atom_id, t
+        row = state.trace[-1]
+        if served[-1]:
+            bound = 2.0 * aset.scale * v.size * solver._EPS * top_norm * np.linalg.norm(v)
+            assert abs(row.sigma - sigma) <= bound, t
+        else:
+            assert row.sigma == sigma, t
+    # the window answered most steps: the comparison is not vacuous
+    assert sum(served) > config.max_iters // 2, sum(served)
+
+
+def test_a_non_finite_link_aborts_as_without_the_window(monkeypatch):
+    # a NaN in the margins makes v NaN: the window's test fails, the step
+    # forms the full product, and the abort is the one the full product
+    # always gave, in type, message and t
+    loss, penalty, aset = synthetic_problem(3, lam=0.1, n=200, d=1000)
+    config = gc.SolverConfig(max_iters=1000)
+    outcomes = []
+    for floor in (atoms._WINDOW_FLOOR, math.inf):
+        monkeypatch.setattr(atoms, "_WINDOW_FLOOR", floor)
+        state = gc.SolverState(aset)
+        for _ in range(150):
+            gc.step(state, loss, penalty, aset, config)
+        window = state.mask._window
+        assert (window is not None and window.columns is not None) == (floor != math.inf)
+        state.ax[7] = math.nan
+        with pytest.raises(DivergenceError) as info:
+            gc.step(state, loss, penalty, aset, config)
+        outcomes.append((type(info.value), str(info.value), info.value.t))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][2] == 151
+
+
+def test_a_run_below_the_window_floor_forms_the_product_on_every_step(monkeypatch):
+    # n*d = 30000 entries, under atoms._WINDOW_FLOOR: the run opens no
+    # window and matches a run with the window held off, to the byte; with
+    # the floor lowered the same run opens one
+    loss, penalty, aset = synthetic_problem(2, lam=0.1, n=100, d=300)
+    config = gc.SolverConfig(max_iters=2000, trace_every=50)
+
+    def solve():
+        result = gc.run(loss, penalty, aset, config)
+        rows = [dataclasses.replace(row, elapsed_s=0.0) for row in result.trace]
+        return result.state, rows
+
+    state, rows = solve()
+    assert loss.data.features.size < atoms._WINDOW_FLOOR
+    assert state.mask._window is None
+    monkeypatch.setattr(atoms, "_WINDOW_FLOOR", math.inf)
+    plain, plain_rows = solve()
+    assert rows == plain_rows
+    assert state.x.tobytes() == plain.x.tobytes()
+    monkeypatch.setattr(atoms, "_WINDOW_FLOOR", loss.data.features.size)
+    assert solve()[0].mask._window is not None
 
 
 @pytest.mark.parametrize("screening", [False, True])
