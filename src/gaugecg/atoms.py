@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractViolationError, InfeasibleGaugeError, _checked, _real
+from .errors import ContractViolationError, InfeasibleGaugeError, _checked, _index, _real
 
 SIGNED_BASIS = "signed-basis"
 HYPERCUBE = "hypercube-vertices"
@@ -249,7 +249,7 @@ class AtomMask:
 
     def __init__(self, num_atoms):
         self._num_atoms = _checked(
-            int, num_atoms, lambda m: m > 0, "mask needs at least one atom"
+            _index, num_atoms, lambda m: m > 0, "mask needs at least one atom"
         )
         self._active = None  # None: every atom active, nothing stored
         self._ids = None
@@ -280,8 +280,11 @@ class AtomMask:
 
     def deactivate(self, ids):
         """Switch the given ids off. Already-inactive ids are ignored; an id
-        outside 0..num_atoms-1 is refused."""
-        ids = np.asarray(ids, dtype=int)
+        that is not an integer in 0..num_atoms-1 is refused."""
+        ids = _checked(
+            np.asarray, ids, lambda a: a.dtype.kind in "iu" or not a.size,
+            "atom ids must be integers",
+        ).astype(int)
         if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= self._num_atoms):
             raise ContractViolationError(f"atom ids outside 0..{self._num_atoms - 1}")
         if self._active is None:
@@ -316,7 +319,7 @@ class AtomicSet:
 
     def __init__(self, dimension, scale):
         self.dimension = _checked(
-            int, dimension, lambda k: k > 0, "dimension must be positive"
+            _index, dimension, lambda k: k > 0, "dimension must be positive"
         )
         self.scale = _checked(
             _real, scale, lambda c: 0 < c < np.inf, "scale must be a positive finite real"

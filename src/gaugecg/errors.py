@@ -3,8 +3,10 @@
 Every error the library raises deliberately is one of these, so callers
 (and the command line front end) can map failures to exit codes without
 string matching. _checked refuses a bad constructor argument with the first,
-and _real converts a number for it.
+and _real and _index convert a number and a count for it.
 """
+
+import operator
 
 import numpy as np
 
@@ -33,6 +35,14 @@ def _real(value):
     if isinstance(value, (bool, np.bool_)):
         raise TypeError("a bool is not a number")
     return float(value)
+
+
+def _index(value):
+    """operator.index(value) for _checked where a count or an id is
+    expected; a bool, which it reads as 0 or 1, raises TypeError."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError("a bool is not a count")
+    return operator.index(value)
 
 
 class InfeasibleGaugeError(ValueError):

@@ -13,7 +13,6 @@ import gzip
 import hashlib
 import json
 import math
-import numbers
 import operator
 import os
 import struct
@@ -29,6 +28,8 @@ from .errors import (
     ReferenceMismatchError,
     UnboundedStepError,
     _checked,
+    _index,
+    _real,
 )
 from .losses import DataMatrix, LogisticLoss
 from .penalties import KINDS, POWER
@@ -41,6 +42,7 @@ from .solver import (
     certificate,
     check_count,
     check_tolerance,
+    claimed_ids,
     problem_fingerprint,
     run,
     step,
@@ -57,9 +59,8 @@ def gen_synthetic(seed, n=100, d=50):
     All randomness flows through numpy's default generator (PCG64) keyed
     by the seed, so the matrix is reproducible across platforms.
     """
-    n, d = (_checked(operator.index, v, lambda v: v >= 1, "n and d must be >= 1") for v in (n, d))
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ContractViolationError(f"seed must be an integer >= 0, got {seed!r}")
+    n, d = (_checked(_index, v, lambda v: v >= 1, "n and d must be >= 1") for v in (n, d))
+    seed = _checked(_index, seed, lambda s: s >= 0, f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     return DataMatrix(rng.standard_normal((n, d)), np.ones(n))
 
@@ -103,16 +104,21 @@ def _parse_idx(data, path, kind, magic_expected, dims):
     return shape, np.frombuffer(data, dtype=np.uint8, offset=header)
 
 
+def _digit_pair(digits):
+    return _checked(
+        lambda pair: tuple(_index(v) for v in pair), digits,
+        lambda pair: len(pair) == 2 and pair[0] != pair[1] and all(0 <= v <= 9 for v in pair),
+        "digits must be two distinct values in 0..9",
+    )
+
+
 def load_mnist_pair(images_path, labels_path, digits=(4, 9)):
     """Read one IDX image/label file pair and keep two digit classes.
 
     Pixels are scaled to [0, 1]; the first digit maps to label -1, the
     second to +1. Plain and gzip-compressed files are both accepted.
     """
-    if len(digits) != 2 or digits[0] == digits[1] or not all(
-        0 <= int(v) <= 9 for v in digits
-    ):
-        raise ContractViolationError("digits must be two distinct values in 0..9")
+    digits = _digit_pair(digits)
     (count, rows, cols), pixels = _parse_idx(
         _read_maybe_gzip(images_path), images_path, "images", _IDX_IMAGES_MAGIC, 3
     )
@@ -149,20 +155,28 @@ class ReferenceSolution:
     fingerprint: str
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.grad = np.asarray(self.grad, dtype=float)
-        self.objective = float(self.objective)
-        self.support_ids = frozenset(int(i) for i in self.support_ids)
-        self.delta = float(self.delta)
-        self.gap = float(self.gap)
-        self.iters_used = int(self.iters_used)
+        self.x, self.grad = (
+            _checked(
+                lambda a: np.asarray(a, dtype=float), v, lambda a: a.ndim == 1,
+                "x and grad must be real vectors",
+            )
+            for v in (self.x, self.grad)
+        )
+        self.objective, self.delta, self.gap = (
+            _checked(_real, v, lambda v: True, "objective, delta and gap must be reals")
+            for v in (self.objective, self.delta, self.gap)
+        )
+        self.support_ids = _checked(
+            lambda ids: frozenset(_index(i) for i in ids), self.support_ids,
+            lambda ids: True, "support_ids must be atom ids",
+        )
+        self.iters_used = _checked(
+            _index, self.iters_used, lambda k: k >= 0, "iters_used must be a count"
+        )
         self.reached = bool(self.reached)
 
     to_json = _screening._record_json
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
+    from_json = classmethod(_screening._record_from_json)
 
 
 def save_reference(reference, path):
@@ -179,8 +193,10 @@ def load_reference(path):
     try:
         return ReferenceSolution.from_json(raw.decode("ascii"))
     except (ValueError, TypeError) as err:
-        # JSONDecodeError and UnicodeDecodeError say where the bad byte is
-        offset = getattr(err, "pos", getattr(err, "start", None))
+        # JSONDecodeError, which from_json refuses with, and UnicodeDecodeError
+        # say where the bad byte is
+        cause = err.__context__ or err
+        offset = getattr(cause, "pos", getattr(cause, "start", None))
         raise FileFormatError(
             f"{path}: not a reference file: {err}", offset=offset
         ) from None
@@ -378,11 +394,12 @@ def residuals(result, reference):
     """Objective error, gap, gradient error, and support error per traced t.
 
     The gradient error is the max over atoms of |<p, grad - grad*>|, the
-    support value of the symmetrized set. The run must have been made with
-    keep_snapshots=True (gradient and active-set errors need the stored
-    iterate data) and on the same problem as the reference (fingerprints
-    are compared). Of an aborted run's partial result, the rows observed
-    before the abort are covered; its diagnostic row has no snapshot.
+    support value of the symmetrized set, at the gradient of each snapshot's
+    x. The run must have been made with keep_snapshots=True (the errors need
+    the stored iterates and claimed atoms) and on the same problem as the
+    reference (fingerprints are compared). Of an aborted run's partial
+    result, the rows observed before the abort are covered; its diagnostic
+    row has no snapshot.
     """
     if not (isinstance(result, RunResult) and isinstance(reference, ReferenceSolution)):
         raise ContractViolationError("residuals needs a RunResult and a ReferenceSolution")
@@ -416,7 +433,7 @@ def residuals(result, reference):
         ts.append(row.t)
         obj_err.append(row.objective - reference.objective)
         gaps.append(row.gap)
-        g = snap.grad - reference.grad
+        g = result.loss.gradient(snap.x) - reference.grad
         grad_err.append(max(aset.support_value(g), aset.support_value(-g)))
         supp_err.append(len(snap.active_ids ^ reference.support_ids))
     return ResidualSeries(ts, obj_err, gaps, grad_err, supp_err)
@@ -431,18 +448,13 @@ def identified_at(trace, L, margin):
 
 
 def build_certificate(result, reference):
-    """Assemble the JSON-able support certificate for a finished run.
-
-    A screened run claims the atoms its mask kept; any other run claims the
-    support of its ledger."""
+    """The JSON-able support certificate of the atoms a finished run claims."""
+    if not (isinstance(result, RunResult) and isinstance(reference, ReferenceSolution)):
+        raise ContractViolationError("build_certificate needs a RunResult and a ReferenceSolution")
     L = result.loss.smoothness_wrt(result.atomic_set)
     found_at = identified_at(result.trace, L, reference.delta)
-    if result.config.screening_enabled:
-        support = [int(i) for i in result.state.mask.active_ids()]
-    else:
-        support = sorted(_screening.support_of(result.state.coeffs))
     return _screening.SupportCertificate(
-        support_ids=support,
+        support_ids=claimed_ids(result.state, result.config.screening_enabled),
         delta=reference.delta,
         identified_at=found_at,
         L=L,
@@ -603,16 +615,26 @@ class ExperimentConfig:
             raise ContractViolationError("mnist experiment needs images and labels paths")
         if self.penalty_kind not in KINDS:
             raise ContractViolationError(f"unknown penalty kind {self.penalty_kind!r}")
-        if not self.alphas or not self.weights:
-            raise ContractViolationError("alpha and weight grids must be nonempty")
-        self.seed, self.n, self.d = int(self.seed), int(self.n), int(self.d)
-        self.alphas = tuple(float(a) for a in self.alphas)
-        self.weights = tuple(float(w) for w in self.weights)
-        self.capacity, self.growth = float(self.capacity), float(self.growth)
-        self.scale = float(self.scale)
+        self.seed, self.n, self.d = (
+            _checked(_index, v, lambda v: v >= low, f"{name} must be an integer >= {low}")
+            for name, v, low in (("seed", self.seed, 0), ("n", self.n, 1), ("d", self.d, 1))
+        )
+        self.alphas, self.weights = (
+            _checked(
+                lambda grid: tuple(_real(v) for v in grid), grid, bool,
+                "alpha and weight grids must be nonempty sequences of reals",
+            )
+            for grid in (self.alphas, self.weights)
+        )
+        self.capacity, self.growth, self.scale = (
+            _checked(_real, v, lambda v: True, "capacity, growth and scale must be reals")
+            for v in (self.capacity, self.growth, self.scale)
+        )
         if self.solver is None:
             self.solver = SolverConfig()
-        self.digits = tuple(int(v) for v in self.digits)
+        if not isinstance(self.solver, SolverConfig):
+            raise ContractViolationError(f"solver must be a SolverConfig, got {self.solver!r}")
+        self.digits = _digit_pair(self.digits)
 
     def build_penalty(self, alpha, weight):
         """The penalty at one grid point, given the parameters its kind reads."""

@@ -13,7 +13,7 @@ sigma - values (negation is exact, so this is sigma + p'grad to the bit).
 
 Also here: the degeneracy margin delta of a reference solution, support
 extraction from a coefficient ledger, the JSON support certificate, and
-the one record-to-JSON codec that it and the reference solution share.
+the one JSON writer and reader that it and the reference solution share.
 """
 
 import dataclasses
@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import CertificateCorruptionError, ContractViolationError, _checked, _real
+from .errors import CertificateCorruptionError, ContractViolationError, _checked, _index, _real
 
 
 @dataclasses.dataclass(slots=True)
@@ -143,6 +143,18 @@ def _record_json(record):
     return json.dumps({f.name: encode(getattr(record, f.name)) for f in fields}, sort_keys=True)
 
 
+def _record_from_json(cls, text):
+    """Read text written by _record_json into the record class cls. Text
+    that is not JSON, or not an object with exactly the record's fields, is
+    refused, and so is a field that the record's checks refuse."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    fields = _checked(
+        json.loads, text, lambda f: isinstance(f, dict) and set(f) == names,
+        f"not a {cls.__name__}: need a JSON object with {sorted(names)}",
+    )
+    return cls(**fields)
+
+
 @dataclasses.dataclass
 class SupportCertificate:
     """Identified-support claim with the quantities that justify it."""
@@ -155,13 +167,13 @@ class SupportCertificate:
 
     def __post_init__(self):
         self.support_ids = _checked(
-            lambda ids: frozenset(int(i) for i in ids), self.support_ids,
+            lambda ids: frozenset(_index(i) for i in ids), self.support_ids,
             lambda ids: True, "support_ids must be atom ids",
         )
         self.delta = _checked(_real, self.delta, lambda v: not v < 0, "delta must be nonnegative")
         if self.identified_at is not None:
             self.identified_at = _checked(
-                int, self.identified_at, lambda t: True, "identified_at must be an iteration"
+                _index, self.identified_at, lambda t: True, "identified_at must be an iteration"
             )
         self.L, self.min_gap = (
             _checked(_real, v, lambda v: True, "L and min_gap must be reals")
@@ -169,14 +181,4 @@ class SupportCertificate:
         )
 
     to_json = _record_json
-
-    @classmethod
-    def from_json(cls, text):
-        """Read text written by to_json; text that is not JSON, or not an
-        object with exactly the certificate's fields, is refused."""
-        names = {f.name for f in dataclasses.fields(cls)}
-        fields = _checked(
-            json.loads, text, lambda f: isinstance(f, dict) and set(f) == names,
-            f"not a support certificate: need a JSON object with {sorted(names)}",
-        )
-        return cls(**fields)
+    from_json = classmethod(_record_from_json)

@@ -69,8 +69,9 @@ def theta_schedule(schedule, t):
 
 
 def check_count(name, count):
-    """Refuse anything but a finite real with an integer value >= 1."""
-    real = isinstance(count, numbers.Real)  # int(count) needs a finite real
+    """Refuse anything but a finite real with an integer value >= 1; a bool
+    too, which int reads as 0 or 1."""
+    real = isinstance(count, numbers.Real) and not isinstance(count, bool)
     if not (real and 1 <= count < math.inf and count == int(count)):
         raise ContractViolationError(f"{name} must be an integer >= 1")
 
@@ -135,13 +136,10 @@ class TraceRecord:
 
 @dataclasses.dataclass(slots=True, eq=False)
 class Snapshot:
-    """Iterate-level data kept when config.keep_snapshots is on. active_ids
-    are the mask's active atoms in a screened run and the ledger support
-    (screening.support_of) otherwise, where the mask keeps every atom."""
+    """A traced iterate and the atoms its run claims there (claimed_ids)."""
 
     t: int
     x: np.ndarray
-    grad: np.ndarray
     active_ids: frozenset
 
 
@@ -166,6 +164,7 @@ class SolverState:
         self.trace = []
         self.screen_events = []
         self.snapshots = []
+        self._claimed = frozenset()  # see claimed_ids
         self._aset = atomic_set
         self._ledger = {}
         self._ledger_scale = 1.0
@@ -368,8 +367,22 @@ def _margins(state, loss):
     return state.ax
 
 
+def claimed_ids(state, screened, support=None):
+    """The atoms a run claims, one frozenset while they stay: the active atoms
+    of a screened run's mask, else the ledger support (given, or support_of)."""
+    last = state._claimed
+    if not screened:
+        support = _screening.support_of(state.coeffs) if support is None else support
+        state._claimed = last if support == last else frozenset(support)
+    elif len(last) != state.mask.active_count:  # the mask only shrinks
+        # the last set less the atoms it lost shares the last set's ints
+        active = state.mask.active_ids().tolist()
+        state._claimed = last - last.difference(active) if last else frozenset(active)
+    return state._claimed
+
+
 def _record(state, t, objective, gap, sigma, xi):
-    nonzeros = len(_screening.support_of(state.coeffs))
+    support = _screening.support_of(state.coeffs)  # returned for claimed_ids
     state.trace.append(
         TraceRecord(
             t=t,
@@ -378,20 +391,12 @@ def _record(state, t, objective, gap, sigma, xi):
             min_gap=state.min_gap,
             sigma=sigma,
             active_atoms=state.mask.active_count,
-            nonzeros=nonzeros,
+            nonzeros=len(support),
             xi=xi,
             elapsed_s=state.elapsed,
         )
     )
-
-
-def _snapshot(state, loss, t, v, screened):
-    if screened:
-        ids = frozenset(int(i) for i in state.mask.active_ids())
-    else:
-        ids = frozenset(_screening.support_of(state.coeffs))
-    grad = loss.data.features.T @ v  # the full gradient, whatever the mask
-    state.snapshots.append(Snapshot(t, state.x.copy(), grad, ids))
+    return support
 
 
 def _abort(state, loss, penalty, atomic_set, config, t, exc, sigma, xi, gap):
@@ -440,9 +445,9 @@ def step(state, loss, penalty, atomic_set, config):
             state.screen_events.append(report)
 
     if last or t == 1 or t % config.trace_every == 0:
-        _record(state, t, loss.value(x) + cert.h_x, gap, sigma, xi)
+        support = _record(state, t, loss.value(x) + cert.h_x, gap, sigma, xi)
         if config.keep_snapshots:
-            _snapshot(state, loss, t, cert.v, screened)
+            state.snapshots.append(Snapshot(t, x.copy(), claimed_ids(state, screened, support)))
     if last:
         return state
 

@@ -492,7 +492,7 @@ def test_residual_gradient_error_is_the_max_over_atoms_of_the_abs_dot():
         )
         series = residuals(result, ref)
         for snap, err in zip(result.snapshots, series.gradient_error):
-            dots = atoms @ (snap.grad - grad_star)
+            dots = atoms @ (loss.gradient(snap.x) - grad_star)
             assert err == pytest.approx(float(np.max(np.abs(dots))), rel=1e-14, abs=0.0)
             one_sided += float(np.max(dots)) < err
     assert one_sided > 0, "no row needed the negations: the check shows nothing"
@@ -621,6 +621,78 @@ def test_unscreened_residuals_count_the_ledger_support():
 def test_public_calls_refuse_bad_arguments_with_the_contract_error(call):
     with pytest.raises(ContractViolationError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ExperimentConfig("synthetic", seed="a"),
+        lambda: ExperimentConfig("synthetic", n=None),
+        lambda: ExperimentConfig("synthetic", weights=("a",)),
+        lambda: ExperimentConfig("synthetic", capacity=None),
+        lambda: ExperimentConfig("synthetic", digits=5),
+        lambda: ExperimentConfig("synthetic", solver="x"),
+        lambda: gc.SolverConfig(max_iters=True),
+        lambda: gc.AtomicSet.signed_basis(True),
+        lambda: gc.gen_synthetic(True, n=3, d=2),
+        lambda: gc.AtomicSet.signed_basis(3).full_mask().deactivate([1.5]),
+        lambda: gc.AtomicSet.signed_basis(3).full_mask().deactivate([True]),
+        lambda: gc.AtomicSet.signed_basis(3).full_mask().deactivate(["a"]),
+        lambda: gc.build_certificate(None, None),
+        lambda: gc.AtomMask(True),
+        lambda: gc.SupportCertificate([True], 0.0, None, 1.0, 0.0),
+        lambda: gc.SupportCertificate([1], 0.0, 2.5, 1.0, 0.0),
+    ],
+    ids=[
+        "config-seed-word", "config-n-none", "config-weight-word", "config-capacity-none",
+        "config-digits-int", "config-solver-word", "max-iters-bool", "dimension-bool",
+        "seed-bool", "deactivate-float", "deactivate-bool", "deactivate-word",
+        "certificate-none", "mask-bool", "certificate-id-bool", "certificate-t-float",
+    ],
+)
+def test_constructors_refuse_words_none_and_bools_with_the_contract_error(call):
+    # a bool is refused wherever a number is expected: int reads it as 0 or 1
+    with pytest.raises(ContractViolationError):
+        call()
+
+
+def _record_fields(record):
+    if record is ReferenceSolution:
+        value = ReferenceSolution(
+            x=[1.0, 0.0], grad=[0.5, -0.5], objective=1.0, support_ids=[0], delta=0.1,
+            gap=0.0, iters_used=3, reached=True, fingerprint="f",
+        )
+    else:
+        value = gc.SupportCertificate(
+            support_ids=[0], delta=0.1, identified_at=None, L=1.0, min_gap=0.0
+        )
+    fields = json.loads(value.to_json())
+    assert record.from_json(value.to_json()).to_json() == value.to_json()
+    return fields
+
+
+@pytest.mark.parametrize("record, number", [(ReferenceSolution, "x"), (gc.SupportCertificate, "L")])
+@pytest.mark.parametrize("fault", ["empty", "non-object", "extra-key", "non-numeric"])
+def test_records_read_back_only_an_object_with_their_fields(record, number, fault):
+    fields = _record_fields(record)
+    if fault == "empty":
+        text = "{}"
+    elif fault == "non-object":
+        text = json.dumps([fields])
+    elif fault == "extra-key":
+        text = json.dumps(dict(fields, extra=1))
+    else:
+        text = json.dumps(dict(fields, **{number: "a"}))
+    with pytest.raises(ContractViolationError):
+        record.from_json(text)
+
+
+def test_a_reference_file_that_is_not_json_says_where(tmp_path):
+    path = tmp_path / "reference.json"
+    path.write_text('{"x": [1,, 2]}')
+    with pytest.raises(FileFormatError) as info:
+        load_reference(str(path))
+    assert info.value.offset == 9
 
 
 # ------------------------------------------------------------------- rate fits

@@ -160,33 +160,35 @@ def _screened_problem(kind):
     ids=lambda kind: f"{kind}-prune-lmo",
 )
 def test_solver_screening_matches_brute_force_on_every_set_kind(kind):
-    # each pass of a run is rebuilt from its snapshot: the full gradient,
-    # the trace row's sigma and gap, and the ids active when it ran
+    # each pass of a run is rebuilt from the gradient its certificate forms,
+    # A'link(ax) at the step's margins (A x at t = 1), the trace row's sigma
+    # and gap, and the ids active when it ran
     loss, aset = _screened_problem(kind)
-    cfg = gc.SolverConfig(
-        max_iters=150, screening_enabled=True, keep_snapshots=True, trace_every=1,
-    )
-    result = gc.run(loss, gc.Penalty.power(2.0, weight=0.05), aset, cfg)
+    penalty = gc.Penalty.power(2.0, weight=0.05)
+    cfg = gc.SolverConfig(max_iters=150, screening_enabled=True, trace_every=1)
+    state = gc.SolverState(aset)
     L = loss.smoothness_wrt(aset)
     atoms = aset.atoms_matrix()
-    rows = {row.t: row for row in result.trace}
-    snaps = {snap.t: snap for snap in result.snapshots}
-    events = {event.t: event for event in result.screen_events}
-    assert events, "the run never screened: the check would be empty"
     active = list(range(aset.num_atoms))
     for t in range(1, cfg.max_iters + 1):
-        row, snap = rows[t], snaps[t]
-        expected = brute_removals(atoms, active, snap.grad, row.sigma, row.gap, L)
-        event = events.get(t)
-        if event is None:
+        ax = loss.margins(state.x) if state.ax is None else state.ax
+        grad = loss.data.features.T @ loss.link(ax)
+        passes = len(state.screen_events)
+        gc.step(state, loss, penalty, aset, cfg)
+        row = state.trace[-1]
+        assert row.t == t
+        expected = brute_removals(atoms, active, grad, row.sigma, row.gap, L)
+        if len(state.screen_events) == passes:
             assert expected == set(), t
             continue
+        event = state.screen_events[-1]
         assert set(event.removed_ids) == expected, t
         assert event.threshold == 2.0 * math.sqrt(L * max(row.gap, 0.0))
         assert event.sigma == row.sigma
         assert event.remaining == len(active) - len(expected)
-        active = sorted(snap.active_ids)
+        active = state.mask.active_ids().tolist()
         assert len(active) == event.remaining
+    assert state.screen_events, "the run never screened: the check would be empty"
 
 
 @pytest.mark.parametrize(
