@@ -1,10 +1,10 @@
 """Reruns the golden corpus (tests/golden/make_corpus.py) and compares it
 with the stored digests.
 
-On the platform the digests were made on (numpy version, BLAS build and
-machine, tests/golden/corpus.json), every digest must match: trace rows,
-screen events, final x, snapshots, reference and certificate JSON, and the
-residual columns. gradient_error is formed from fresh margins A x and is
+On the platform the digests were made on (numpy version, BLAS build, BLAS
+kernel and machine, tests/golden/corpus.json), every digest must match:
+trace rows, screen events, final x and ax, ledger, snapshots, aborts,
+reference and certificate JSON, and the residual columns. gradient_error is formed from fresh margins A x and is
 compared at an absolute tolerance. On any other platform the
 full-precision summary is compared at a relative tolerance instead, and
 the test says so; it is never skipped.
@@ -35,7 +35,7 @@ def corpus():
 def _compare_summaries(stored, fresh, name):
     assert stored.keys() == fresh.keys(), name
     for key, value in stored.items():
-        if isinstance(value, int):
+        if isinstance(value, (int, str)):
             assert fresh[key] == value, (name, key)
         else:
             np.testing.assert_allclose(
