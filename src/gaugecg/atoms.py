@@ -64,35 +64,44 @@ _EPS = float(np.finfo(float).eps)
 
 
 class _ActiveColumns:
-    """The columns that the active atoms of a pruned signed basis touch,
-    cached on the run's mask and keyed on the set, the features object and
-    the mask's active ids. sub is the copy features[:, cols] when at most
-    d // _COPY_FRACTION columns are touched, else None; it is kept while
-    the columns stay the same."""
+    """A signed basis's run oracle (AtomicSet._run_oracle): a pruned mask
+    whose active atoms touch at most d // _COPY_FRACTION columns scores from
+    the copy sub = features[:, cols], any other mask by AtomicSet.oracle.
+    The columns follow the state's mask, which only shrinks, by its active
+    count, and the copy is kept while the columns stay the same."""
 
     __slots__ = ("aset", "features", "ids", "cols", "pos", "neg_factor", "sub")
 
-    def __init__(self):
-        self.aset = self.features = self.ids = self.sub = None  # the rest set by update
+    def __init__(self, aset, features, ids=None):
+        self.aset, self.features = aset, features
+        self.ids = self.cols = self.sub = None  # the rest set by update
+        if ids is not None:
+            self.update(ids)
 
-    def update(self, aset, features, ids):
-        if self.aset is aset and self.features is features and self.ids is ids:
-            return
-        d = aset.dimension
+    def __call__(self, v, mask):
+        if not mask.is_full:
+            if self.ids is None or self.ids.size != mask.active_count:
+                self.update(mask.active_ids())
+            if self.sub is not None:
+                scores = self.scores(v)
+                return None, scores, best_atom(*scores)
+        return self.aset.oracle(self.features, v, mask)
+
+    def update(self, ids):
+        d = self.aset.dimension
         coords = ids % d
         # the sorted distinct coords, as np.unique gives them without the
         # table of a megabyte or more that its first call allocates
         touched = np.zeros(d, dtype=bool)
         touched[coords] = True
         cols = np.flatnonzero(touched)
-        same_source = self.aset is aset and self.features is features
-        if not (same_source and np.array_equal(cols, self.cols)):
+        if self.cols is None or not np.array_equal(cols, self.cols):
             self.sub = None  # freed before the next copy is made
             if cols.size <= d // _COPY_FRACTION:
-                self.sub = features[:, cols]
-        self.aset, self.features, self.ids, self.cols = aset, features, ids, cols
+                self.sub = self.features[:, cols]
+        self.ids, self.cols = ids, cols
         self.pos = np.searchsorted(cols, coords)
-        self.neg_factor = np.where(ids < d, -aset.scale, aset.scale)
+        self.neg_factor = np.where(ids < d, -self.aset.scale, self.aset.scale)
 
     def scores(self, v):
         """(ids, values) from the copy: atom +/-C e_k scores -/+C (A'v)_k,
@@ -102,7 +111,8 @@ class _ActiveColumns:
 
 class _Window:
     """Candidate columns of an unscreened signed basis, certified over a
-    sphere of link vectors; kept on the run's mask (_SignedBasis.oracle).
+    sphere of link vectors: its run oracle scores a full mask from them, and
+    a mask that a screened step pruned by pruned (_ActiveColumns).
 
     A refresh is a step that formed g_s = A'v_s. With a_k the columns, m_i
     the i-th largest |g_s,k|, b = d // _COPY_FRACTION and
@@ -148,14 +158,22 @@ class _Window:
     to zero (entries below 1e-154) are outside this argument.
     """
 
-    __slots__ = (
-        "features", "norms", "columns", "v", "v_norm", "rho", "served", "wait", "skip",
-    )
+    __slots__ = ("pruned", "norms", "columns", "v", "v_norm", "rho", "served", "wait", "skip")
 
-    def __init__(self, features):
-        self.features = features
+    def __init__(self, pruned):
+        self.pruned = pruned
         self.norms = self.columns = None
         self.served = self.wait = self.skip = 0
+
+    def __call__(self, v, mask):
+        if not mask.is_full:
+            return self.pruned(v, mask)
+        answer = self.answer(v)
+        if answer is not None:
+            return None, None, answer
+        grad, scores, answer = self.pruned(v, mask)  # the full product
+        self.refresh(grad, v)
+        return grad, scores, answer
 
     def answer(self, v):
         """(atom_id, sigma) scored over K while the window holds, else None."""
@@ -168,7 +186,7 @@ class _Window:
         self.served += 1
         return best_atom(*self.columns.scores(v))
 
-    def refresh(self, aset, grad, v):
+    def refresh(self, grad, v):
         """At a step that formed grad = A'v: close the open window, then
         open one at v unless the back-off holds refreshes off."""
         if self.columns is not None:
@@ -177,7 +195,7 @@ class _Window:
         if self.skip:
             self.skip -= 1
             return
-        features = self.features
+        aset, features = self.pruned.aset, self.pruned.features
         if self.norms is None:
             self.norms = np.sqrt(_column_sq_norms(features))
         mags = np.abs(grad)
@@ -192,8 +210,7 @@ class _Window:
         if not (0.0 < rho < math.inf and cols.size <= b):
             self._closed(0)
             return
-        self.columns = _ActiveColumns()
-        self.columns.update(aset, features, np.concatenate([cols, cols + d]))
+        self.columns = _ActiveColumns(aset, features, np.concatenate([cols, cols + d]))
         self.v, self.v_norm, self.rho = v, math.sqrt(v @ v), rho
         self.served = 0
 
@@ -239,12 +256,8 @@ class AtomMask:
     exists at any set size, hypercubes beyond enumeration included. The
     first deactivate materializes it, which is limited to enumerable sets.
     The ascending array of active ids is cached and refreshed only by
-    deactivate, so it only ever shrinks; it is read-only. A pruned signed
-    basis caches the columns its active atoms touch on the mask, and a copy
-    of them once they are few (_SignedBasis.oracle, _ActiveColumns).
-    An unscreened signed basis keeps its window of candidate columns on
-    the mask (_Window). The solver owns and prunes the mask; everything
-    else treats it as read-only.
+    deactivate, so it only ever shrinks; it is read-only. The solver owns
+    and prunes the mask; everything else treats it as read-only.
     """
 
     def __init__(self, num_atoms):
@@ -253,8 +266,6 @@ class AtomMask:
         )
         self._active = None  # None: every atom active, nothing stored
         self._ids = None
-        self._columns = None  # see _SignedBasis.oracle
-        self._window = None
 
     @property
     def num_atoms(self):
@@ -419,22 +430,23 @@ class AtomicSet:
             return self._implicit_lmo(z)
         return best_atom(*self.dots(z, mask))
 
-    def oracle(self, features, v, mask=None, lazy=False):
+    def oracle(self, features, v, mask=None):
         """The linear oracle at grad = features' v over mask (None: every
         atom): ``(grad, scores, (atom_id, sigma))``. scores is ``(ids,
         values)``, values <p, -grad> over the active atoms, ids ascending,
         and the answer is its first maximum (best_atom). At full mask the
-        implicit kinds answer through lmo and score no atom: scores is None.
-        A pruned signed basis whose active atoms touch at most an eighth of
-        the columns scores from a copy of them and forms no gradient: grad
-        is None (see _SignedBasis.oracle). lazy says the caller reads
-        neither grad nor scores, only the answer; a signed basis may then
-        answer from a window of columns, with both None."""
+        implicit kinds answer through lmo and score no atom: scores is None."""
         grad = features.T @ v
         if self._implicit_lmo is not None and (mask is None or mask.is_full):
             return grad, None, self.lmo(-grad)
         scores = self.dots(-grad, mask)
         return grad, scores, best_atom(*scores)
+
+    def _run_oracle(self, features, screened):
+        """oracle(features, v, mask) as oracle(v, mask) for one state and
+        screening setting (solver.step), grad or scores None where it forms
+        neither. A state has one set and one loss, so it checks neither."""
+        return lambda v, mask: self.oracle(features, v, mask)
 
     def move(self, x, theta, xi, atom_id):
         """x <- (1 - theta) x + theta * xi * atom, in place and bit-identical
@@ -579,33 +591,14 @@ class _SignedBasis(AtomicSet):
             return self.dimension + lo, float(-w[lo])
         return hi, float(w[hi])
 
-    def oracle(self, features, v, mask=None, lazy=False):
-        """Scores a pruned mask from the copy of its active columns once it
-        is made (_ActiveColumns): atom +/-C e_k has -/+C (features' v)_k, so
-        +/-C (-grad)_k up to the order of summation. A lazy call over a full
-        mask, on data of at least _WINDOW_FLOOR entries, answers from the
-        mask's window while it holds, and forms the full product and
-        refreshes the window when it does not (_Window). Else as the base."""
-        if mask is None or mask.is_full:
-            if not lazy or mask is None or features.size < _WINDOW_FLOOR:
-                return super().oracle(features, v, mask)
-            window = mask._window
-            if window is None or window.features is not features:
-                window = mask._window = _Window(features)
-            answer = window.answer(v)
-            if answer is not None:
-                return None, None, answer
-            grad, scores, answer = super().oracle(features, v, mask)
-            window.refresh(self, grad, v)
-            return grad, scores, answer
-        if mask._columns is None:
-            mask._columns = _ActiveColumns()
-        columns = mask._columns
-        columns.update(self, features, mask.active_ids())
-        if columns.sub is None:
-            return super().oracle(features, v, mask)
-        scores = columns.scores(v)
-        return None, scores, best_atom(*scores)
+    def _run_oracle(self, features, screened):
+        """A pruned mask scores from a copy of its columns (_ActiveColumns)
+        and, unscreened on data of at least _WINDOW_FLOOR entries, a full mask
+        from a window of them while it holds (_Window)."""
+        pruned = _ActiveColumns(self, features)
+        if screened or features.size < _WINDOW_FLOOR:
+            return pruned
+        return _Window(pruned)
 
     def move(self, x, theta, xi, atom_id):
         """Every entry but x_k becomes (1 - theta) x_j plus the formula's

@@ -17,11 +17,12 @@ full-set gap of the reference oracle. The loss value is computed only for
 trace rows.
 
 At most one score vector serves each step: the screening rule reads the
-scores of the certificate's oracle (AtomicSet.oracle). A step that does
-not screen reads only the oracle's answer, so on large data the signed
-basis gives it from a certified window of columns, without forming A'v
-(atoms._Window). The step moves x (AtomicSet.move) and ax in place,
-bit-identical to the formulas above.
+scores of the run's oracle, which the atomic set chooses once per state
+and screening setting (AtomicSet._run_oracle). A step that does not screen
+reads only the oracle's answer, so on large data the signed basis gives it
+from a certified window of columns, without forming A'v (atoms._Window).
+The step moves x (AtomicSet.move) and ax in place, bit-identical to the
+formulas above.
 
 The conic coefficient ledger is kept as raw weights plus one global decay
 multiplier, so the (1 - theta) rescale of every step is O(1).
@@ -165,6 +166,7 @@ class SolverState:
         self.screen_events = []
         self.snapshots = []
         self._claimed = frozenset()  # see claimed_ids
+        self._oracles = {}  # the run's oracle per screening setting, see step
         self._aset = atomic_set
         self._ledger = {}
         self._ledger_scale = 1.0
@@ -309,7 +311,7 @@ def _at(state):
     return "" if state is None else f" at iteration {state.t}"
 
 
-def certificate(loss, penalty, atomic_set, ax, kappa, state=None, lazy=False):
+def certificate(loss, penalty, atomic_set, ax, kappa, state=None, oracle=None):
     """Oracle answer and duality gap at a point with margins ax = A x and
     gauge bound kappa, the one gap computation of the package.
 
@@ -317,16 +319,15 @@ def certificate(loss, penalty, atomic_set, ax, kappa, state=None, lazy=False):
     A s = xi * image(atom), so the gap -grad'(s - x) + h(x) - h(s) is
     computed as v'(ax - A s) + h(x) - h(xi) without A x. With no state the
     oracle runs over the full atom set; with the solver state it runs over
-    state.mask. It scores the atoms at most once, keeps the scores for the
-    screening rule, and takes the first maximum (see AtomicSet.oracle).
-    lazy, for a step that screens nothing, lets the oracle answer without
-    grad or scores (a signed basis's window of columns).
+    state.mask. oracle is the run's (AtomicSet._run_oracle), else the
+    stateless AtomicSet.oracle answers. It scores the atoms at most once,
+    keeps the scores for the screening rule, and takes the first maximum.
     """
     v = loss.link(ax)
     mask = None if state is None else state.mask
-    grad, scores, (atom_id, sigma) = atomic_set.oracle(
-        loss.data.features, v, mask, lazy
-    )
+    if oracle is None:
+        oracle = functools.partial(atomic_set.oracle, loss.data.features)
+    grad, scores, (atom_id, sigma) = oracle(v, mask)
     cert = _Certificate(v, grad, scores, atom_id, sigma, penalty.value(kappa), ax)
     if not math.isfinite(sigma):
         cert.error = DivergenceError(f"support value {sigma!r}{_at(state)}")
@@ -420,9 +421,10 @@ def step(state, loss, penalty, atomic_set, config):
     x = state.x
     ax = _margins(state, loss)
     screened = config.screening_enabled
-    cert = certificate(
-        loss, penalty, atomic_set, ax, state.kappa_bound, state, lazy=not screened
-    )
+    oracle = state._oracles.get(screened)
+    if oracle is None:
+        oracle = state._oracles[screened] = atomic_set._run_oracle(loss.data.features, screened)
+    cert = certificate(loss, penalty, atomic_set, ax, state.kappa_bound, state, oracle)
     if cert.error is not None:
         _abort(
             state, loss, penalty, atomic_set, config, t, cert.error,

@@ -473,13 +473,16 @@ def _compact(aset, mask):
     return np.unique(mask.active_ids() % aset.dimension).size <= aset.dimension // 8
 
 
-def _oracle_matches_scoring(aset, features, v, mask):
-    """The oracle against best_atom over dots(-(A'v), mask): to the byte
-    where it scores through dots or lmo; a copy of the active columns sums
-    A'v in another order, so there to within rounding."""
+def _oracle_matches_scoring(aset, features, v, mask, oracle=None):
+    """A screened run's oracle (a new one unless given) against best_atom
+    over dots(-(A'v), mask): to the byte where it scores through dots or
+    lmo; a copy of the active columns sums A'v in another order, so there
+    to within rounding."""
     full_grad = features.T @ v
     ids, values = aset.dots(-full_grad, mask)
-    grad, scores, best = aset.oracle(features, v, mask)
+    if oracle is None:
+        oracle = aset._run_oracle(features, True)
+    grad, scores, best = oracle(v, mask)
     compact = _compact(aset, mask)
     assert (grad is None) == compact
     assert (scores is None) == (mask.is_full and aset.kind != atoms.EXPLICIT)
@@ -506,8 +509,9 @@ def test_pruned_columns_are_the_plain_copy_once_few_are_left():
     # and scores, with grad, to the byte as dots(-(A'v), mask) and A'v do.
     # From then on every copy of the active columns scores to the byte as
     # features[:, cols] does, for row- and column-major data; a prune that
-    # leaves the columns as they were keeps the copy. One cache serves the
-    # mask for the whole run, and scoring again without a prune reuses it.
+    # leaves the columns as they were keeps the copy. One run oracle serves
+    # the mask for the whole run, and scoring again without a prune reuses
+    # its copy.
     rng = np.random.default_rng(5)
     d = 40
     aset = gc.AtomicSet.signed_basis(d)
@@ -523,19 +527,17 @@ def test_pruned_columns_are_the_plain_copy_once_few_are_left():
     for n, order in ((9, "C"), (9, "F"), (300, "C")):
         features = np.asarray(rng.standard_normal((n, d)), order=order)
         v = rng.standard_normal(n)
-        mask, before, cache = aset.full_mask(), None, None
+        mask, before = aset.full_mask(), None
+        oracle = aset._run_oracle(features, True)
         for off, columns, same_copy in prunes:
             mask.deactivate(off)
-            grad, (ids, values), _ = aset.oracle(features, v, mask)
-            cached = mask._columns
-            assert cache is None or cached is cache
-            cache = cached
+            grad, (ids, values), _ = oracle(v, mask)
             coords = ids % d
             cols = np.unique(coords)
             assert cols.size == columns
             if same_copy is None:
                 full_grad = features.T @ v
-                assert cached.sub is None
+                assert oracle.sub is None
                 assert grad.tobytes() == full_grad.tobytes()
                 assert values.tobytes() == aset.dots(-full_grad, mask)[1].tobytes()
             else:
@@ -544,12 +546,12 @@ def test_pruned_columns_are_the_plain_copy_once_few_are_left():
                 expected *= np.where(ids < d, -1.0, 1.0)
                 assert grad is None
                 assert values.tobytes() == expected.tobytes()
-                assert cached.sub.shape == plain.shape == (n, columns)
-                assert cached.sub.strides == plain.strides
-                assert (cached.sub is before) == same_copy
-            before = cached.sub
-            again = aset.oracle(features, v, mask)[1]
-            assert mask._columns is cache and cache.sub is before
+                assert oracle.sub.shape == plain.shape == (n, columns)
+                assert oracle.sub.strides == plain.strides
+                assert (oracle.sub is before) == same_copy
+            before = oracle.sub
+            again = oracle(v, mask)[1]
+            assert oracle.sub is before
             assert again[1].tobytes() == values.tobytes()
 
 
@@ -570,10 +572,10 @@ def test_active_columns_are_the_sorted_distinct_coordinates():
         mask.deactivate(np.flatnonzero(off))
         if not mask.active_count:
             continue
-        aset.oracle(features, rng.standard_normal(6), mask)
+        cache = aset._run_oracle(features, True)
+        cache(rng.standard_normal(6), mask)
         ids = mask.active_ids()
         cols = np.unique(ids % d)
-        cache = mask._columns
         assert cache.cols.dtype == cols.dtype
         assert cache.cols.tobytes() == cols.tobytes()
         assert cache.pos.tobytes() == np.searchsorted(cols, ids % d).tobytes()
@@ -618,9 +620,9 @@ def test_oracle_scores_match_dots_on_every_kind():
 
 
 def test_column_cache_never_outlives_its_mask():
-    # the compact columns are cached on the mask: another mask, a
-    # deactivated mask, another features object or another set must not
-    # read them
+    # the compact columns belong to the run's oracle: a prune rebuilds its
+    # copy, and another run on the same set, another features object or
+    # another set makes its own, sharing none
     rng = np.random.default_rng(32)
     d = 16
     features = rng.standard_normal((8, d))
@@ -629,12 +631,20 @@ def test_column_cache_never_outlives_its_mask():
     mask = aset.full_mask()
     mask.deactivate([0, d + 1] + list(range(2, d)) + list(range(d + 2, 2 * d)))
     assert _compact(aset, mask)
-    _oracle_matches_scoring(aset, features, v, mask)  # builds the cache
+    oracle = aset._run_oracle(features, True)
+    _oracle_matches_scoring(aset, features, v, mask, oracle)  # builds the copy
+    copy = oracle.sub
     other = aset.full_mask()
     other.deactivate(list(range(1, d)) + list(range(d + 1, 2 * d)))
-    _oracle_matches_scoring(aset, features, v, other)
+    other_oracle = aset._run_oracle(features, True)
+    _oracle_matches_scoring(aset, features, v, other, other_oracle)
+    assert other_oracle.sub is not copy
     mask.deactivate([d + 0])
-    _oracle_matches_scoring(aset, features, v, mask)
+    _oracle_matches_scoring(aset, features, v, mask, oracle)
+    assert oracle.sub is not copy and not np.shares_memory(oracle.sub, copy)
     _oracle_matches_scoring(aset, features.copy() * 2.0, v, mask)
     _oracle_matches_scoring(gc.AtomicSet.signed_basis(d, scale=2.0), features, v, mask)
-    _oracle_matches_scoring(aset, features, v, other)
+    _oracle_matches_scoring(aset, features, v, other, other_oracle)
+    twin = aset._run_oracle(features, True)  # a second run on one set and data
+    _oracle_matches_scoring(aset, features, v, mask, twin)
+    assert twin.sub is not oracle.sub and not np.shares_memory(twin.sub, oracle.sub)

@@ -157,7 +157,7 @@ def test_an_unscreened_solve_holds_at_most_an_eighth_of_the_features(tmp_path):
         loss = gc.LogisticLoss(gc.gen_synthetic(3, n={n}, d={d}))
         base = peak_bytes()
         result = gc.run(loss, penalty, aset, config)
-        window = result.state.mask._window
+        window = result.state._oracles[False]
         assert window.columns is not None, "no window was open at the end"
         print(peak_bytes() - base)
         """,

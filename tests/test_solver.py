@@ -765,8 +765,9 @@ def test_a_non_finite_link_aborts_as_without_the_window(monkeypatch):
         state = gc.SolverState(aset)
         for _ in range(150):
             gc.step(state, loss, penalty, aset, config)
-        window = state.mask._window
-        assert (window is not None and window.columns is not None) == (floor != math.inf)
+        window = state._oracles[False]
+        opened = isinstance(window, atoms._Window) and window.columns is not None
+        assert opened == (floor != math.inf)
         state.ax[7] = math.nan
         with pytest.raises(DivergenceError) as info:
             gc.step(state, loss, penalty, aset, config)
@@ -789,13 +790,13 @@ def test_a_run_below_the_window_floor_forms_the_product_on_every_step(monkeypatc
 
     state, rows = solve()
     assert loss.data.features.size < atoms._WINDOW_FLOOR
-    assert state.mask._window is None
+    assert not isinstance(state._oracles[False], atoms._Window)
     monkeypatch.setattr(atoms, "_WINDOW_FLOOR", math.inf)
     plain, plain_rows = solve()
     assert rows == plain_rows
     assert state.x.tobytes() == plain.x.tobytes()
     monkeypatch.setattr(atoms, "_WINDOW_FLOOR", loss.data.features.size)
-    assert solve()[0].mask._window is not None
+    assert isinstance(solve()[0]._oracles[False], atoms._Window)
 
 
 @pytest.mark.parametrize("screening", [False, True])
