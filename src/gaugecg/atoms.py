@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractViolationError, InfeasibleGaugeError, _checked, _index, _real
+from .errors import ContractViolationError, InfeasibleGaugeError, _checked, _index, _real, _vector
 
 SIGNED_BASIS = "signed-basis"
 HYPERCUBE = "hypercube-vertices"
@@ -361,17 +361,26 @@ class AtomicSet:
 
     def atom_vector(self, atom_id):
         """The (scaled) vector of one atom."""
-        atom_id = int(atom_id)
+        return self._atom_vector(self._id(atom_id))
+
+    def _id(self, atom_id):
+        """atom_id as an int in 0..num_atoms-1, the solver's own ints as
+        they are, else ContractViolationError: a bool or 1.5 is no id."""
+        if type(atom_id) is not int:
+            atom_id = _checked(_index, atom_id, lambda i: True, "atom ids must be integers")
         if atom_id < 0 or atom_id >= self.num_atoms:
             raise ContractViolationError(f"atom id {atom_id} out of range")
-        return self._atom_vector(atom_id)
+        return atom_id
 
     def _atom_vector(self, atom_id):
         return self.atoms_matrix()[atom_id].copy()
 
     def image(self, features, atom_id):
         """``features @ p`` for one atom p."""
-        return features @ self.atom_vector(atom_id)
+        return self._image(features, self._id(atom_id))
+
+    def _image(self, features, atom_id):
+        return features @ self._atom_vector(atom_id)
 
     def atoms_matrix(self):
         """All atoms as a read-only (m, d) array, built once per set and
@@ -383,12 +392,7 @@ class AtomicSet:
         return self._vectors
 
     def _check_point(self, z):
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.dimension,):
-            raise ContractViolationError(
-                f"expected a vector of dimension {self.dimension}, got shape {z.shape}"
-            )
-        return z
+        return _vector(z, self.dimension)
 
     @property
     def enumerable(self):
@@ -568,9 +572,9 @@ class _SignedBasis(AtomicSet):
         v[k] = entry
         return v
 
-    def image(self, features, atom_id):
+    def _image(self, features, atom_id):
         """One scaled column of features, O(n) instead of O(n d)."""
-        k, entry = self._signed(int(atom_id))
+        k, entry = self._signed(atom_id)
         return entry * features[:, k]
 
     def _enumerate(self):

@@ -2,8 +2,8 @@
 
 Every error the library raises deliberately is one of these, so callers
 (and the command line front end) can map failures to exit codes without
-string matching. _checked refuses a bad constructor argument with the first,
-and _real and _index convert a number and a count for it.
+string matching. _checked refuses a bad argument with the first, and _real
+and _index convert a number and a count for it; _vector checks a point.
 """
 
 import operator
@@ -43,6 +43,24 @@ def _index(value):
     if isinstance(value, (bool, np.bool_)):
         raise TypeError("a bool is not a count")
     return operator.index(value)
+
+
+_FLOAT = np.dtype(float)
+
+
+def _vector(value, size):
+    """value as a float vector of the given size, else ContractViolationError;
+    a float array is returned as it is, as np.asarray would return it."""
+    if type(value) is not np.ndarray or value.dtype is not _FLOAT:
+        value = _checked(
+            lambda a: np.asarray(a, dtype=float), value, lambda a: True,
+            "a point must be a real vector",
+        )
+    if value.shape != (size,):
+        raise ContractViolationError(
+            f"expected a point of dimension {size}, got shape {value.shape}"
+        )
+    return value
 
 
 class InfeasibleGaugeError(ValueError):

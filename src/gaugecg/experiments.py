@@ -40,8 +40,6 @@ from .solver import (
     TraceRecord,
     _check_enumerable,
     certificate,
-    check_count,
-    check_tolerance,
     claimed_ids,
     problem_fingerprint,
     run,
@@ -344,22 +342,23 @@ def reference_solve(loss, penalty, atomic_set, iters=1_000_000, tol=1e-10):
     before the support settles) is not an error here: the state it leaves
     is polished, as is one that stops on an exact zero gap.
     """
-    check_count("iters", iters)
-    check_tolerance("tol", tol)
+    iters = _checked(_index, iters, lambda k: k >= 1, "iters must be an integer >= 1")
+    tol = _checked(_real, tol, lambda t: t >= 0, "tol must be a real >= 0")
     if not penalty.guarantees_convergence:
         raise ContractViolationError(
             "reference oracle requires a penalty with quadratic growth"
         )
     _check_enumerable(atomic_set)
     polished = penalty.derivatives is not None
-    budget = min(_WARM_START, int(iters)) if polished else int(iters)
+    budget = min(_WARM_START, iters) if polished else iters
     config = SolverConfig(budget, 0.0 if polished else tol, trace_every=budget)
     state = SolverState(atomic_set)
     t = None
     try:
-        while state.t != t and state.t <= budget:  # a step at gap <= tol does not move
-            t = state.t
-            step(state, loss, penalty, atomic_set, config)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow aborts
+            while state.t != t and state.t <= budget:  # a step at gap <= tol does not move
+                t = state.t
+                step(state, loss, penalty, atomic_set, config)
     except DivergenceError:
         pass
     candidate = _polish(loss, penalty, atomic_set, state, tol)
@@ -477,8 +476,8 @@ def rate_slope(series, t_lo, t_hi):
         lambda pair: len(pair) == 2 and pair[0].shape == pair[1].shape,
         "series must be a (ts, values) pair of real arrays of matching length",
     )
-    if not (t_lo > 0 and t_hi > t_lo):
-        raise ContractViolationError("need 0 < t_lo < t_hi")
+    t_lo = _checked(_real, t_lo, lambda t: t > 0, "need reals 0 < t_lo < t_hi")
+    t_hi = _checked(_real, t_hi, lambda t: t > t_lo, "need reals 0 < t_lo < t_hi")
     inside = (ts >= t_lo) & (ts <= t_hi)
     if int(inside.sum()) < 5:
         raise ContractViolationError(

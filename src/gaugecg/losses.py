@@ -17,7 +17,7 @@ own atoms: the set's bound on |<A p, A q>| over atom pairs
 
 import numpy as np
 
-from .errors import ContractViolationError, _checked
+from .errors import ContractViolationError, _checked, _vector
 
 
 class DataMatrix:
@@ -77,17 +77,9 @@ class _Loss:
     def __init__(self, data):
         self.data = data
 
-    def _check_x(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.data.d,):
-            raise ContractViolationError(
-                f"expected a point of dimension {self.data.d}, got shape {x.shape}"
-            )
-        return x
-
     def margins(self, x):
         """A x: the loss value and gradient at x depend on x only through it."""
-        return self.data.features @ self._check_x(x)
+        return self.data.features @ _vector(x, self.data.d)
 
     def smoothness_wrt(self, atomic_set):
         """Curvature constant L over the set's own atoms (the symmetrized

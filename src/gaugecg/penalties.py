@@ -100,14 +100,16 @@ class Penalty:
 
     def value(self, xi):
         """phi(xi); +inf outside the domain; xi < 0 is a contract violation."""
-        xi = float(xi)
+        if type(xi) is not float:  # the solver's own floats as they are
+            xi = _checked(_real, xi, lambda v: True, "penalty argument must be a real")
         if xi < 0:
             raise ContractViolationError("penalty argument must be nonnegative")
         return self._value(xi)
 
     def conjugate(self, nu):
         """sup_{xi >= 0} nu*xi - phi(xi), for nu >= 0."""
-        nu = float(nu)
+        if type(nu) is not float:
+            nu = _checked(_real, nu, lambda v: True, "conjugate argument must be a real")
         if nu < 0:
             raise ContractViolationError("conjugate argument must be nonnegative")
         return self._conjugate(nu)
@@ -118,7 +120,8 @@ class Penalty:
         Nonpositive nu (and nu below the initial slope) maps to 0. Raises
         UnboundedStepError when no finite minimizer exists.
         """
-        nu = float(nu)
+        if type(nu) is not float:
+            nu = _checked(_real, nu, lambda v: True, "step argument must be a real")
         if not math.isfinite(nu):
             raise ContractViolationError("step argument must be finite")
         if nu <= 0:

@@ -36,7 +36,6 @@ import dataclasses
 import functools
 import hashlib
 import math
-import numbers
 import time
 
 import numpy as np
@@ -47,6 +46,8 @@ from .errors import (
     DivergenceError,
     UnboundedStepError,
     _checked,
+    _index,
+    _real,
 )
 
 _SCHEDULES = ("2t1", "4t2")
@@ -67,20 +68,6 @@ def theta_schedule(schedule, t):
     if schedule == "4t2":
         return min(1.0, 4.0 / (t + 2.0))
     raise ContractViolationError(f"unknown step schedule {schedule!r}")
-
-
-def check_count(name, count):
-    """Refuse anything but a finite real with an integer value >= 1; a bool
-    too, which int reads as 0 or 1."""
-    real = isinstance(count, numbers.Real) and not isinstance(count, bool)
-    if not (real and 1 <= count < math.inf and count == int(count)):
-        raise ContractViolationError(f"{name} must be an integer >= 1")
-
-
-def check_tolerance(name, tol):
-    """Refuse anything but a real >= 0, so NaN too."""
-    if not isinstance(tol, numbers.Real) or not tol >= 0:
-        raise ContractViolationError(f"{name} must be >= 0")
 
 
 def _check_enumerable(atomic_set):
@@ -106,14 +93,17 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("max_iters", "trace_every"):
-            check_count(name, getattr(self, name))
-            setattr(self, name, int(getattr(self, name)))
-        check_tolerance("gap_tolerance", self.gap_tolerance)
+            count = _checked(
+                _index, getattr(self, name), lambda k: k >= 1, f"{name} must be an integer >= 1"
+            )
+            setattr(self, name, count)
+        self.gap_tolerance = _checked(
+            _real, self.gap_tolerance, lambda tol: tol >= 0, "gap_tolerance must be a real >= 0"
+        )
         if self.step_schedule not in _SCHEDULES:
             raise ContractViolationError(
                 f"step_schedule must be one of {_SCHEDULES}, got {self.step_schedule!r}"
             )
-        self.gap_tolerance = float(self.gap_tolerance)
         for name in ("screening_enabled", "keep_snapshots"):
             # bool("no") is True, so anything but a bool is refused
             if not isinstance(getattr(self, name), bool):
@@ -337,7 +327,7 @@ def certificate(loss, penalty, atomic_set, ax, kappa, state=None, oracle=None):
     except UnboundedStepError as err:
         cert.error = err
         return cert
-    cert.image = cert.xi * atomic_set.image(loss.data.features, atom_id)
+    cert.image = cert.xi * atomic_set._image(loss.data.features, atom_id)
     if math.isinf(cert.h_x):
         # kappa at step t came through t - 1 moves of at most 3 roundings each
         # (to (1 - theta) kappa + theta xi, in x or the ledger) and a final sum
@@ -487,12 +477,14 @@ def run(loss, penalty, atomic_set, config, x0=None):
     The trace gets a row at t = 1, every trace_every-th iteration, and one
     final row, the certificate of the returned iterate.
     Unbounded-step and divergence errors carry .t and a partial .result.
+    A numpy overflow on the way raises no warning: it leads to the abort.
     """
     if config.screening_enabled or config.keep_snapshots:
         _check_enumerable(atomic_set)
     state = SolverState(atomic_set, x0=x0)
     t = None
-    while state.t != t:
-        t = state.t
-        step(state, loss, penalty, atomic_set, config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while state.t != t:
+            t = state.t
+            step(state, loss, penalty, atomic_set, config)
     return RunResult(loss, penalty, atomic_set, config, state)

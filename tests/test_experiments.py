@@ -611,11 +611,30 @@ def test_unscreened_residuals_count_the_ledger_support():
         lambda: residuals(None, None),
         lambda: gc.Penalty.power(2, weight=True),
         lambda: gc.Penalty.log_barrier(np.bool_(True)),
+        lambda: gc.reference_solve(*one_dim_problem(), tol=True),
+        lambda: gc.reference_solve(*one_dim_problem(), iters=5.0),
+        lambda: rate_slope(([1.0, 2, 3, 4, 5, 6], [1.0, 2, 3, 4, 5, 6]), True, 10),
+        lambda: gc.AtomicSet.signed_basis(3).atom_vector(1.5),
+        lambda: gc.AtomicSet.signed_basis(3).atom_vector(True),
+        lambda: gc.AtomicSet.signed_basis(3).image(np.ones((2, 3)), 1.5),
+        lambda: gc.AtomicSet.signed_basis(3).image(np.ones((2, 3)), 6),
+        lambda: gc.AtomicSet.hypercube(3).image(np.ones((2, 3)), np.bool_(True)),
+        lambda: gc.Penalty.power(2).value(True),
+        lambda: gc.Penalty.power(2).xi_step(True),
+        lambda: gc.Penalty.power(2).conjugate(True),
+        lambda: gc.Penalty.power(2).value("a"),
+        lambda: gc.AtomicSet.signed_basis(3).lmo("abc"),
+        lambda: gc.AtomicSet.signed_basis(3).gauge_value("abc"),
+        lambda: gc.LogisticLoss(gc.gen_synthetic(0, n=4, d=3)).value("abc"),
     ],
     ids=[
         "x0-word", "certificate-empty", "certificate-list", "certificate-word",
         "rate-slope-words",
         "residuals-none", "power-weight-bool", "log-barrier-cap-bool",
+        "reference-tol-bool", "reference-iters-float", "rate-slope-t-bool",
+        "atom-vector-float", "atom-vector-bool", "image-float", "image-out-of-range",
+        "hypercube-image-bool", "penalty-value-bool", "xi-step-bool", "conjugate-bool",
+        "penalty-value-word", "lmo-word", "gauge-value-word", "loss-value-word",
     ],
 )
 def test_public_calls_refuse_bad_arguments_with_the_contract_error(call):
@@ -633,6 +652,9 @@ def test_public_calls_refuse_bad_arguments_with_the_contract_error(call):
         lambda: ExperimentConfig("synthetic", digits=5),
         lambda: ExperimentConfig("synthetic", solver="x"),
         lambda: gc.SolverConfig(max_iters=True),
+        lambda: gc.SolverConfig(max_iters=5.0),
+        lambda: gc.SolverConfig(trace_every=2.0),
+        lambda: gc.SolverConfig(gap_tolerance=True),
         lambda: gc.AtomicSet.signed_basis(True),
         lambda: gc.gen_synthetic(True, n=3, d=2),
         lambda: gc.AtomicSet.signed_basis(3).full_mask().deactivate([1.5]),
@@ -645,7 +667,8 @@ def test_public_calls_refuse_bad_arguments_with_the_contract_error(call):
     ],
     ids=[
         "config-seed-word", "config-n-none", "config-weight-word", "config-capacity-none",
-        "config-digits-int", "config-solver-word", "max-iters-bool", "dimension-bool",
+        "config-digits-int", "config-solver-word", "max-iters-bool", "max-iters-float",
+        "trace-every-float", "gap-tolerance-bool", "dimension-bool",
         "seed-bool", "deactivate-float", "deactivate-bool", "deactivate-word",
         "certificate-none", "mask-bool", "certificate-id-bool", "certificate-t-float",
     ],

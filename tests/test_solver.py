@@ -4,6 +4,7 @@ bookkeeping, the state invariants as properties, and both failure paths."""
 import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,20 @@ def test_divergence_on_overflowing_steps():
             gc.SolverConfig(max_iters=50),
             x0=np.array([1e308]),
         )
+
+
+def test_an_overflow_in_a_run_aborts_without_a_warning():
+    # the margins of data at 1e300 overflow in the first step's image, and
+    # the gap comes out NaN: the typed abort, with no RuntimeWarning first
+    data = gc.gen_synthetic(0, n=20, d=5)
+    loss = gc.QuadraticLoss(gc.DataMatrix(data.features * 1e300, data.targets))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError) as info:
+            gc.run(loss, gc.Penalty.power(2.0), gc.AtomicSet.signed_basis(5),
+                   gc.SolverConfig(max_iters=5))
+    assert type(info.value) is DivergenceError
+    assert (str(info.value), info.value.t) == ("gap is NaN at iteration 1", 1)
 
 
 def test_genuine_overshoot_divergence():
