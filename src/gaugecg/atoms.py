@@ -70,21 +70,23 @@ class _ActiveColumns:
     The columns follow the state's mask, which only shrinks, by its active
     count, and the copy is kept while the columns stay the same."""
 
-    __slots__ = ("aset", "features", "ids", "cols", "pos", "neg_factor", "sub")
+    __slots__ = ("aset", "features", "ids", "cols", "pos", "neg_factor", "sub", "best")
 
     def __init__(self, aset, features, ids=None):
         self.aset, self.features = aset, features
-        self.ids = self.cols = self.sub = None  # the rest set by update
+        self.ids = self.cols = self.sub = self.best = None  # the rest set by update
         if ids is not None:
             self.update(ids)
 
     def __call__(self, v, mask):
-        if not mask.is_full:
-            if self.ids is None or self.ids.size != mask.active_count:
-                self.update(mask.active_ids())
-            if self.sub is not None:
-                scores = self.scores(v)
-                return None, scores, best_atom(*scores)
+        if mask._active is not None:  # pruned: mask._ids are its active ids
+            if self.ids is None or self.ids.size != mask._ids.size:
+                self.update(mask._ids)
+            if self.sub is not None:  # atom +/-C e_k scores -/+C (A'v)_k (np.dot: @, cheaper)
+                values = self.neg_factor * np.dot(self.sub.T, v)[self.pos]
+                self.best = best = values.argmax()
+                return None, (self.ids, values), (self.ids.item(best), values.item(best))
+        self.best = None
         return self.aset.oracle(self.features, v, mask)
 
     def update(self, ids):
@@ -97,16 +99,19 @@ class _ActiveColumns:
         cols = np.flatnonzero(touched)
         if self.cols is None or not np.array_equal(cols, self.cols):
             self.sub = None  # freed before the next copy is made
-            if cols.size <= d // _COPY_FRACTION:
+            if 0 < cols.size <= d // _COPY_FRACTION:  # oracle refuses no atom
                 self.sub = self.features[:, cols]
         self.ids, self.cols = ids, cols
         self.pos = np.searchsorted(cols, coords)
         self.neg_factor = np.where(ids < d, -self.aset.scale, self.aset.scale)
 
-    def scores(self, v):
-        """(ids, values) from the copy: atom +/-C e_k scores -/+C (A'v)_k,
-        up to the order of summation."""
-        return self.ids, self.neg_factor * (self.sub.T @ v)[self.pos]
+    def image(self, atom_id, xi):
+        """xi * _SignedBasis._image of the atom the last call chose, from the
+        copy; at C = 1, xi * (+/-col) is (+/-xi) * col to the bit."""
+        if self.best is None:
+            return xi * self.aset._image(self.features, atom_id)
+        entry, col = -self.neg_factor[self.best], self.sub[:, self.pos[self.best]]
+        return (xi * entry) * col if self.aset.scale == 1.0 else xi * (entry * col)
 
 
 class _Window:
@@ -184,7 +189,8 @@ class _Window:
         if not reach * (1.0 + 4.0 * (v.size + 1) * _EPS) <= self.rho:
             return None
         self.served += 1
-        return best_atom(*self.columns.scores(v))
+        cols = self.columns  # scored as _ActiveColumns.__call__ scores its copy
+        return best_atom(cols.ids, cols.neg_factor * np.dot(cols.sub.T, v)[cols.pos])
 
     def refresh(self, grad, v):
         """At a step that formed grad = A'v: close the open window, then
@@ -446,10 +452,11 @@ class AtomicSet:
         scores = self.dots(-grad, mask)
         return grad, scores, best_atom(*scores)
 
-    def _run_oracle(self, features, screened):
+    def _run_oracle(self, features, screened, other=None):
         """oracle(features, v, mask) as oracle(v, mask) for one state and
         screening setting (solver.step), grad or scores None where it forms
-        neither. A state has one set and one loss, so it checks neither."""
+        neither. A state has one set and one loss, so it checks neither;
+        other is the state's oracle for the other setting, or None."""
         return lambda v, mask: self.oracle(features, v, mask)
 
     def move(self, x, theta, xi, atom_id):
@@ -595,11 +602,12 @@ class _SignedBasis(AtomicSet):
             return self.dimension + lo, float(-w[lo])
         return hi, float(w[hi])
 
-    def _run_oracle(self, features, screened):
+    def _run_oracle(self, features, screened, other=None):
         """A pruned mask scores from a copy of its columns (_ActiveColumns)
         and, unscreened on data of at least _WINDOW_FLOOR entries, a full mask
-        from a window of them while it holds (_Window)."""
-        pruned = _ActiveColumns(self, features)
+        from a window of them while it holds (_Window); the copy is other's,
+        if other has one, so that a state keeps one."""
+        pruned = getattr(other, "pruned", other) or _ActiveColumns(self, features)
         if screened or features.size < _WINDOW_FLOOR:
             return pruned
         return _Window(pruned)
@@ -609,14 +617,14 @@ class _SignedBasis(AtomicSet):
         zero term theta * (xi * 0), which turns a -0 into +0 as the formula
         does; returns k."""
         k, entry = self._signed(atom_id)
-        x_k = x[k]
+        x_k = x.item(k)  # a float, whose arithmetic is numpy's to the bit
         x *= 1.0 - theta
         x += theta * (xi * 0.0)
         x[k] = (1.0 - theta) * x_k + theta * (xi * entry)
         return k
 
     def iterate_gauge(self, x):
-        return float(np.abs(x).sum()) / self.scale
+        return float(np.add.reduce(np.abs(x))) / self.scale  # sum() less its wrapper
 
     def gram_bound(self, features):
         return self.scale**2 * float(np.max(_column_sq_norms(features)))

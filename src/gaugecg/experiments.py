@@ -342,6 +342,7 @@ def reference_solve(loss, penalty, atomic_set, iters=1_000_000, tol=1e-10):
     before the support settles) is not an error here: the state it leaves
     is polished, as is one that stops on an exact zero gap.
     """
+    fingerprint = problem_fingerprint(loss, penalty, atomic_set)  # checks the three
     iters = _checked(_index, iters, lambda k: k >= 1, "iters must be an integer >= 1")
     tol = _checked(_real, tol, lambda t: t >= 0, "tol must be a real >= 0")
     if not penalty.guarantees_convergence:
@@ -354,20 +355,20 @@ def reference_solve(loss, penalty, atomic_set, iters=1_000_000, tol=1e-10):
     config = SolverConfig(budget, 0.0 if polished else tol, trace_every=budget)
     state = SolverState(atomic_set)
     t = None
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow aborts
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow aborts, or polishes to NaN
+        try:
             while state.t != t and state.t <= budget:  # a step at gap <= tol does not move
                 t = state.t
                 step(state, loss, penalty, atomic_set, config)
-    except DivergenceError:
-        pass
-    candidate = _polish(loss, penalty, atomic_set, state, tol)
+        except DivergenceError:
+            pass
+        candidate = _polish(loss, penalty, atomic_set, state, tol)
     return ReferenceSolution(
         **candidate,
         delta=_screening.delta(atomic_set, candidate["grad"], candidate["support_ids"]),
         iters_used=state.t - 1,
         reached=candidate["gap"] <= tol,
-        fingerprint=problem_fingerprint(loss, penalty, atomic_set),
+        fingerprint=fingerprint,
     )
 
 
@@ -677,6 +678,8 @@ def run_experiment(config):
     'divergence' / 'unbounded-step') rather than raised, so one blown grid
     point does not kill a sweep.
     """
+    if not isinstance(config, ExperimentConfig):
+        raise ContractViolationError(f"expected an ExperimentConfig, got {config!r}")
     loss, atomic_set = config.build_problem()
     os.makedirs(config.out_dir, exist_ok=True)
     summaries = []

@@ -40,15 +40,6 @@ LOG_BARRIER = "log-barrier"
 INDICATOR = "indicator"
 
 
-def _sat_pow(base, exponent):
-    # float ** raises OverflowError past the double range while * and /
-    # saturate; a true value beyond the range should read as inf here
-    try:
-        return base**exponent
-    except OverflowError:
-        return math.inf
-
-
 class Penalty:
     """One scalar penalty; the power / log_barrier / indicator classmethods
     build the subclass of each kind."""
@@ -157,8 +148,13 @@ class _Power(Penalty):
         # alpha in [1, 2): no quadratic growth, no rate guarantee
         self.mu = self.weight / self.alpha if self.alpha >= 2.0 else 0.0
 
+    # float ** raises OverflowError past the double range while * and /
+    # saturate; a true value beyond the range reads as inf here
     def _value(self, xi):
-        return self.weight * _sat_pow(xi, self.alpha) / self.alpha
+        try:
+            return self.weight * xi**self.alpha / self.alpha
+        except OverflowError:
+            return math.inf
 
     def _conjugate(self, nu):
         if self.alpha == 1.0:
@@ -168,7 +164,10 @@ class _Power(Penalty):
                 )
             return 0.0
         beta = self.alpha / (self.alpha - 1.0)
-        return self.weight * _sat_pow(nu / self.weight, beta) / beta
+        try:
+            return self.weight * (nu / self.weight) ** beta / beta
+        except OverflowError:
+            return math.inf
 
     def _xi_step(self, nu):
         if self.alpha == 1.0:
@@ -178,7 +177,10 @@ class _Power(Penalty):
                     "the step subproblem is unbounded below"
                 )
             return 0.0
-        return _sat_pow(nu / self.weight, 1.0 / (self.alpha - 1.0))
+        try:
+            return (nu / self.weight) ** (1.0 / (self.alpha - 1.0))
+        except OverflowError:
+            return math.inf
 
     def derivatives(self, xi):
         w, alpha = self.weight, self.alpha

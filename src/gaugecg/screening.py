@@ -78,14 +78,14 @@ def apply_rule(mask, ids, values, sigma, gap, L, t=None, rounding=None):
             f"negative duality gap {gap!r} at iteration {t}; refusing to screen"
         )
     gap = max(gap, 0.0)
-    threshold = 2.0 * math.sqrt(L * gap)
+    threshold = _radius(L, gap)
     # rounding is monotone, so sigma - min(values) is max(sigma - values)
     if not values.size or sigma - values.min() <= threshold:
         return mask, ScreenReport(t, [], threshold, sigma, mask.active_count)
     if rounding is not None:
         floor = rounding()
         if floor > gap:
-            threshold = 2.0 * math.sqrt(L * floor)
+            threshold = _radius(L, floor)
     scores = sigma - values
     keep_id = ids[int(np.argmin(scores))]
     removable = (scores > threshold) & (ids != keep_id)
@@ -93,6 +93,11 @@ def apply_rule(mask, ids, values, sigma, gap, L, t=None, rounding=None):
     if removed:
         mask.deactivate(removed)
     return mask, ScreenReport(t, removed, threshold, sigma, mask.active_count)
+
+
+def _radius(L, gap):
+    """The screening radius 2*sqrt(L*gap) at a gap >= 0 (see apply_rule)."""
+    return 2.0 * math.sqrt(L * gap)
 
 
 def delta(atomic_set, grad_star, support_ids):

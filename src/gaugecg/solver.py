@@ -40,6 +40,7 @@ import time
 
 import numpy as np
 
+from . import atoms as _atoms, losses as _losses, penalties as _penalties
 from . import screening as _screening
 from .errors import (
     ContractViolationError,
@@ -236,11 +237,20 @@ class RunResult:
         return problem_fingerprint(self.loss, self.penalty, self.atomic_set)
 
 
+def _check_problem(*problem):
+    """Refuse a loss, penalty, atomic set or config of another type; step does not."""
+    kinds = (_losses._Loss, _penalties.Penalty, _atoms.AtomicSet, SolverConfig)
+    for kind, value in zip(kinds, problem):
+        if not isinstance(value, kind):
+            raise ContractViolationError(f"expected a {kind.__name__.lstrip('_')}, got {value!r}")
+
+
 def problem_fingerprint(loss, penalty, atomic_set):
     """Stable hash of the problem triplet, for pairing runs with references.
 
     Hashes the fingerprint pieces of the three in turn: joining them would
     copy the data matrix, a transient of its full size on every run."""
+    _check_problem(loss, penalty, atomic_set)
     digest = hashlib.sha256()
     for part in loss.fingerprint_parts():
         digest.update(part)
@@ -311,23 +321,29 @@ def certificate(loss, penalty, atomic_set, ax, kappa, state=None, oracle=None):
     oracle runs over the full atom set; with the solver state it runs over
     state.mask. oracle is the run's (AtomicSet._run_oracle), else the
     stateless AtomicSet.oracle answers. It scores the atoms at most once,
-    keeps the scores for the screening rule, and takes the first maximum.
+    keeps the scores for the screening rule, and takes the first maximum;
+    one with an image method also forms that atom's image. The penalty
+    takes kappa >= 0, sigma and xi unchecked: they are the solver's floats.
     """
     v = loss.link(ax)
     mask = None if state is None else state.mask
     if oracle is None:
         oracle = functools.partial(atomic_set.oracle, loss.data.features)
     grad, scores, (atom_id, sigma) = oracle(v, mask)
-    cert = _Certificate(v, grad, scores, atom_id, sigma, penalty.value(kappa), ax)
+    cert = _Certificate(v, grad, scores, atom_id, sigma, penalty._value(kappa), ax)
     if not math.isfinite(sigma):
         cert.error = DivergenceError(f"support value {sigma!r}{_at(state)}")
         return cert
     try:
-        cert.xi = penalty.xi_step(sigma)
+        cert.xi = penalty._xi_step(sigma) if sigma > 0 else 0.0
     except UnboundedStepError as err:
         cert.error = err
         return cert
-    cert.image = cert.xi * atomic_set._image(loss.data.features, atom_id)
+    image = getattr(oracle, "image", None)
+    if image is None:
+        cert.image = cert.xi * atomic_set._image(loss.data.features, atom_id)
+    else:
+        cert.image = image(atom_id, cert.xi)
     if math.isinf(cert.h_x):
         # kappa at step t came through t - 1 moves of at most 3 roundings each
         # (to (1 - theta) kappa + theta xi, in x or the ledger) and a final sum
@@ -337,8 +353,8 @@ def certificate(loss, penalty, atomic_set, ax, kappa, state=None, oracle=None):
             cert.h_x = penalty._value_rounded(kappa, rounding)
         if math.isinf(cert.h_x):
             return cert
-    cert._h_xi = penalty.value(cert.xi)
-    gap = float(v @ (ax - cert.image)) + cert.h_x - cert._h_xi
+    cert._h_xi = penalty._value(cert.xi)
+    gap = float(np.dot(v, ax - cert.image)) + cert.h_x - cert._h_xi  # @'s bits, less overhead
     # The gap is nonnegative by weak duality. A negative value within its
     # rounding error has no sign and reads as zero; a larger one is kept,
     # so corruption still shows.
@@ -412,9 +428,12 @@ def step(state, loss, penalty, atomic_set, config):
     ax = _margins(state, loss)
     screened = config.screening_enabled
     oracle = state._oracles.get(screened)
-    if oracle is None:
-        oracle = state._oracles[screened] = atomic_set._run_oracle(loss.data.features, screened)
-    cert = certificate(loss, penalty, atomic_set, ax, state.kappa_bound, state, oracle)
+    if oracle is None:  # sharing the column copy of the other setting's oracle
+        oracle = state._oracles[screened] = atomic_set._run_oracle(
+            loss.data.features, screened, state._oracles.get(not screened))
+    kappa = atomic_set.iterate_gauge(x)  # kappa_bound without its hop
+    kappa = state.kappa_bound if kappa is None else kappa
+    cert = certificate(loss, penalty, atomic_set, ax, kappa, state, oracle)
     if cert.error is not None:
         _abort(
             state, loss, penalty, atomic_set, config, t, cert.error,
@@ -426,15 +445,19 @@ def step(state, loss, penalty, atomic_set, config):
     last = t > config.max_iters or gap <= config.gap_tolerance
 
     if screened and t <= config.max_iters:
-        if state._smoothness is None:
-            state._smoothness = loss.smoothness_wrt(atomic_set)
+        L = state._smoothness
+        if L is None:
+            L = state._smoothness = loss.smoothness_wrt(atomic_set)
         ids, values = cert.scores(atomic_set, state.mask)
-        _, report = _screening.apply_rule(
-            state.mask, ids, values, sigma, gap, state._smoothness, t=t,
-            rounding=cert.rounding,
-        )
-        if report.removed_ids:
-            state.screen_events.append(report)
+        # the rule runs where a score passes the radius, or to refuse gap or L;
+        # values[values.argmin()] is values.min(), NaN too, at a third of its cost
+        radius = _screening._radius(L, gap) if gap >= 0.0 and 0.0 < L < math.inf else math.nan
+        if not sigma - values[values.argmin()] <= radius:
+            _, report = _screening.apply_rule(
+                state.mask, ids, values, sigma, gap, L, t=t, rounding=cert.rounding
+            )
+            if report.removed_ids:
+                state.screen_events.append(report)
 
     if last or t == 1 or t % config.trace_every == 0:
         support = _record(state, t, loss.value(x) + cert.h_x, gap, sigma, xi)
@@ -479,6 +502,7 @@ def run(loss, penalty, atomic_set, config, x0=None):
     Unbounded-step and divergence errors carry .t and a partial .result.
     A numpy overflow on the way raises no warning: it leads to the abort.
     """
+    _check_problem(loss, penalty, atomic_set, config)
     if config.screening_enabled or config.keep_snapshots:
         _check_enumerable(atomic_set)
     state = SolverState(atomic_set, x0=x0)

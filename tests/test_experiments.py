@@ -5,6 +5,7 @@ import gzip
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -404,6 +405,21 @@ def test_reference_without_polish_is_the_solver_run(penalty):
             assert ref.iters_used == iters
 
 
+def test_a_reference_on_overflowing_data_raises_no_warning():
+    # the CG run aborts on the overflow, and the polish of the state it
+    # leaves forms an image that overflows too: the same reference, gap NaN
+    # and not reached, comes back with RuntimeWarnings made errors
+    data = gc.gen_synthetic(0, n=20, d=5)
+    loss = gc.QuadraticLoss(gc.DataMatrix(data.features * 1e300, data.targets))
+    problem = loss, gc.Penalty.power(2.0), gc.AtomicSet.signed_basis(5)
+    plain = gc.reference_solve(*problem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        strict = gc.reference_solve(*problem)
+    assert strict.to_json() == plain.to_json()
+    assert not strict.reached and math.isnan(strict.gap)
+
+
 def test_reference_unreached_flag():
     # indicator penalties admit no restricted polish, and this optimum sits
     # strictly inside a face, reached only in the limit of the open-loop
@@ -626,6 +642,11 @@ def test_unscreened_residuals_count_the_ledger_support():
         lambda: gc.AtomicSet.signed_basis(3).lmo("abc"),
         lambda: gc.AtomicSet.signed_basis(3).gauge_value("abc"),
         lambda: gc.LogisticLoss(gc.gen_synthetic(0, n=4, d=3)).value("abc"),
+        lambda: gc.run(*synthetic_problem(0), None),
+        lambda: gc.run(None, *synthetic_problem(0)[1:], gc.SolverConfig(max_iters=2)),
+        lambda: gc.reference_solve(None, *one_dim_problem()[1:]),
+        lambda: gc.problem_fingerprint(None, None, None),
+        lambda: gc.run_experiment(None),
     ],
     ids=[
         "x0-word", "certificate-empty", "certificate-list", "certificate-word",
@@ -635,6 +656,8 @@ def test_unscreened_residuals_count_the_ledger_support():
         "atom-vector-float", "atom-vector-bool", "image-float", "image-out-of-range",
         "hypercube-image-bool", "penalty-value-bool", "xi-step-bool", "conjugate-bool",
         "penalty-value-word", "lmo-word", "gauge-value-word", "loss-value-word",
+        "run-config-none", "run-loss-none", "reference-loss-none", "fingerprint-none",
+        "experiment-none",
     ],
 )
 def test_public_calls_refuse_bad_arguments_with_the_contract_error(call):

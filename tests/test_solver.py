@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gaugecg as gc
-from gaugecg import atoms, solver
+from gaugecg import atoms, screening, solver
 from gaugecg.errors import ContractViolationError, DivergenceError, UnboundedStepError
 
 from conftest import one_dim_problem, synthetic_problem, tame_quadratic
@@ -812,6 +812,57 @@ def test_a_run_below_the_window_floor_forms_the_product_on_every_step(monkeypatc
     assert state.x.tobytes() == plain.x.tobytes()
     monkeypatch.setattr(atoms, "_WINDOW_FLOOR", loss.data.features.size)
     assert isinstance(solve()[0]._oracles[False], atoms._Window)
+
+
+def test_a_state_that_switches_screening_keeps_one_column_copy():
+    # the corpus's switching schedule: the screened oracle and the
+    # unscreened window score the one mask from one copy of its columns,
+    # which both held, (200, 79) each, when each setting kept its own
+    loss, penalty, aset = synthetic_problem(11, lam=0.1, n=200, d=1000)
+    state = gc.SolverState(aset)
+    for screened, steps in ((True, 150), (False, 150), (True, 50), (False, 50)):
+        config = gc.SolverConfig(max_iters=400, screening_enabled=screened)
+        for _ in range(steps):
+            gc.step(state, loss, penalty, aset, config)
+    pruned, window = state._oracles[True], state._oracles[False]
+    assert isinstance(window, atoms._Window)
+    assert window.pruned is pruned
+    assert pruned.sub is not None and pruned.sub.shape == (200, pruned.cols.size)
+
+
+def test_the_rule_runs_only_on_passes_that_can_fire(monkeypatch):
+    # a screened step calls apply_rule exactly on the passes where some
+    # score sigma - <p, -grad> exceeds the radius 2 sqrt(L gap), or the gap
+    # is negative; the passes it skips would have removed nothing, so the
+    # removals of the calls it makes are the run's screen events
+    loss, penalty, aset = synthetic_problem(11, lam=0.1, n=200, d=1000)
+    calls, certs = [], []
+    apply_rule, certificate = screening.apply_rule, solver.certificate
+
+    def spy_rule(*args, **kwargs):
+        mask, report = apply_rule(*args, **kwargs)
+        calls.append(report)
+        return mask, report
+
+    def spy_certificate(*args):
+        certs.append(certificate(*args))
+        return certs[-1]
+
+    monkeypatch.setattr(screening, "apply_rule", spy_rule)
+    monkeypatch.setattr(solver, "certificate", spy_certificate)
+    config = gc.SolverConfig(max_iters=400, screening_enabled=True)
+    result = gc.run(loss, penalty, aset, config)
+    L = loss.smoothness_wrt(aset)
+    fire = []
+    for t, cert in enumerate(certs[: config.max_iters], start=1):
+        values = cert._scores[1]  # the scores the pass read
+        radius = 2.0 * math.sqrt(L * max(cert.gap, 0.0))
+        if cert.gap < 0.0 or float(np.max(cert.sigma - values)) > radius:
+            fire.append(t)
+    assert [report.t for report in calls] == fire
+    assert 0 < len(fire) < config.max_iters
+    assert [report for report in calls if report.removed_ids] == result.screen_events
+    assert result.screen_events
 
 
 @pytest.mark.parametrize("screening", [False, True])
