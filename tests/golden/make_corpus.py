@@ -18,8 +18,10 @@ traced and snapshots kept, screened and unscreened, unless said otherwise:
 - hypercube(6) and a 12-atom explicit set on a 30-row logistic problem,
   and hypercube(6) from a warm start with negative and -0 entries;
 - a quadratic run that aborts under a lowered divergence limit;
-- reference_solve at seed 3 for weights 0.01 and 1, and for a log-barrier
-  and an indicator penalty;
+- reference_solve at seeds 0 and 3 for weights 0.01 and 1, at n=200,
+  d=1000, seed 3, weight 0.1 (the bench problem, whose polish does the most
+  Newton work), on hypercube(6) and the 12-atom explicit set, and for a
+  log-barrier and an indicator penalty;
 - residuals and build_certificate for the screened and the unscreened
   seed-3, weight-0.01 run against that reference.
 
@@ -229,10 +231,13 @@ def _residual_entry(result, reference):
 
 
 def _reference_entry(ref):
-    return {
-        "digests": {"json": _digest([ref.to_json()])},
-        "summary": {"objective": ref.objective, "gap": ref.gap, "x": ref.x.tolist()},
-    }
+    summary = {"objective": ref.objective, "gap": ref.gap}
+    # x in full up to d = 50, |x|_1 beyond, as _run_entry keeps it
+    if ref.x.size <= 50:
+        summary["x"] = ref.x.tolist()
+    else:
+        summary["x_l1"] = float(np.abs(ref.x).sum())
+    return {"digests": {"json": _digest([ref.to_json()])}, "summary": summary}
 
 
 def build():
@@ -279,16 +284,21 @@ def build():
     cases["switching d=1000 seed=11 w=0.1"] = _switching_entry()
     cases["divergence quadratic"] = _divergence_entry()
     references = {}
-    for weight in WEIGHTS:
-        ref = gc.reference_solve(*_signed_basis_problem(3, weight))
-        references[weight] = ref
-        cases[f"reference seed=3 w={weight}"] = _reference_entry(ref)
+    for seed in (0, 3):
+        for weight in WEIGHTS:
+            ref = gc.reference_solve(*_signed_basis_problem(seed, weight))
+            references[seed, weight] = ref
+            cases[f"reference seed={seed} w={weight}"] = _reference_entry(ref)
+    ref = gc.reference_solve(*_signed_basis_problem(3, 0.1, n=200, d=1000))
+    cases["reference d=1000 seed=3 w=0.1"] = _reference_entry(ref)
+    for kind in ("hypercube", "explicit"):
+        cases[f"reference {kind}"] = _reference_entry(gc.reference_solve(*_small_problem(kind)))
     for name in ("log-barrier", "indicator"):
         problem = variants[name][0]
         ref = gc.reference_solve(*problem, iters=500, tol=1e-6)
         cases[f"reference {name}"] = _reference_entry(ref)
     for screened in (True, False):
-        entry = _residual_entry(runs[3, 0.01, screened], references[0.01])
+        entry = _residual_entry(runs[3, 0.01, screened], references[3, 0.01])
         cases[f"residuals seed=3 w=0.01 screened={screened}"] = entry
     return cases
 
