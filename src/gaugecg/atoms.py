@@ -74,7 +74,7 @@ class _ActiveColumns:
 
     def __init__(self, aset, features, ids=None):
         self.aset, self.features = aset, features
-        self.ids = self.cols = self.sub = self.best = None  # the rest set by update
+        self.ids = self.cols = self.pos = self.neg_factor = self.sub = self.best = None
         if ids is not None:
             self.update(ids)
 
@@ -102,8 +102,9 @@ class _ActiveColumns:
             if 0 < cols.size <= d // _COPY_FRACTION:  # oracle refuses no atom
                 self.sub = self.features[:, cols]
         self.ids, self.cols = ids, cols
-        self.pos = np.searchsorted(cols, coords)
-        self.neg_factor = np.where(ids < d, -self.aset.scale, self.aset.scale)
+        if self.sub is not None:  # only a copy reads them
+            self.pos = np.searchsorted(cols, coords)
+            self.neg_factor = np.where(ids < d, -self.aset.scale, self.aset.scale)
 
     def image(self, atom_id, xi):
         """xi * _SignedBasis._image of the atom the last call chose, from the
@@ -663,7 +664,7 @@ class _Hypercube(AtomicSet):
         # set where z_k < 0, so ties at zero take the lower id
         bits = np.packbits(z < 0, bitorder="little")
         atom_id = int.from_bytes(bits.tobytes(), "little")
-        return atom_id, self.scale * float(np.sum(np.abs(z)))
+        return atom_id, self.scale * float(np.add.reduce(np.abs(z)))
 
     def gauge_value(self, x):
         return float(np.max(np.abs(self._check_point(x))) / self.scale)

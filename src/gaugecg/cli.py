@@ -145,14 +145,9 @@ def _config_file_flags(path):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        if "=" not in text:
-            raise FileFormatError(
-                f"{path}:{lineno}: expected key=value, got {text!r}", offset=lineno
-            )
-        key, _, value = text.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
+        key, sep, value = text.partition("=")
+        key, value = key.strip(), value.strip()
+        if not (sep and key and value):
             raise FileFormatError(
                 f"{path}:{lineno}: expected key=value, got {text!r}", offset=lineno
             )

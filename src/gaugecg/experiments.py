@@ -230,23 +230,23 @@ def _restricted_minimize(loss, penalty, mat, c0):
 
     def evaluate(c):
         ax = images @ c
-        total = float(np.sum(c))
-        value = loss.value_of_margins(ax) + penalty.value(total)
-        grad_c = images.T @ loss.link(ax) + penalty.derivatives(total)[0]
+        total = float(np.add.reduce(c))  # >= 0, as the projection keeps c >= 0
+        slope, curve = penalty.derivatives(total)
+        value = loss.value_of_margins(ax) + penalty._value(total)
+        grad_c = images.T @ loss.link(ax) + slope
         free = (c > 0.0) | (grad_c < 0.0)
-        norm = float(np.max(np.abs(grad_c[free]))) if np.any(free) else 0.0
-        return value, grad_c, free, norm, ax
+        norm = float(np.abs(grad_c[free]).max()) if free.any() else 0.0
+        return value, norm, (grad_c, free, ax, curve)
 
     c = c0
-    value, grad_c, free, norm, ax = evaluate(c)
+    value, norm, (grad_c, free, ax, curve) = evaluate(c)
     for _ in range(60):
         if norm < 1e-15:
             break
-        curve = penalty.derivatives(float(np.sum(c)))[1]
         mapped = images[:, free]
         omega = loss.curvature_weights(ax)
         hess = mapped.T @ (mapped * omega[:, None]) + curve
-        hess += (1e-14 * (1.0 + np.max(np.diag(hess)))) * np.eye(hess.shape[0])
+        hess.reshape(-1)[:: hess.shape[0] + 1] += 1e-14 * (1.0 + hess.diagonal().max())
         try:
             direction = np.linalg.solve(hess, grad_c[free])
         except np.linalg.LinAlgError:
@@ -255,15 +255,15 @@ def _restricted_minimize(loss, penalty, mat, c0):
         for _ in range(60):
             trial = c.copy()
             trial[free] = np.maximum(c[free] - scale * direction, 0.0)
-            if np.array_equal(trial, c):
+            if (trial == c).all():
                 return c  # the step shrank below rounding
-            t_value, t_grad, t_free, t_norm, t_ax = evaluate(trial)
+            t_value, t_norm, t_rest = evaluate(trial)
             if t_value < value or (t_value <= value + flat * abs(value) and t_norm < norm):
                 break
             scale *= 0.5
         else:
             break
-        c, value, grad_c, free, norm, ax = trial, t_value, t_grad, t_free, t_norm, t_ax
+        c, value, norm, (grad_c, free, ax, curve) = trial, t_value, t_norm, t_rest
     return c
 
 
@@ -277,10 +277,11 @@ def _growth(atomic_set, cert, support):
     Johnson & Guestrin 2015; Celer, Massias et al. 2018): adding every
     violator at once builds Newton systems as large as the atom set.
     """
-    ids, values = cert.scores(atomic_set, None)
-    inside = np.isin(ids, support)
-    violators = np.flatnonzero(~inside & (values > values[inside].max()))
-    best_first = ids[violators[np.argsort(-values[violators], kind="stable")]]
+    _, values = cert.scores(atomic_set, None)  # every atom's score, by id
+    inside = np.zeros(values.size, dtype=bool)
+    inside[support] = True
+    violators = (~inside & (values > values[inside].max())).nonzero()[0]
+    best_first = violators[(-values[violators]).argsort(kind="stable")]
     others = [i for i in best_first.tolist() if i != cert.atom_id]
     return [cert.atom_id] + others[: len(support) - 1]
 
@@ -301,7 +302,7 @@ def _polish(loss, penalty, atomic_set, state, tol):
     full-set gap certificate evaluated at it.
     """
     coeffs = state.coeffs
-    support = sorted(_screening.support_of(coeffs))
+    support = sorted(_screening._support_of(coeffs))
     if not support or penalty.derivatives is None:
         x = state.x.copy()
         cert = certificate(loss, penalty, atomic_set, loss.margins(x), state.kappa_bound, state)
@@ -311,19 +312,19 @@ def _polish(loss, penalty, atomic_set, state, tol):
             mat = np.stack([atomic_set.atom_vector(i) for i in support], axis=1)
             c = _restricted_minimize(loss, penalty, mat, c)
             x = mat @ c
-            cert = certificate(loss, penalty, atomic_set, loss.margins(x), float(np.sum(c)))
+            cert = certificate(loss, penalty, atomic_set, loss.margins(x), float(np.add.reduce(c)))
             if cert.gap <= tol or cert.atom_id in support:
                 break
             added = _growth(atomic_set, cert, support)
             support += added
-            c = np.append(c, np.zeros(len(added)))
+            c = np.concatenate((c, np.zeros(len(added))))
         coeffs = dict(zip(support, c))
     return {
         "x": x,
         "grad": cert.grad,
         "objective": loss.value(x) + cert.h_x,
         "gap": cert.gap,
-        "support_ids": _screening.support_of(coeffs),
+        "support_ids": _screening._support_of(coeffs),
     }
 
 

@@ -75,7 +75,8 @@ class _Loss:
     _curvature = None
 
     def __init__(self, data):
-        self.data = data
+        self.data = _checked(lambda d: d, data, lambda d: isinstance(d, DataMatrix),
+                             "a loss needs a DataMatrix")
 
     def margins(self, x):
         """A x: the loss value and gradient at x depend on x only through it."""
@@ -139,7 +140,8 @@ class LogisticLoss(_Loss):
     def value_of_margins(self, ax):
         margins = self.data.targets * ax
         # log(1 + exp(-m)) computed without overflow for any margin
-        return float(np.mean(np.logaddexp(0.0, -margins)))
+        # np.mean's own reduction and division, less its wrapper
+        return float(np.add.reduce(np.logaddexp(0.0, -margins))) / self.data.n
 
     def gradient(self, x):
         return self.data.features.T @ self.link(self.margins(x))

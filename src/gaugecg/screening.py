@@ -106,20 +106,31 @@ def delta(atomic_set, grad_star, support_ids):
     The minimum of sigma + p'grad_star over atoms p outside the support,
     with sigma the support value of -grad_star over the full set. Positive
     delta separates the support; zero flags a degenerate instance; +inf
-    means every atom is in the support (nothing to screen).
+    means every atom is in the support (nothing to screen). An id outside
+    0..num_atoms-1 is refused.
     """
-    grad_star = np.asarray(grad_star, dtype=float)
-    ids, dots = atomic_set.dots(grad_star)
-    sigma_star = float(np.max(-dots))
-    outside = ~np.isin(ids, list(support_ids))
-    if not np.any(outside):
+    _, dots = atomic_set.dots(grad_star)  # every atom's, by id
+    support = _checked(lambda s: [_index(i) for i in s], support_ids,
+                       lambda s: all(0 <= i < dots.size for i in s),
+                       f"support ids must be atom ids in 0..{dots.size - 1}")
+    sigma_star = float((-dots).max())
+    outside = np.ones(dots.size, dtype=bool)
+    outside[support] = False
+    if not outside.any():
         return math.inf
-    value = sigma_star + float(np.min(dots[outside]))
+    value = sigma_star + float(dots[outside].min())
     return max(value, 0.0)
 
 
 def support_of(coeffs):
-    """Atom ids whose ledger weight exceeds 1e-6 times the largest."""
+    """Atom ids whose weight in coeffs, {atom id: real}, exceeds 1e-6 times the largest."""
+    return _support_of(_checked(
+        lambda c: {_index(i): _real(w) for i, w in dict(c).items()}, coeffs,
+        lambda c: True, "coeffs must map atom ids to real weights",
+    ))
+
+
+def _support_of(coeffs):  # support_of on the solver's own ledger, unchecked
     if not coeffs:
         return set()
     top = max(coeffs.values())

@@ -64,6 +64,10 @@ _EPS = float(np.finfo(float).eps)
 def theta_schedule(schedule, t):
     """Step size at iteration t (1-based). "2t1" is 2/(t+1), "4t2" is
     4/(t+2) capped at 1 so the first steps stay convex combinations."""
+    return _theta(schedule, _checked(_index, t, lambda t: t >= 1, "t must be an integer >= 1"))
+
+
+def _theta(schedule, t):  # theta_schedule at the solver's own t, unchecked
     if schedule == "2t1":
         return 2.0 / (t + 1.0)
     if schedule == "4t2":
@@ -139,6 +143,8 @@ class SolverState:
     """Mutable run state; t is the 1-based index of the current iterate."""
 
     def __init__(self, atomic_set, x0=None):
+        _checked(lambda a: a, atomic_set, lambda a: isinstance(a, _atoms.AtomicSet),
+                 "a state needs an AtomicSet")
         d = atomic_set.dimension
         if x0 is None:
             x = np.zeros(d)
@@ -161,7 +167,7 @@ class SolverState:
         self._aset = atomic_set
         self._ledger = {}
         self._ledger_scale = 1.0
-        if np.any(x):
+        if x.any():
             # a nonzero start needs a conic witness so the ledger invariant
             # x == sum(coeffs * atoms) holds from the first record on
             _, witness = atomic_set.gauge_decomposition(x)
@@ -379,7 +385,7 @@ def claimed_ids(state, screened, support=None):
     of a screened run's mask, else the ledger support (given, or support_of)."""
     last = state._claimed
     if not screened:
-        support = _screening.support_of(state.coeffs) if support is None else support
+        support = _screening._support_of(state.coeffs) if support is None else support
         state._claimed = last if support == last else frozenset(support)
     elif len(last) != state.mask.active_count:  # the mask only shrinks
         # the last set less the atoms it lost shares the last set's ints
@@ -389,7 +395,7 @@ def claimed_ids(state, screened, support=None):
 
 
 def _record(state, t, objective, gap, sigma, xi):
-    support = _screening.support_of(state.coeffs)  # returned for claimed_ids
+    support = _screening._support_of(state.coeffs)  # returned for claimed_ids
     state.trace.append(
         TraceRecord(
             t=t,
@@ -466,7 +472,7 @@ def step(state, loss, penalty, atomic_set, config):
     if last:
         return state
 
-    theta = theta_schedule(config.step_schedule, t)
+    theta = _theta(config.step_schedule, t)
     grown = atomic_set.move(x, theta, xi, atom_id)
     ax *= 1.0 - theta
     ax += theta * cert.image

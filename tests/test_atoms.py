@@ -556,17 +556,25 @@ def test_pruned_columns_are_the_plain_copy_once_few_are_left():
 
 
 def test_active_columns_are_the_sorted_distinct_coordinates():
-    # cols, pos and neg_factor against their np.unique construction, on
-    # random masks, one coordinate with both signs, one atom left and a
-    # mask materialized with every atom active
+    # cols against their np.unique construction on every mask; pos and
+    # neg_factor on the masks of at most d // 8 columns, which are scored
+    # from a copy: random ones, one coordinate with both signs and one atom
+    # left. A wider mask (random ones, and one materialized with every atom
+    # active) holds no copy and no positions in one
     rng = np.random.default_rng(19)
     d = 30
     aset = gc.AtomicSet.signed_basis(d, scale=0.3)
     features = rng.standard_normal((6, d))
     offs = [rng.random(2 * d) < rng.uniform(0.1, 0.95) for _ in range(40)]
+    for _ in range(45):
+        coords = rng.choice(d, size=rng.integers(1, d // 8 + 1), replace=False)
+        signs = rng.integers(0, 3, size=coords.size)  # +, - or both
+        keep = np.concatenate([coords[signs != 1], coords[signs != 0] + d])
+        offs.append(~np.isin(np.arange(2 * d), keep))
     offs.append(np.arange(2 * d) % d != 7)  # +e_7 and -e_7 only
     offs.append(np.arange(2 * d) != d + 11)  # -e_11 only
     offs.append(np.zeros(2 * d, dtype=bool))  # every atom active
+    copies = 0
     for off in offs:
         mask = aset.full_mask()
         mask.deactivate(np.flatnonzero(off))
@@ -578,8 +586,14 @@ def test_active_columns_are_the_sorted_distinct_coordinates():
         cols = np.unique(ids % d)
         assert cache.cols.dtype == cols.dtype
         assert cache.cols.tobytes() == cols.tobytes()
+        if cols.size > d // 8:
+            assert cache.sub is None and cache.pos is None and cache.neg_factor is None
+            continue
+        copies += 1
+        assert cache.sub.tobytes() == np.ascontiguousarray(features[:, cols]).tobytes()
         assert cache.pos.tobytes() == np.searchsorted(cols, ids % d).tobytes()
         assert cache.neg_factor.tobytes() == np.where(ids < d, -0.3, 0.3).tobytes()
+    assert copies >= 47  # the 45 narrow draws and the two fixed narrow masks
 
 
 def test_oracle_scores_match_dots_on_every_kind():

@@ -5,6 +5,7 @@ import gzip
 import json
 import math
 import struct
+import sys
 import warnings
 
 import numpy as np
@@ -380,6 +381,42 @@ def test_reference_polishes_once(monkeypatch):
     assert len(calls) == 2
 
 
+# numpy's Python-level reduction and set wrappers, by module (its last
+# dotted part, which names it in numpy 1 and 2 alike) and function name:
+# each costs microseconds on the few dozen entries of a reference's arrays,
+# where the ufunc reduction or array method it forwards to costs about one
+_WRAPPERS = {
+    "fromnumeric": {"sum", "max", "amax", "min", "amin", "any", "all"},
+    "_methods": {"_mean"},
+    "_arraysetops_impl": {"isin", "in1d"},
+    "arraysetops": {"isin", "in1d"},
+    "numeric": {"array_equal"},
+    "_twodim_base_impl": {"eye"},
+    "twodim_base": {"eye"},
+}
+
+
+def test_a_reference_enters_no_numpy_reduction_wrapper():
+    # np.linalg.solve and np.stack have no lighter form and stay
+    problem = synthetic_problem(3, lam=0.01)
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            module = frame.f_globals.get("__name__", "")
+            name = frame.f_code.co_name
+            if module.startswith("numpy.") and name in _WRAPPERS.get(module.rsplit(".", 1)[-1], ()):
+                entered.add(f"{module}.{name}")
+
+    sys.setprofile(profile)
+    try:
+        ref = gc.reference_solve(*problem)
+    finally:
+        sys.setprofile(None)
+    assert ref.reached
+    assert not entered
+
+
 @pytest.mark.parametrize(
     "penalty",
     [gc.Penalty.log_barrier(1.0, weight=0.01), gc.Penalty.indicator(1.0)],
@@ -647,6 +684,14 @@ def test_unscreened_residuals_count_the_ledger_support():
         lambda: gc.reference_solve(None, *one_dim_problem()[1:]),
         lambda: gc.problem_fingerprint(None, None, None),
         lambda: gc.run_experiment(None),
+        lambda: gc.theta_schedule("2t1", -1),
+        lambda: gc.theta_schedule("2t1", "a"),
+        lambda: gc.theta_schedule("2t1", 0),
+        lambda: gc.support_of([1, 2]),
+        lambda: gc.support_of({1: "a"}),
+        lambda: gc.QuadraticLoss("a"),
+        lambda: gc.LogisticLoss(None),
+        lambda: gc.SolverState(None),
     ],
     ids=[
         "x0-word", "certificate-empty", "certificate-list", "certificate-word",
@@ -657,7 +702,9 @@ def test_unscreened_residuals_count_the_ledger_support():
         "hypercube-image-bool", "penalty-value-bool", "xi-step-bool", "conjugate-bool",
         "penalty-value-word", "lmo-word", "gauge-value-word", "loss-value-word",
         "run-config-none", "run-loss-none", "reference-loss-none", "fingerprint-none",
-        "experiment-none",
+        "experiment-none", "theta-negative-t", "theta-word-t", "theta-zero-t",
+        "support-of-list", "support-of-word-weight", "quadratic-loss-word",
+        "logistic-loss-none", "state-none",
     ],
 )
 def test_public_calls_refuse_bad_arguments_with_the_contract_error(call):

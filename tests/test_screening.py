@@ -330,6 +330,14 @@ def test_delta_on_the_frozen_problem():
     assert delta(aset, np.array([-1.0]), {0}) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("support", [{4}, {-1}, {0, 7}, {1.5}, {True}, {"a"}, None])
+def test_delta_refuses_ids_outside_the_set(support):
+    # the atoms of signed_basis(2) are 0..3; a mask indexed by -1 would take the last
+    aset = gc.AtomicSet.signed_basis(2)
+    with pytest.raises(ContractViolationError):
+        delta(aset, np.array([1.0, -1.0]), support)
+
+
 def test_delta_clamps_tiny_negative():
     # sigma + min outside dot can round slightly below zero; never negative
     aset = gc.AtomicSet.signed_basis(1)
