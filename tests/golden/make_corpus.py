@@ -14,7 +14,9 @@ traced and snapshots kept, screened and unscreened, unless said otherwise:
   and the back-off between them reaches a wait of 256 refreshes;
 - one state at n=200, d=1000, seed 11, weight 0.1, stepped 150 times
   screened, 150 times unscreened on the mask the first steps pruned, 50
-  times screened again and 50 times unscreened;
+  times screened again and 50 times unscreened; and one stepped 150 times
+  unscreened, with a window of columns open, 150 times screened and 100
+  times unscreened on the pruned mask;
 - hypercube(6) and a 12-atom explicit set on a 30-row logistic problem,
   and hypercube(6) from a warm start with negative and -0 entries;
 - a quadratic run that aborts under a lowered divergence limit;
@@ -144,14 +146,23 @@ def _run(problem, screened, schedule="2t1", x0=None):
         return err.result, err
 
 
-def _switching_entry():
-    """One state stepped screened, unscreened, screened again, and
-    unscreened again: the unscreened steps score the mask the screened ones
-    pruned, from A'v while it touches 170 columns and from the copy of its
-    columns once they are few."""
+# (screened, steps) of each leg of a state that switches screening
+SWITCHING = {
+    # the unscreened steps score the mask the screened ones pruned, from A'v
+    # while it touches 170 columns and from the copy of its columns once
+    # they are few
+    "switching": ((True, 150), (False, 150), (True, 50), (False, 50)),
+    # the first steps score from a window of columns, which the first prune
+    # ends for good; the last ones score the pruned mask
+    "switching unscreened-first": ((False, 150), (True, 150), (False, 100)),
+}
+
+
+def _switching_entry(legs):
+    """One state stepped through legs, (screened, steps) each."""
     loss, penalty, aset = _signed_basis_problem(11, 0.1, n=200, d=1000)
     state = gc.SolverState(aset)
-    for screened, steps in ((True, 150), (False, 150), (True, 50), (False, 50)):
+    for screened, steps in legs:
         config = _config(screened, max_iters=400)
         for _ in range(steps):
             gc.step(state, loss, penalty, aset, config)
@@ -281,7 +292,8 @@ def build():
     cases["signed-basis d=300 seed=2 w=0.01 screened=False"] = _run_entry(
         *_run(_signed_basis_problem(2, 0.01, n=200, d=300), False)
     )
-    cases["switching d=1000 seed=11 w=0.1"] = _switching_entry()
+    for name, legs in SWITCHING.items():
+        cases[f"{name} d=1000 seed=11 w=0.1"] = _switching_entry(legs)
     cases["divergence quadratic"] = _divergence_entry()
     references = {}
     for seed in (0, 3):
