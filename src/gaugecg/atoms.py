@@ -40,12 +40,12 @@ EXPLICIT = "explicit-list"
 _ENUM_LIMIT = 2 ** 22
 # entries per block when _column_sq_norms squares its columns
 _COPY_BLOCK = 2 ** 14
-# A pruned signed basis copies the columns its active atoms touch only once
-# they are at most an eighth of features: no copy exceeds an eighth of the
-# data, and a wider mask is scored from the unscreened product A'v.
+# A signed basis's run oracle copies a pruned mask's active columns, or a
+# window's, only while they are at most an eighth of features: no copy
+# exceeds an eighth of the data, and a wider mask is scored from A'v.
 _COPY_FRACTION = 8
 # An unscreened signed basis scores from a window of candidate columns
-# (_Window) only on data of at least this many entries: below it the
+# (_Columns) only on data of at least this many entries: below it the
 # product A'v costs about what the window's bookkeeping does. Logistic
 # runs of 3000 steps, seeds 0-3, weights 0.01, 0.1 and 1, window against
 # full-product time (median per weight): 10k entries 1.01-1.04, 20k
@@ -63,68 +63,19 @@ _WINDOW_MIN_SERVED = 2
 _EPS = float(np.finfo(float).eps)
 
 
-class _ActiveColumns:
-    """A signed basis's run oracle (AtomicSet._run_oracle): a pruned mask
-    whose active atoms touch at most d // _COPY_FRACTION columns scores from
-    the copy sub = features[:, cols], any other mask by AtomicSet.oracle.
-    The columns follow the state's mask, which only shrinks, by its active
-    count, and the copy is kept while the columns stay the same."""
-
-    __slots__ = ("aset", "features", "ids", "cols", "pos", "neg_factor", "sub", "best")
-
-    def __init__(self, aset, features, ids=None):
-        self.aset, self.features = aset, features
-        self.ids = self.cols = self.pos = self.neg_factor = self.sub = self.best = None
-        if ids is not None:
-            self.update(ids)
-
-    def __call__(self, v, mask):
-        if mask._active is not None:  # pruned: mask._ids are its active ids
-            if self.ids is None or self.ids.size != mask._ids.size:
-                self.update(mask._ids)
-            if self.sub is not None:  # atom +/-C e_k scores -/+C (A'v)_k (np.dot: @, cheaper)
-                values = self.neg_factor * np.dot(self.sub.T, v)[self.pos]
-                self.best = best = values.argmax()
-                return None, (self.ids, values), (self.ids.item(best), values.item(best))
-        self.best = None
-        return self.aset.oracle(self.features, v, mask)
-
-    def update(self, ids):
-        d = self.aset.dimension
-        coords = ids % d
-        # the sorted distinct coords, as np.unique gives them without the
-        # table of a megabyte or more that its first call allocates
-        touched = np.zeros(d, dtype=bool)
-        touched[coords] = True
-        cols = np.flatnonzero(touched)
-        if self.cols is None or not np.array_equal(cols, self.cols):
-            self.sub = None  # freed before the next copy is made
-            if 0 < cols.size <= d // _COPY_FRACTION:  # oracle refuses no atom
-                self.sub = self.features[:, cols]
-        self.ids, self.cols = ids, cols
-        if self.sub is not None:  # only a copy reads them
-            self.pos = np.searchsorted(cols, coords)
-            self.neg_factor = np.where(ids < d, -self.aset.scale, self.aset.scale)
-
-    def image(self, atom_id, xi):
-        """xi * _SignedBasis._image of the atom the last call chose, from the
-        copy; at C = 1, xi * (+/-col) is (+/-xi) * col to the bit."""
-        if self.best is None:
-            return xi * self.aset._image(self.features, atom_id)
-        entry, col = -self.neg_factor[self.best], self.sub[:, self.pos[self.best]]
-        return (xi * entry) * col if self.aset.scale == 1.0 else xi * (entry * col)
-
-
-class _Window:
-    """Candidate columns of an unscreened signed basis, certified over a
-    sphere of link vectors: its run oracle scores a full mask from them, and
-    a mask that a screened step pruned by pruned (_ActiveColumns).
+class _Columns:
+    """A signed basis's run oracle (AtomicSet._run_oracle), one per state. Its
+    one copy sub = features[:, cols] is a pruned mask's, once the active
+    atoms touch at most d // _COPY_FRACTION columns, and scores them all; or
+    at a full mask a certified window's, and gives only the oracle's answer.
+    Any other call forms A'v. The copy follows the mask by identity (each
+    prune makes new ids), and the first prune ends the window for good.
 
     A refresh is a step that formed g_s = A'v_s. With a_k the columns, m_i
     the i-th largest |g_s,k|, b = d // _COPY_FRACTION and
     rho = (m_1 - m_{b+1}) / (2 max_k |a_k|), it opens a window on
     K = {k : |g_s,k| + |a_k| rho >= M}, M = max_j (|g_s,j| - |a_j| rho), and
-    copies those columns (_ActiveColumns over the atoms of both signs). Every
+    copies those columns (over the atoms of both signs). Every
     k outside the top b has |g_s,k| + |a_k| rho <= (m_1 + m_{b+1}) / 2 <= M,
     so K holds at most b columns, ties aside; a refresh whose K is larger,
     or whose rho is not positive and finite, opens no window. A later step
@@ -164,47 +115,83 @@ class _Window:
     to zero (entries below 1e-154) are outside this argument.
     """
 
-    __slots__ = ("pruned", "norms", "columns", "v", "v_norm", "rho", "served", "wait", "skip")
+    __slots__ = ("aset", "features", "ids", "cols", "pos", "neg_factor", "sub", "best",
+                 "norms", "v", "v_norm", "rho", "served", "wait", "skip")
 
-    def __init__(self, pruned):
-        self.pruned = pruned
-        self.norms = self.columns = None
+    def __init__(self, aset, features):
+        self.aset, self.features = aset, features
+        self.ids = self.cols = self.pos = self.neg_factor = self.sub = self.best = None
+        self.norms = None
         self.served = self.wait = self.skip = 0
 
-    def __call__(self, v, mask):
-        if not mask.is_full:
-            return self.pruned(v, mask)
-        answer = self.answer(v)
-        if answer is not None:
-            return None, None, answer
-        grad, scores, answer = self.pruned(v, mask)  # the full product
-        self.refresh(grad, v)
-        return grad, scores, answer
+    def __call__(self, v, mask, screened):
+        """aset.oracle(features, v, mask), grad or scores None where it forms
+        neither; screened says whether every active score is read."""
+        self.best = None  # image from _image unless the pruned copy scores
+        if mask._active is not None:  # pruned: mask._ids are its active ids
+            if self.ids is not mask._ids:
+                self.track(mask._ids)
+            if self.sub is not None:  # atom +/-C e_k scores -/+C (A'v)_k (np.dot: @, cheaper)
+                values = self.neg_factor * np.dot(self.sub.T, v)[self.pos]
+                self.best = best = values.argmax()
+                return None, (self.ids, values), (self.ids.item(best), values.item(best))
+        elif not screened and self.features.size >= _WINDOW_FLOOR:
+            answer = self.answer(v)
+            if answer is not None:
+                return None, None, answer
+            grad, scores, answer = self.aset.oracle(self.features, v, mask)
+            self.refresh(grad, v)
+            return grad, scores, answer
+        return self.aset.oracle(self.features, v, mask)
+
+    def track(self, ids):
+        """Hold the columns of ids, a mask's or a window's; copy them if new."""
+        d = self.aset.dimension
+        coords = ids % d
+        # the sorted distinct coords, as np.unique gives them without the
+        # table of a megabyte or more that its first call allocates
+        touched = np.zeros(d, dtype=bool)
+        touched[coords] = True
+        cols = np.flatnonzero(touched)
+        if self.sub is None or not (cols.size == self.cols.size and (cols == self.cols).all()):
+            self.sub = None  # freed before the next copy is made
+            if 0 < cols.size <= d // _COPY_FRACTION:  # oracle refuses no atom
+                self.sub = self.features[:, cols]
+        self.ids, self.cols = ids, cols
+        if self.sub is not None:  # only a copy reads them
+            self.pos = np.searchsorted(cols, coords)
+            self.neg_factor = np.where(ids < d, -self.aset.scale, self.aset.scale)
+
+    def image(self, atom_id, xi):
+        """xi * _SignedBasis._image of the atom the last call chose, from the
+        copy; at C = 1, xi * (+/-col) is (+/-xi) * col to the bit."""
+        if self.best is None:
+            return xi * self.aset._image(self.features, atom_id)
+        entry, col = -self.neg_factor[self.best], self.sub[:, self.pos[self.best]]
+        return (xi * entry) * col if self.aset.scale == 1.0 else xi * (entry * col)
 
     def answer(self, v):
         """(atom_id, sigma) scored over K while the window holds, else None."""
-        if self.columns is None:
+        if self.sub is None:
             return None
         step = v - self.v
         reach = math.sqrt(step @ step) + v.size * _EPS * (self.v_norm + math.sqrt(v @ v))
         if not reach * (1.0 + 4.0 * (v.size + 1) * _EPS) <= self.rho:
             return None
-        self.served += 1
-        cols = self.columns  # scored as _ActiveColumns.__call__ scores its copy
-        return best_atom(cols.ids, cols.neg_factor * np.dot(cols.sub.T, v)[cols.pos])
+        self.served += 1  # scored as a pruned mask is, and its image by _image
+        return best_atom(self.ids, self.neg_factor * np.dot(self.sub.T, v)[self.pos])
 
     def refresh(self, grad, v):
-        """At a step that formed grad = A'v: close the open window, then
-        open one at v unless the back-off holds refreshes off."""
-        if self.columns is not None:
-            self.columns = None  # freed before the next copy is made
+        """At a full mask's step that formed grad = A'v: close the open
+        window, then open one at v unless the back-off holds refreshes off."""
+        if self.sub is not None:
+            self.sub = None  # freed before the next copy is made
             self._closed(self.served)
         if self.skip:
             self.skip -= 1
             return
-        aset, features = self.pruned.aset, self.pruned.features
         if self.norms is None:
-            self.norms = np.sqrt(_column_sq_norms(features))
+            self.norms = np.sqrt(_column_sq_norms(self.features))
         mags = np.abs(grad)
         d = mags.size
         b = d // _COPY_FRACTION
@@ -217,7 +204,7 @@ class _Window:
         if not (0.0 < rho < math.inf and cols.size <= b):
             self._closed(0)
             return
-        self.columns = _ActiveColumns(aset, features, np.concatenate([cols, cols + d]))
+        self.track(np.concatenate([cols, cols + d]))
         self.v, self.v_norm, self.rho = v, math.sqrt(v @ v), rho
         self.served = 0
 
@@ -416,13 +403,22 @@ class AtomicSet:
         """
         z = self._check_point(z)
         values = self._dots(z)
-        if mask is None or mask.is_full:
+        if self._full(mask):
             return np.arange(self.num_atoms), values
         ids = mask.active_ids()
         return ids, values[ids]
 
     def _dots(self, z):
         return self.atoms_matrix() @ z
+
+    def _full(self, mask):
+        """True when mask (None: every atom) has every atom active; anything
+        but an AtomMask over this set's atoms is refused."""
+        if mask is None:
+            return True
+        if not isinstance(mask, AtomMask) or mask.num_atoms != self.num_atoms:
+            raise ContractViolationError(f"not a mask of {self.num_atoms} atoms: {mask!r}")
+        return mask.is_full
 
     # -- the three core queries -------------------------------------------
 
@@ -437,7 +433,7 @@ class AtomicSet:
         the last bit, as the two sum in different orders.
         """
         z = self._check_point(z)
-        if self._implicit_lmo is not None and (mask is None or mask.is_full):
+        if self._implicit_lmo is not None and self._full(mask):
             return self._implicit_lmo(z)
         return best_atom(*self.dots(z, mask))
 
@@ -453,12 +449,11 @@ class AtomicSet:
         scores = self.dots(-grad, mask)
         return grad, scores, best_atom(*scores)
 
-    def _run_oracle(self, features, screened, other=None):
-        """oracle(features, v, mask) as oracle(v, mask) for one state and
-        screening setting (solver.step), grad or scores None where it forms
-        neither. A state has one set and one loss, so it checks neither;
-        other is the state's oracle for the other setting, or None."""
-        return lambda v, mask: self.oracle(features, v, mask)
+    def _run_oracle(self, features):
+        """oracle(features, v, mask) as oracle(v, mask, screened) for one
+        state (solver.step), which says whether it reads every active score.
+        A state has one set and one loss, so it checks neither."""
+        return lambda v, mask, screened: self.oracle(features, v, mask)
 
     def move(self, x, theta, xi, atom_id):
         """x <- (1 - theta) x + theta * xi * atom, in place and bit-identical
@@ -603,15 +598,10 @@ class _SignedBasis(AtomicSet):
             return self.dimension + lo, float(-w[lo])
         return hi, float(w[hi])
 
-    def _run_oracle(self, features, screened, other=None):
-        """A pruned mask scores from a copy of its columns (_ActiveColumns)
-        and, unscreened on data of at least _WINDOW_FLOOR entries, a full mask
-        from a window of them while it holds (_Window); the copy is other's,
-        if other has one, so that a state keeps one."""
-        pruned = getattr(other, "pruned", other) or _ActiveColumns(self, features)
-        if screened or features.size < _WINDOW_FLOOR:
-            return pruned
-        return _Window(pruned)
+    def _run_oracle(self, features):
+        """A pruned mask scores from a copy of its columns and, unscreened on
+        data of _WINDOW_FLOOR entries or more, a full mask from a window (_Columns)."""
+        return _Columns(self, features)
 
     def move(self, x, theta, xi, atom_id):
         """Every entry but x_k becomes (1 - theta) x_j plus the formula's

@@ -17,6 +17,7 @@ own atoms: the set's bound on |<A p, A q>| over atom pairs
 
 import numpy as np
 
+from .atoms import AtomicSet
 from .errors import ContractViolationError, _checked, _vector
 
 
@@ -65,9 +66,9 @@ class _Loss:
     ``value_of_margins(ax)``, ``link(ax)`` (the vector v with gradient =
     A'v) and ``curvature_weights(ax)``. ``value(x)`` and ``gradient(x)``
     compute the margins and call them; the solver keeps ax itself, calls
-    ``link`` directly, and calls ``value(x)`` only for trace rows. (value
-    and gradient are defined on each concrete class, where bench/tracing.py
-    looks them up to wrap them.)
+    ``link`` directly, and calls ``value(x)`` only for trace rows. value and
+    gradient are defined on each concrete class, where bench/tracing.py
+    wraps them, and run under run's np.errstate: an infinite x warns of nothing.
     """
 
     kind = None
@@ -89,6 +90,8 @@ class _Loss:
         L bounds |<p, H q>| over atom pairs for every Hessian H of the
         loss, which is what the gap certificates and screening need.
         """
+        if not isinstance(atomic_set, AtomicSet):
+            raise ContractViolationError(f"expected an AtomicSet, got {atomic_set!r}")
         if atomic_set.dimension != self.data.d:
             raise ContractViolationError("atomic set dimension does not match data")
         return self._curvature(atomic_set.gram_bound(self.data.features))
@@ -103,14 +106,16 @@ class QuadraticLoss(_Loss):
     kind = "quadratic"
 
     def value(self, x):
-        return self.value_of_margins(self.margins(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.value_of_margins(self.margins(x))
 
     def value_of_margins(self, ax):
         r = ax - self.data.targets
         return 0.5 * float(r @ r)
 
     def gradient(self, x):
-        return self.data.features.T @ self.link(self.margins(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.data.features.T @ self.link(self.margins(x))
 
     def link(self, ax):
         return ax - self.data.targets
@@ -135,7 +140,8 @@ class LogisticLoss(_Loss):
         self._neg_targets_over_n = -self.data.targets / self.data.n
 
     def value(self, x):
-        return self.value_of_margins(self.margins(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.value_of_margins(self.margins(x))
 
     def value_of_margins(self, ax):
         margins = self.data.targets * ax
@@ -144,7 +150,8 @@ class LogisticLoss(_Loss):
         return float(np.add.reduce(np.logaddexp(0.0, -margins))) / self.data.n
 
     def gradient(self, x):
-        return self.data.features.T @ self.link(self.margins(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.data.features.T @ self.link(self.margins(x))
 
     def link(self, ax):
         # -b / (n * (1 + exp(b * ax))), which is -(b * sigmoid(-b * ax)) / n,

@@ -17,10 +17,10 @@ full-set gap of the reference oracle. The loss value is computed only for
 trace rows.
 
 At most one score vector serves each step: the screening rule reads the
-scores of the run's oracle, which the atomic set chooses once per state
-and screening setting (AtomicSet._run_oracle). A step that does not screen
-reads only the oracle's answer, so on large data the signed basis gives it
-from a certified window of columns, without forming A'v (atoms._Window).
+scores of the run's oracle, which the atomic set builds once per state
+(AtomicSet._run_oracle). A step that does not screen, and says so, reads
+only the oracle's answer, so on large data the signed basis gives it from
+a certified window of columns, without forming A'v (atoms._Columns).
 The step moves x (AtomicSet.move) and ax in place, bit-identical to the
 formulas above.
 
@@ -163,7 +163,7 @@ class SolverState:
         self.screen_events = []
         self.snapshots = []
         self._claimed = frozenset()  # see claimed_ids
-        self._oracles = {}  # the run's oracle per screening setting, see step
+        self._oracle = None  # the run's, built by the first step
         self._aset = atomic_set
         self._ledger = {}
         self._ledger_scale = 1.0
@@ -317,7 +317,7 @@ def _at(state):
     return "" if state is None else f" at iteration {state.t}"
 
 
-def certificate(loss, penalty, atomic_set, ax, kappa, state=None, oracle=None):
+def certificate(loss, penalty, atomic_set, ax, kappa, state=None, oracle=None, screened=False):
     """Oracle answer and duality gap at a point with margins ax = A x and
     gauge bound kappa, the one gap computation of the package.
 
@@ -325,8 +325,8 @@ def certificate(loss, penalty, atomic_set, ax, kappa, state=None, oracle=None):
     A s = xi * image(atom), so the gap -grad'(s - x) + h(x) - h(s) is
     computed as v'(ax - A s) + h(x) - h(xi) without A x. With no state the
     oracle runs over the full atom set; with the solver state it runs over
-    state.mask. oracle is the run's (AtomicSet._run_oracle), else the
-    stateless AtomicSet.oracle answers. It scores the atoms at most once,
+    state.mask. oracle is the run's (AtomicSet._run_oracle), given screened,
+    else the stateless AtomicSet.oracle answers. It scores the atoms at most once,
     keeps the scores for the screening rule, and takes the first maximum;
     one with an image method also forms that atom's image. The penalty
     takes kappa >= 0, sigma and xi unchecked: they are the solver's floats.
@@ -334,8 +334,9 @@ def certificate(loss, penalty, atomic_set, ax, kappa, state=None, oracle=None):
     v = loss.link(ax)
     mask = None if state is None else state.mask
     if oracle is None:
-        oracle = functools.partial(atomic_set.oracle, loss.data.features)
-    grad, scores, (atom_id, sigma) = oracle(v, mask)
+        grad, scores, (atom_id, sigma) = atomic_set.oracle(loss.data.features, v, mask)
+    else:
+        grad, scores, (atom_id, sigma) = oracle(v, mask, screened)
     cert = _Certificate(v, grad, scores, atom_id, sigma, penalty._value(kappa), ax)
     if not math.isfinite(sigma):
         cert.error = DivergenceError(f"support value {sigma!r}{_at(state)}")
@@ -433,13 +434,11 @@ def step(state, loss, penalty, atomic_set, config):
     x = state.x
     ax = _margins(state, loss)
     screened = config.screening_enabled
-    oracle = state._oracles.get(screened)
-    if oracle is None:  # sharing the column copy of the other setting's oracle
-        oracle = state._oracles[screened] = atomic_set._run_oracle(
-            loss.data.features, screened, state._oracles.get(not screened))
+    if state._oracle is None:
+        state._oracle = atomic_set._run_oracle(loss.data.features)
     kappa = atomic_set.iterate_gauge(x)  # kappa_bound without its hop
     kappa = state.kappa_bound if kappa is None else kappa
-    cert = certificate(loss, penalty, atomic_set, ax, kappa, state, oracle)
+    cert = certificate(loss, penalty, atomic_set, ax, kappa, state, state._oracle, screened)
     if cert.error is not None:
         _abort(
             state, loss, penalty, atomic_set, config, t, cert.error,

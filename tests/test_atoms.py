@@ -481,8 +481,8 @@ def _oracle_matches_scoring(aset, features, v, mask, oracle=None):
     full_grad = features.T @ v
     ids, values = aset.dots(-full_grad, mask)
     if oracle is None:
-        oracle = aset._run_oracle(features, True)
-    grad, scores, best = oracle(v, mask)
+        oracle = aset._run_oracle(features)
+    grad, scores, best = oracle(v, mask, True)
     compact = _compact(aset, mask)
     assert (grad is None) == compact
     assert (scores is None) == (mask.is_full and aset.kind != atoms.EXPLICIT)
@@ -528,10 +528,10 @@ def test_pruned_columns_are_the_plain_copy_once_few_are_left():
         features = np.asarray(rng.standard_normal((n, d)), order=order)
         v = rng.standard_normal(n)
         mask, before = aset.full_mask(), None
-        oracle = aset._run_oracle(features, True)
+        oracle = aset._run_oracle(features)
         for off, columns, same_copy in prunes:
             mask.deactivate(off)
-            grad, (ids, values), _ = oracle(v, mask)
+            grad, (ids, values), _ = oracle(v, mask, True)
             coords = ids % d
             cols = np.unique(coords)
             assert cols.size == columns
@@ -550,7 +550,7 @@ def test_pruned_columns_are_the_plain_copy_once_few_are_left():
                 assert oracle.sub.strides == plain.strides
                 assert (oracle.sub is before) == same_copy
             before = oracle.sub
-            again = oracle(v, mask)[1]
+            again = oracle(v, mask, True)[1]
             assert oracle.sub is before
             assert again[1].tobytes() == values.tobytes()
 
@@ -580,8 +580,8 @@ def test_active_columns_are_the_sorted_distinct_coordinates():
         mask.deactivate(np.flatnonzero(off))
         if not mask.active_count:
             continue
-        cache = aset._run_oracle(features, True)
-        cache(rng.standard_normal(6), mask)
+        cache = aset._run_oracle(features)
+        cache(rng.standard_normal(6), mask, True)
         ids = mask.active_ids()
         cols = np.unique(ids % d)
         assert cache.cols.dtype == cols.dtype
@@ -645,12 +645,12 @@ def test_column_cache_never_outlives_its_mask():
     mask = aset.full_mask()
     mask.deactivate([0, d + 1] + list(range(2, d)) + list(range(d + 2, 2 * d)))
     assert _compact(aset, mask)
-    oracle = aset._run_oracle(features, True)
+    oracle = aset._run_oracle(features)
     _oracle_matches_scoring(aset, features, v, mask, oracle)  # builds the copy
     copy = oracle.sub
     other = aset.full_mask()
     other.deactivate(list(range(1, d)) + list(range(d + 1, 2 * d)))
-    other_oracle = aset._run_oracle(features, True)
+    other_oracle = aset._run_oracle(features)
     _oracle_matches_scoring(aset, features, v, other, other_oracle)
     assert other_oracle.sub is not copy
     mask.deactivate([d + 0])
@@ -659,6 +659,6 @@ def test_column_cache_never_outlives_its_mask():
     _oracle_matches_scoring(aset, features.copy() * 2.0, v, mask)
     _oracle_matches_scoring(gc.AtomicSet.signed_basis(d, scale=2.0), features, v, mask)
     _oracle_matches_scoring(aset, features, v, other, other_oracle)
-    twin = aset._run_oracle(features, True)  # a second run on one set and data
+    twin = aset._run_oracle(features)  # a second run on one set and data
     _oracle_matches_scoring(aset, features, v, mask, twin)
     assert twin.sub is not oracle.sub and not np.shares_memory(twin.sub, oracle.sub)

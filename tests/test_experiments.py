@@ -692,6 +692,14 @@ def test_unscreened_residuals_count_the_ledger_support():
         lambda: gc.QuadraticLoss("a"),
         lambda: gc.LogisticLoss(None),
         lambda: gc.SolverState(None),
+        lambda: gc.AtomicSet.signed_basis(3).dots(np.ones(3), mask=3),
+        lambda: gc.AtomicSet.signed_basis(3).lmo(np.ones(3), mask="x"),
+        lambda: gc.AtomicSet.signed_basis(3).support_value(np.ones(3), mask=3),
+        lambda: gc.AtomicSet.hypercube(3).lmo(np.ones(3), mask="x"),
+        lambda: gc.AtomicSet.signed_basis(3).dots(
+            np.ones(3), mask=gc.AtomicSet.signed_basis(4).full_mask()
+        ),
+        lambda: gc.LogisticLoss(gc.gen_synthetic(0, n=4, d=3)).smoothness_wrt(None),
     ],
     ids=[
         "x0-word", "certificate-empty", "certificate-list", "certificate-word",
@@ -704,7 +712,9 @@ def test_unscreened_residuals_count_the_ledger_support():
         "run-config-none", "run-loss-none", "reference-loss-none", "fingerprint-none",
         "experiment-none", "theta-negative-t", "theta-word-t", "theta-zero-t",
         "support-of-list", "support-of-word-weight", "quadratic-loss-word",
-        "logistic-loss-none", "state-none",
+        "logistic-loss-none", "state-none", "dots-mask-int", "lmo-mask-word",
+        "support-value-mask-int", "hypercube-lmo-mask-word", "dots-mask-of-another-set",
+        "smoothness-none",
     ],
 )
 def test_public_calls_refuse_bad_arguments_with_the_contract_error(call):

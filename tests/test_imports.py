@@ -136,7 +136,7 @@ def test_a_screened_solve_holds_at_most_an_eighth_of_the_features(tmp_path):
 )
 def test_an_unscreened_solve_holds_at_most_an_eighth_of_the_features(tmp_path):
     # an unscreened signed basis above the size floor scores from a window
-    # of at most d // 8 copied columns (atoms._Window), so the solve raises
+    # of at most d // 8 copied columns (atoms._Columns), so the solve raises
     # the peak by at most n*d*8 // 8 bytes and the margin the screened test
     # allows. A first solve on 40 rows loads the code the window runs, so
     # what is measured is what the 200-row data adds (24 KiB on seed 3); a
@@ -157,8 +157,7 @@ def test_an_unscreened_solve_holds_at_most_an_eighth_of_the_features(tmp_path):
         loss = gc.LogisticLoss(gc.gen_synthetic(3, n={n}, d={d}))
         base = peak_bytes()
         result = gc.run(loss, penalty, aset, config)
-        window = result.state._oracles[False]
-        assert window.columns is not None, "no window was open at the end"
+        assert result.state._oracle.sub is not None, "no window was open at the end"
         print(peak_bytes() - base)
         """,
         tmp_path,

@@ -115,6 +115,26 @@ def test_logistic_stays_finite_at_extreme_margins():
     assert value == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan, 1e300])
+def test_value_and_gradient_at_a_non_finite_point_raise_no_warning(entry):
+    # an infinite entry made the margins' matmul (and logaddexp after it)
+    # warn "invalid value"; both run under run's np.errstate, so the value
+    # an aborting run records is the one it was, with no warning on the way
+    for loss in (small_logistic(seed=4)[0], small_quadratic()[0]):
+        x = np.full(loss.data.d, entry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = loss.value(x), loss.gradient(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            margins = loss.data.features @ x
+            expected = loss.value_of_margins(margins)
+            expected_grad = loss.data.features.T @ loss.link(margins)
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+        assert grad.tobytes() == expected_grad.tobytes()
+        if entry != 1e300:
+            assert not math.isfinite(value)
+
+
 def test_logistic_link_is_the_closed_form_to_the_bit():
     rng = np.random.default_rng(3)
     n = 40

@@ -203,7 +203,7 @@ def test_screened_signed_basis_follows_the_unscreened_run_until_few_columns_are_
     # but active_atoms and elapsed_s, and every x, match the unscreened run
     # to the byte, up to the step that first scores from a column copy. The
     # unscreened comparator forms A'v on every step: its window of columns
-    # (atoms._Window) is held off by a floor above n*d.
+    # (atoms._Columns) is held off by a floor above n*d.
     monkeypatch.setattr("gaugecg.atoms._WINDOW_FLOOR", n * d + 1)
     loss, penalty, aset = synthetic_problem(seed, lam, n=n, d=d)
     on = gc.SolverConfig(max_iters=first_compact, screening_enabled=True)

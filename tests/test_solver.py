@@ -4,7 +4,9 @@ bookkeeping, the state invariants as properties, and both failure paths."""
 import dataclasses
 import hashlib
 import math
+import types
 import warnings
+from gc import get_referents
 
 import numpy as np
 import pytest
@@ -733,11 +735,11 @@ def _window_case(case):
 def test_the_window_picks_the_atom_of_the_full_product(case, monkeypatch):
     # at every step the atom equals the full-product oracle's, recomputed
     # from the margins the step reads, and sigma is within the rounding of
-    # two length-n dot products, 2 C n eps max|a_k| |v| (atoms._Window); a
+    # two length-n dot products, 2 C n eps max|a_k| |v| (atoms._Columns); a
     # step that formed the product reads the full oracle's sigma to the bit
     loss, penalty, aset, config, x0 = _window_case(case)
     served, moves = [], []
-    answer, move = atoms._Window.answer, aset.move
+    answer, move = atoms._Columns.answer, aset.move
 
     def counted(window, v):
         out = answer(window, v)
@@ -748,7 +750,7 @@ def test_the_window_picks_the_atom_of_the_full_product(case, monkeypatch):
         moves.append(atom_id)
         return move(x, theta, xi, atom_id)
 
-    monkeypatch.setattr(atoms._Window, "answer", counted)
+    monkeypatch.setattr(atoms._Columns, "answer", counted)
     aset.move = recorded
     features = loss.data.features
     top_norm = math.sqrt(float(np.max(np.sum(features * features, axis=0))))
@@ -780,8 +782,7 @@ def test_a_non_finite_link_aborts_as_without_the_window(monkeypatch):
         state = gc.SolverState(aset)
         for _ in range(150):
             gc.step(state, loss, penalty, aset, config)
-        window = state._oracles[False]
-        opened = isinstance(window, atoms._Window) and window.columns is not None
+        opened = state._oracle.sub is not None  # a full mask's copy is a window's
         assert opened == (floor != math.inf)
         state.ax[7] = math.nan
         with pytest.raises(DivergenceError) as info:
@@ -805,29 +806,62 @@ def test_a_run_below_the_window_floor_forms_the_product_on_every_step(monkeypatc
 
     state, rows = solve()
     assert loss.data.features.size < atoms._WINDOW_FLOOR
-    assert not isinstance(state._oracles[False], atoms._Window)
+    assert state._oracle.norms is None  # set by the first window refresh: none ran
     monkeypatch.setattr(atoms, "_WINDOW_FLOOR", math.inf)
     plain, plain_rows = solve()
     assert rows == plain_rows
     assert state.x.tobytes() == plain.x.tobytes()
     monkeypatch.setattr(atoms, "_WINDOW_FLOOR", loss.data.features.size)
-    assert isinstance(solve()[0]._oracles[False], atoms._Window)
+    assert solve()[0]._oracle.norms is not None
 
 
-def test_a_state_that_switches_screening_keeps_one_column_copy():
-    # the corpus's switching schedule: the screened oracle and the
-    # unscreened window score the one mask from one copy of its columns,
-    # which both held, (200, 79) each, when each setting kept its own
+def _column_copies(state, features):
+    """The 2-d float arrays of features' row count, features aside, that
+    state reaches through its objects and containers (not through types,
+    modules or functions, which reach everything)."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, todo, found = set(), [state], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.ndim == 2 and obj.dtype.kind == "f" and obj.shape[0] == features.shape[0]:
+                if obj is not features:
+                    found.append(obj)
+            if obj.base is not None:
+                todo.append(obj.base)
+            continue
+        todo.extend(get_referents(obj))
+    return found
+
+
+@pytest.mark.parametrize(
+    "legs",
+    [
+        ((True, 150), (False, 150), (True, 50), (False, 50)),
+        ((False, 150), (True, 150), (False, 100)),
+    ],
+    ids=["screened-first", "unscreened-first"],
+)
+def test_a_state_that_switches_screening_keeps_one_column_copy(legs):
+    # the corpus's switching schedules, (screened, steps) each leg: whatever
+    # the order, the state reaches one copy of data columns, and it is the
+    # active columns of its mask. With an oracle per setting, unscreened
+    # first kept the window's (200, 97) copy next to the pruned (200, 89) one
     loss, penalty, aset = synthetic_problem(11, lam=0.1, n=200, d=1000)
+    features = loss.data.features
     state = gc.SolverState(aset)
-    for screened, steps in ((True, 150), (False, 150), (True, 50), (False, 50)):
+    for screened, steps in legs:
         config = gc.SolverConfig(max_iters=400, screening_enabled=screened)
         for _ in range(steps):
             gc.step(state, loss, penalty, aset, config)
-    pruned, window = state._oracles[True], state._oracles[False]
-    assert isinstance(window, atoms._Window)
-    assert window.pruned is pruned
-    assert pruned.sub is not None and pruned.sub.shape == (200, pruned.cols.size)
+    assert not state.mask.is_full
+    cols = np.unique(state.mask.active_ids() % aset.dimension)
+    copies = _column_copies(state, features)
+    assert [copy.shape for copy in copies] == [(200, cols.size)]
+    assert copies[0].tobytes() == np.ascontiguousarray(features[:, cols]).tobytes()
 
 
 def test_the_rule_runs_only_on_passes_that_can_fire(monkeypatch):
