@@ -63,7 +63,24 @@ _WINDOW_MIN_SERVED = 2
 _EPS = float(np.finfo(float).eps)
 
 
-class _Columns:
+class _RunOracle:
+    """A state's one oracle (AtomicSet._run_oracle), the only caller of the
+    kernel AtomicSet._oracle; it checks nothing, as a state has one set and
+    one loss. image(atom_id, xi) is xi * A p of the atom p of that id."""
+
+    __slots__ = ("aset", "features")
+
+    def __init__(self, aset, features):
+        self.aset, self.features = aset, features
+
+    def __call__(self, v, mask, every):
+        return self.aset._oracle(self.features, v, mask, every)
+
+    def image(self, atom_id, xi):
+        return xi * self.aset._image(self.features, atom_id)
+
+
+class _Columns(_RunOracle):
     """A signed basis's run oracle (AtomicSet._run_oracle), one per state. Its
     one copy sub = features[:, cols] is a pruned mask's, once the active
     atoms touch at most d // _COPY_FRACTION columns, and scores them all; or
@@ -115,34 +132,34 @@ class _Columns:
     to zero (entries below 1e-154) are outside this argument.
     """
 
-    __slots__ = ("aset", "features", "ids", "cols", "pos", "neg_factor", "sub", "best",
+    __slots__ = ("ids", "cols", "pos", "neg_factor", "sub", "best",
                  "norms", "v", "v_norm", "rho", "served", "wait", "skip")
 
     def __init__(self, aset, features):
-        self.aset, self.features = aset, features
+        super().__init__(aset, features)
         self.ids = self.cols = self.pos = self.neg_factor = self.sub = self.best = None
         self.norms = None
         self.served = self.wait = self.skip = 0
 
-    def __call__(self, v, mask, screened):
-        """aset.oracle(features, v, mask), grad or scores None where it forms
-        neither; screened says whether every active score is read."""
+    def __call__(self, v, mask, every):
+        """The kernel's answer, grad or scores None where the copy forms
+        neither: a pruned copy forms no grad, a window (not every) neither."""
         self.best = None  # image from _image unless the pruned copy scores
-        if mask._active is not None:  # pruned: mask._ids are its active ids
+        if mask is not None and mask._active is not None:  # pruned: mask._ids are its active ids
             if self.ids is not mask._ids:
                 self.track(mask._ids)
             if self.sub is not None:  # atom +/-C e_k scores -/+C (A'v)_k (np.dot: @, cheaper)
                 values = self.neg_factor * np.dot(self.sub.T, v)[self.pos]
                 self.best = best = values.argmax()
                 return None, (self.ids, values), (self.ids.item(best), values.item(best))
-        elif not screened and self.features.size >= _WINDOW_FLOOR:
+        elif not every and self.features.size >= _WINDOW_FLOOR:
             answer = self.answer(v)
             if answer is not None:
                 return None, None, answer
-            grad, scores, answer = self.aset.oracle(self.features, v, mask)
+            grad, scores, answer = self.aset._oracle(self.features, v, mask, every)
             self.refresh(grad, v)
             return grad, scores, answer
-        return self.aset.oracle(self.features, v, mask)
+        return self.aset._oracle(self.features, v, mask, every)
 
     def track(self, ids):
         """Hold the columns of ids, a mask's or a window's; copy them if new."""
@@ -166,7 +183,7 @@ class _Columns:
         """xi * _SignedBasis._image of the atom the last call chose, from the
         copy; at C = 1, xi * (+/-col) is (+/-xi) * col to the bit."""
         if self.best is None:
-            return xi * self.aset._image(self.features, atom_id)
+            return super().image(atom_id, xi)
         entry, col = -self.neg_factor[self.best], self.sub[:, self.pos[self.best]]
         return (xi * entry) * col if self.aset.scale == 1.0 else xi * (entry * col)
 
@@ -437,23 +454,21 @@ class AtomicSet:
             return self._implicit_lmo(z)
         return best_atom(*self.dots(z, mask))
 
-    def oracle(self, features, v, mask=None):
+    def _oracle(self, features, v, mask, every):
         """The linear oracle at grad = features' v over mask (None: every
-        atom): ``(grad, scores, (atom_id, sigma))``. scores is ``(ids,
-        values)``, values <p, -grad> over the active atoms, ids ascending,
-        and the answer is its first maximum (best_atom). At full mask the
-        implicit kinds answer through lmo and score no atom: scores is None."""
+        atom), for run oracles: ``(grad, scores, (atom_id, sigma))``, scores
+        ``(ids, values)``, values <p, -grad> over the active atoms by id, and
+        the answer their first maximum (best_atom). At a full mask the implicit
+        kinds answer through lmo, and score the atoms only if every is set."""
         grad = features.T @ v
         if self._implicit_lmo is not None and (mask is None or mask.is_full):
-            return grad, None, self.lmo(-grad)
+            return grad, self.dots(-grad, mask) if every else None, self.lmo(-grad)
         scores = self.dots(-grad, mask)
         return grad, scores, best_atom(*scores)
 
     def _run_oracle(self, features):
-        """oracle(features, v, mask) as oracle(v, mask, screened) for one
-        state (solver.step), which says whether it reads every active score.
-        A state has one set and one loss, so it checks neither."""
-        return lambda v, mask, screened: self.oracle(features, v, mask)
+        """The one run oracle of a state (solver.step), over features."""
+        return _RunOracle(self, features)
 
     def move(self, x, theta, xi, atom_id):
         """x <- (1 - theta) x + theta * xi * atom, in place and bit-identical
@@ -599,8 +614,8 @@ class _SignedBasis(AtomicSet):
         return hi, float(w[hi])
 
     def _run_oracle(self, features):
-        """A pruned mask scores from a copy of its columns and, unscreened on
-        data of _WINDOW_FLOOR entries or more, a full mask from a window (_Columns)."""
+        """A pruned mask scores from a copy of its columns and a full one, on
+        data of _WINDOW_FLOOR entries or more, from a window if not every (_Columns)."""
         return _Columns(self, features)
 
     def move(self, x, theta, xi, atom_id):

@@ -267,7 +267,7 @@ def _restricted_minimize(loss, penalty, mat, c0):
     return c
 
 
-def _growth(atomic_set, cert, support):
+def _growth(cert, support):
     """Atoms to add to the working support: up to len(support) violators,
     best first, the oracle's atom leading.
 
@@ -277,7 +277,7 @@ def _growth(atomic_set, cert, support):
     Johnson & Guestrin 2015; Celer, Massias et al. 2018): adding every
     violator at once builds Newton systems as large as the atom set.
     """
-    _, values = cert.scores(atomic_set, None)  # every atom's score, by id
+    _, values = cert.scores  # every atom's score, by id
     inside = np.zeros(values.size, dtype=bool)
     inside[support] = True
     violators = (~inside & (values > values[inside].max())).nonzero()[0]
@@ -299,23 +299,24 @@ def _polish(loss, penalty, atomic_set, state, tol):
     from the 10-step warm start). Once the best atom is already in the
     support, the polish has reached its precision and stops. Other
     penalties fall back to the raw iterate. Returns the candidate with a
-    full-set gap certificate evaluated at it.
+    full-set gap certificate at it, from the warm start's run oracle.
     """
     coeffs = state.coeffs
     support = sorted(_screening._support_of(coeffs))
+    oracle = state._oracle
     if not support or penalty.derivatives is None:
         x = state.x.copy()
-        cert = certificate(loss, penalty, atomic_set, loss.margins(x), state.kappa_bound, state)
+        cert = certificate(loss, penalty, loss.margins(x), state.kappa_bound, oracle, state)
     else:
         c = np.array([coeffs[i] for i in support])
         for _ in range(50):
             mat = np.stack([atomic_set.atom_vector(i) for i in support], axis=1)
             c = _restricted_minimize(loss, penalty, mat, c)
             x = mat @ c
-            cert = certificate(loss, penalty, atomic_set, loss.margins(x), float(np.add.reduce(c)))
+            cert = certificate(loss, penalty, loss.margins(x), float(np.add.reduce(c)), oracle)
             if cert.gap <= tol or cert.atom_id in support:
                 break
-            added = _growth(atomic_set, cert, support)
+            added = _growth(cert, support)
             support += added
             c = np.concatenate((c, np.zeros(len(added))))
         coeffs = dict(zip(support, c))

@@ -81,7 +81,8 @@ class _Loss:
 
     def margins(self, x):
         """A x: the loss value and gradient at x depend on x only through it."""
-        return self.data.features @ _vector(x, self.data.d)
+        with np.errstate(over="ignore", invalid="ignore"):  # as value and gradient
+            return self.data.features @ _vector(x, self.data.d)
 
     def smoothness_wrt(self, atomic_set):
         """Curvature constant L over the set's own atoms (the symmetrized

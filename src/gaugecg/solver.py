@@ -17,10 +17,10 @@ full-set gap of the reference oracle. The loss value is computed only for
 trace rows.
 
 At most one score vector serves each step: the screening rule reads the
-scores of the run's oracle, which the atomic set builds once per state
-(AtomicSet._run_oracle). A step that does not screen, and says so, reads
-only the oracle's answer, so on large data the signed basis gives it from
-a certified window of columns, without forming A'v (atoms._Columns).
+scores of the run's oracle, the one way into the linear oracle, which the
+atomic set builds once per state (AtomicSet._run_oracle). A step that does
+not screen, and says so, reads only the oracle's answer, so on large data
+the signed basis gives it from a window of columns, not A'v (atoms._Columns).
 The step moves x (AtomicSet.move) and ax in place, bit-identical to the
 formulas above.
 
@@ -269,21 +269,21 @@ def problem_fingerprint(loss, penalty, atomic_set):
 class _Certificate:
     """Oracle answer and duality gap at one point.
 
-    grad is A'v and _scores the oracle's (ids, values), as AtomicSet.oracle
-    returns them: either may be None when the oracle did without it. xi and
+    grad is A'v and scores the run oracle's (ids, values), as it returns
+    them: either may be None when the oracle did without it. xi and
     gap stay +inf, and error holds the abort to raise, when the support
     value is not finite or the step subproblem is unbounded.
     """
 
     __slots__ = (
-        "v", "grad", "_scores", "atom_id", "sigma", "h_x", "xi", "image", "gap",
+        "v", "grad", "scores", "atom_id", "sigma", "h_x", "xi", "image", "gap",
         "error", "_ax", "_h_xi",
     )
 
     def __init__(self, v, grad, scores, atom_id, sigma, h_x, ax):
         self.v = v
         self.grad = grad
-        self._scores = scores
+        self.scores = scores
         self.atom_id = atom_id
         self.sigma = sigma
         self.h_x = h_x
@@ -293,13 +293,6 @@ class _Certificate:
         self.error = None
         self._ax = ax
         self._h_xi = math.inf
-
-    def scores(self, atomic_set, mask):
-        """(ids, values) over mask, the mask the oracle ran over; enumerated
-        here on first use when the oracle scored no atom."""
-        if self._scores is None:
-            self._scores = atomic_set.dots(-self.grad, mask)
-        return self._scores
 
     def rounding(self):
         """Bound on the rounding error of a finite gap: the error of the
@@ -317,26 +310,23 @@ def _at(state):
     return "" if state is None else f" at iteration {state.t}"
 
 
-def certificate(loss, penalty, atomic_set, ax, kappa, state=None, oracle=None, screened=False):
+def certificate(loss, penalty, ax, kappa, oracle, state=None, every=True):
     """Oracle answer and duality gap at a point with margins ax = A x and
     gauge bound kappa, the one gap computation of the package.
 
     With v = link(ax) and grad = A'v, the target s = xi * atom has
     A s = xi * image(atom), so the gap -grad'(s - x) + h(x) - h(s) is
-    computed as v'(ax - A s) + h(x) - h(xi) without A x. With no state the
-    oracle runs over the full atom set; with the solver state it runs over
-    state.mask. oracle is the run's (AtomicSet._run_oracle), given screened,
-    else the stateless AtomicSet.oracle answers. It scores the atoms at most once,
-    keeps the scores for the screening rule, and takes the first maximum;
-    one with an image method also forms that atom's image. The penalty
-    takes kappa >= 0, sigma and xi unchecked: they are the solver's floats.
+    computed as v'(ax - A s) + h(x) - h(xi) without A x. oracle is a run
+    oracle (AtomicSet._run_oracle) on the loss's features; with no state it
+    runs over the full atom set, with the solver state over state.mask, and
+    every says whether the caller reads every active score. It scores the
+    atoms at most once, kept for the screening rule and the polish, takes
+    the first maximum and forms that atom's image. The penalty takes
+    kappa >= 0, sigma and xi unchecked: they are the solver's floats.
     """
     v = loss.link(ax)
     mask = None if state is None else state.mask
-    if oracle is None:
-        grad, scores, (atom_id, sigma) = atomic_set.oracle(loss.data.features, v, mask)
-    else:
-        grad, scores, (atom_id, sigma) = oracle(v, mask, screened)
+    grad, scores, (atom_id, sigma) = oracle(v, mask, every)
     cert = _Certificate(v, grad, scores, atom_id, sigma, penalty._value(kappa), ax)
     if not math.isfinite(sigma):
         cert.error = DivergenceError(f"support value {sigma!r}{_at(state)}")
@@ -346,17 +336,13 @@ def certificate(loss, penalty, atomic_set, ax, kappa, state=None, oracle=None, s
     except UnboundedStepError as err:
         cert.error = err
         return cert
-    image = getattr(oracle, "image", None)
-    if image is None:
-        cert.image = cert.xi * atomic_set._image(loss.data.features, atom_id)
-    else:
-        cert.image = image(atom_id, cert.xi)
+    cert.image = oracle.image(atom_id, cert.xi)
     if math.isinf(cert.h_x):
         # kappa at step t came through t - 1 moves of at most 3 roundings each
         # (to (1 - theta) kappa + theta xi, in x or the ledger) and a final sum
         # of d terms, so it passes the exact recursion's by < (3t + d) eps kappa
         if state is not None:
-            rounding = (3 * state.t + atomic_set.dimension) * _EPS * kappa
+            rounding = (3 * state.t + state.x.size) * _EPS * kappa
             cert.h_x = penalty._value_rounded(kappa, rounding)
         if math.isinf(cert.h_x):
             return cert
@@ -438,7 +424,7 @@ def step(state, loss, penalty, atomic_set, config):
         state._oracle = atomic_set._run_oracle(loss.data.features)
     kappa = atomic_set.iterate_gauge(x)  # kappa_bound without its hop
     kappa = state.kappa_bound if kappa is None else kappa
-    cert = certificate(loss, penalty, atomic_set, ax, kappa, state, state._oracle, screened)
+    cert = certificate(loss, penalty, ax, kappa, state._oracle, state, screened)
     if cert.error is not None:
         _abort(
             state, loss, penalty, atomic_set, config, t, cert.error,
@@ -453,7 +439,7 @@ def step(state, loss, penalty, atomic_set, config):
         L = state._smoothness
         if L is None:
             L = state._smoothness = loss.smoothness_wrt(atomic_set)
-        ids, values = cert.scores(atomic_set, state.mask)
+        ids, values = cert.scores
         # the rule runs where a score passes the radius, or to refuse gap or L;
         # values[values.argmin()] is values.min(), NaN too, at a third of its cost
         radius = _screening._radius(L, gap) if gap >= 0.0 and 0.0 < L < math.inf else math.nan

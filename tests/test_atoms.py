@@ -475,9 +475,9 @@ def _compact(aset, mask):
 
 def _oracle_matches_scoring(aset, features, v, mask, oracle=None):
     """A screened run's oracle (a new one unless given) against best_atom
-    over dots(-(A'v), mask): to the byte where it scores through dots or
-    lmo; a copy of the active columns sums A'v in another order, so there
-    to within rounding."""
+    over dots(-(A'v), mask): to the byte where it scores through dots, a
+    full implicit mask's answer lmo's; a copy of the active columns sums
+    A'v in another order, so there to within rounding."""
     full_grad = features.T @ v
     ids, values = aset.dots(-full_grad, mask)
     if oracle is None:
@@ -485,12 +485,13 @@ def _oracle_matches_scoring(aset, features, v, mask, oracle=None):
     grad, scores, best = oracle(v, mask, True)
     compact = _compact(aset, mask)
     assert (grad is None) == compact
-    assert (scores is None) == (mask.is_full and aset.kind != atoms.EXPLICIT)
-    if scores is None:  # the implicit oracle (see AtomicSet.lmo)
+    assert scores[0].tobytes() == ids.tobytes()
+    if mask.is_full and aset.kind != atoms.EXPLICIT:  # the implicit oracle (see AtomicSet.lmo)
+        assert grad.tobytes() == full_grad.tobytes()
+        assert scores[1].tobytes() == values.tobytes()
         assert best == aset.lmo(-full_grad)
         assert best[0] == atoms.best_atom(ids, values)[0]
         return
-    assert scores[0].tobytes() == ids.tobytes()
     if not compact:
         assert grad.tobytes() == full_grad.tobytes()
         assert scores[1].tobytes() == values.tobytes()

@@ -457,6 +457,37 @@ def test_a_reference_on_overflowing_data_raises_no_warning():
     assert not strict.reached and math.isnan(strict.gap)
 
 
+@pytest.mark.parametrize("newton", ["singular", "uphill"])
+def test_a_polish_whose_newton_step_fails_still_returns(monkeypatch, newton):
+    # _restricted_minimize's two early exits: a singular Newton system
+    # (experiments.py:252-253) and a direction no halving accepts, here
+    # one that lifts every coefficient by at least 170 at the smallest
+    # step (the for-else at :264-265). Each minimization returns its warm
+    # start unmoved, and reference_solve still returns its candidate, with
+    # reached set by the gap
+    loss, penalty, aset = synthetic_problem(3, lam=0.01)
+    solves, starts = [], []
+    inner = experiments._restricted_minimize
+
+    def failing_solve(hess, rhs):
+        solves.append(rhs.size)
+        if newton == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return -1e20 * (1.0 + np.abs(rhs))
+
+    def spy(loss_, penalty_, mat, c0):
+        c = inner(loss_, penalty_, mat, c0)
+        starts.append(c is c0)
+        return c
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    monkeypatch.setattr(experiments, "_restricted_minimize", spy)
+    ref = gc.reference_solve(loss, penalty, aset, iters=10**6, tol=1e-10)
+    assert solves and starts and all(starts)
+    assert ref.reached == (ref.gap <= 1e-10)
+    assert not ref.reached and 0.0 <= ref.gap < math.inf
+
+
 def test_reference_unreached_flag():
     # indicator penalties admit no restricted polish, and this optimum sits
     # strictly inside a face, reached only in the limit of the open-loop
@@ -565,6 +596,20 @@ def test_residuals_need_snapshots():
     bare = gc.run(loss, penalty, aset, gc.SolverConfig(max_iters=5))
     with pytest.raises(ContractViolationError):
         residuals(bare, ref)
+
+
+@pytest.mark.parametrize("misalign", ["one-snapshot-short", "snapshot-t-moved"])
+def test_residuals_refuse_snapshots_misaligned_with_the_trace(misalign):
+    # residuals' two refusals (experiments.py:428-429 and 433-434): a snapshot fewer
+    # than trace rows, and a snapshot whose t is not its row's
+    loss, penalty, aset, ref, _ = residual_inputs()
+    result = gc.run(loss, penalty, aset, gc.SolverConfig(max_iters=5, keep_snapshots=True))
+    if misalign == "one-snapshot-short":
+        result.snapshots.pop()
+    else:
+        result.snapshots[1].t += 1
+    with pytest.raises(ContractViolationError, match="misaligned"):
+        residuals(result, ref)
 
 
 def test_residuals_cover_the_rows_an_abort_observed(monkeypatch):

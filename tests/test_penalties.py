@@ -57,6 +57,14 @@ def test_power_value_matches_definition():
         assert pen.value(xi) == pytest.approx(power_phi(xi, 1.7, 2.0))
 
 
+def test_power_past_the_double_range_reads_as_inf():
+    # float ** raises OverflowError where the true value exceeds the double
+    # range: the except branches of _Power._conjugate and _Power._xi_step
+    # (penalties.py:169-170 and 182-183) return inf
+    assert gc.Penalty.power(1.5).xi_step(1e200) == math.inf
+    assert gc.Penalty.power(3.0).conjugate(1e300) == math.inf
+
+
 def test_linear_penalty_threshold_behavior():
     pen = gc.Penalty.power(1.0, weight=2.0)
     assert pen.conjugate(1.5) == 0.0

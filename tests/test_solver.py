@@ -889,7 +889,7 @@ def test_the_rule_runs_only_on_passes_that_can_fire(monkeypatch):
     L = loss.smoothness_wrt(aset)
     fire = []
     for t, cert in enumerate(certs[: config.max_iters], start=1):
-        values = cert._scores[1]  # the scores the pass read
+        values = cert.scores[1]  # the scores the pass read
         radius = 2.0 * math.sqrt(L * max(cert.gap, 0.0))
         if cert.gap < 0.0 or float(np.max(cert.sigma - values)) > radius:
             fire.append(t)
