@@ -63,10 +63,11 @@ class _Loss:
 
     Both losses depend on x only through the margins ax = A x. Each states
     its value, gradient and curvature once, on the margins:
-    ``value_of_margins(ax)``, ``link(ax)`` (the vector v with gradient =
-    A'v) and ``curvature_weights(ax)``. ``value(x)`` and ``gradient(x)``
-    compute the margins and call them; the solver keeps ax itself, calls
-    ``link`` directly, and calls ``value(x)`` only for trace rows. value and
+    ``value_of_margins(ax)``, ``link(ax, out=None)`` (the vector v with
+    gradient = A'v, written to out if given) and ``curvature_weights(ax)``.
+    ``value(x)`` and ``gradient(x)`` compute the margins and call them; the
+    solver keeps ax itself, calls ``link`` directly into a buffer of its
+    state, and calls ``value(x)`` only for trace rows. value and
     gradient are defined on each concrete class, where bench/tracing.py
     wraps them, and run under run's np.errstate: an infinite x warns of nothing.
     """
@@ -118,8 +119,8 @@ class QuadraticLoss(_Loss):
         with np.errstate(over="ignore", invalid="ignore"):
             return self.data.features.T @ self.link(self.margins(x))
 
-    def link(self, ax):
-        return ax - self.data.targets
+    def link(self, ax, out=None):
+        return np.subtract(ax, self.data.targets, out)
 
     def curvature_weights(self, ax):
         """Per-row weights w with hessian = A' diag(w) A at margins ax."""
@@ -154,13 +155,13 @@ class LogisticLoss(_Loss):
         with np.errstate(over="ignore", invalid="ignore"):
             return self.data.features.T @ self.link(self.margins(x))
 
-    def link(self, ax):
+    def link(self, ax, out=None):
         # -b / (n * (1 + exp(b * ax))), which is -(b * sigmoid(-b * ax)) / n,
-        # in place on one temporary. The exponent is clamped below exp's
-        # overflow at 709.78, so saturated margins raise no warning: past
-        # the clamp an entry reads at most 1/(n * exp(709)) ~ 1e-308 where
-        # the exact value is smaller still.
-        w = self.data.targets * ax
+        # in place on one array, out if given. The exponent is clamped below
+        # exp's overflow at 709.78, so saturated margins raise no warning:
+        # past the clamp an entry reads at most 1/(n * exp(709)) ~ 1e-308
+        # where the exact value is smaller still.
+        w = np.multiply(self.data.targets, ax, out)
         np.minimum(w, 709.0, out=w)
         np.exp(w, out=w)
         w += 1.0

@@ -167,6 +167,15 @@ class SolverState:
         self._aset = atomic_set
         self._ledger = {}
         self._ledger_scale = 1.0
+        # A lower bound on |x_j| over the nonzero entries of x, positive only
+        # while x holds no -0: where (1 - theta) times it is positive, the
+        # move's zero-sign pass is a no-op, and step leaves it out. 0 claims
+        # nothing; the first move, at theta = 1, sets it
+        self._floor = 0.0
+        # step's buffers: |x| here, the link v and a margins-sized scratch
+        # array with the run oracle, on the first step
+        self._abs = np.empty(d)
+        self._v = self._scratch = None
         if x.any():
             # a nonzero start needs a conic witness so the ledger invariant
             # x == sum(coeffs * atoms) holds from the first record on
@@ -323,8 +332,9 @@ def certificate(loss, penalty, ax, kappa, oracle, state=None, every=True):
     atoms at most once, kept for the screening rule and the polish, takes
     the first maximum and forms that atom's image. The penalty takes
     kappa >= 0, sigma and xi unchecked: they are the solver's floats.
+    With a state, v is its link buffer, which the next step overwrites.
     """
-    v = loss.link(ax)
+    v = loss.link(ax, None if state is None else state._v)
     mask = None if state is None else state.mask
     grad, scores, (atom_id, sigma) = oracle(v, mask, every)
     cert = _Certificate(v, grad, scores, atom_id, sigma, penalty._value(kappa), ax)
@@ -332,11 +342,11 @@ def certificate(loss, penalty, ax, kappa, oracle, state=None, every=True):
         cert.error = DivergenceError(f"support value {sigma!r}{_at(state)}")
         return cert
     try:
-        cert.xi = penalty._xi_step(sigma) if sigma > 0 else 0.0
+        xi = cert.xi = penalty._xi_step(sigma) if sigma > 0 else 0.0
     except UnboundedStepError as err:
         cert.error = err
         return cert
-    cert.image = oracle.image(atom_id, cert.xi)
+    image = cert.image = oracle.image(atom_id, xi)
     if math.isinf(cert.h_x):
         # kappa at step t came through t - 1 moves of at most 3 roundings each
         # (to (1 - theta) kappa + theta xi, in x or the ledger) and a final sum
@@ -346,8 +356,9 @@ def certificate(loss, penalty, ax, kappa, oracle, state=None, every=True):
             cert.h_x = penalty._value_rounded(kappa, rounding)
         if math.isinf(cert.h_x):
             return cert
-    cert._h_xi = penalty._value(cert.xi)
-    gap = float(np.dot(v, ax - cert.image)) + cert.h_x - cert._h_xi  # @'s bits, less overhead
+    h_xi = cert._h_xi = penalty._value(xi)
+    diff = np.subtract(ax, image, None if state is None else state._scratch)
+    gap = float(np.dot(v, diff)) + cert.h_x - h_xi  # @'s bits, less overhead
     # The gap is nonnegative by weak duality. A negative value within its
     # rounding error has no sign and reads as zero; a larger one is kept,
     # so corruption still shows.
@@ -418,11 +429,15 @@ def step(state, loss, penalty, atomic_set, config):
     at a gap within gap_tolerance, records the final row and does not move."""
     t = state.t
     x = state.x
-    ax = _margins(state, loss)
+    ax = state.ax
+    if ax is None or t % _RESYNC_EVERY == 0:
+        ax = _margins(state, loss)
     screened = config.screening_enabled
     if state._oracle is None:
-        state._oracle = atomic_set._run_oracle(loss.data.features)
-    kappa = atomic_set.iterate_gauge(x)  # kappa_bound without its hop
+        features = loss.data.features
+        state._oracle = atomic_set._run_oracle(features)
+        state._v, state._scratch = np.empty(features.shape[0]), np.empty(features.shape[0])
+    kappa = atomic_set.iterate_gauge(x, state._abs)  # kappa_bound without its hop
     kappa = state.kappa_bound if kappa is None else kappa
     cert = certificate(loss, penalty, ax, kappa, state._oracle, state, screened)
     if cert.error is not None:
@@ -458,18 +473,41 @@ def step(state, loss, penalty, atomic_set, config):
         return state
 
     theta = _theta(config.step_schedule, t)
-    grown = atomic_set.move(x, theta, xi, atom_id)
-    ax *= 1.0 - theta
-    ax += theta * cert.image
+    # the move's zero-sign pass adds theta * (xi * 0.0), +0 for such xi, to x
+    # times 1 - theta, which holds no -0 where the floor times 1 - theta is
+    # positive, as rounding is monotone: there the pass is a no-op. At
+    # theta = 1 that product is 0, and the pass runs
+    keep = 1.0 - theta
+    floor = state._floor * keep
+    plain = 0.0 < xi < math.inf or xi == 0.0 and math.copysign(1.0, xi) == 1.0
+    token = _atoms._PLAIN_ITERATE.set(x if plain and floor > 0.0 else None)
+    try:
+        grown = atomic_set.move(x, theta, xi, atom_id)
+    finally:
+        _atoms._PLAIN_ITERATE.reset(token)
+    ax *= keep
+    ax += np.multiply(cert.image, theta, state._scratch)
     state._ledger_decay(theta)
     state._ledger_add(atom_id, theta * xi)
     state.t = t + 1
 
-    if t > 1 and grown is not None:
+    if grown is not None:
+        # the floor of x: the entries but x[grown] were scaled by 1 - theta,
+        # all to zero at theta = 1, and hold no -0 after a +0 term
+        x_k = x.item(grown)
+        peak = abs(x_k)
+        if not plain:
+            floor = 0.0
+        elif theta == 1.0:
+            floor = math.inf
+        if x_k != 0.0:
+            floor = peak if peak < floor else floor
+        elif math.copysign(1.0, x_k) < 0.0:
+            floor = 0.0
+        state._floor = floor
+    if t == 1 or grown is None:
         # only x[grown] can grow (AtomicSet.move), the rest passed the check
         # a step ago; t = 1 checks all of x, as x0 is never checked
-        peak = abs(float(x[grown]))
-    else:
         peak = float(np.abs(x).max())
     if not math.isfinite(peak) or peak > _DIVERGENCE_LIMIT:
         new_inf = float(np.abs(x).max())

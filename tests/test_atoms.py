@@ -663,3 +663,101 @@ def test_column_cache_never_outlives_its_mask():
     twin = aset._run_oracle(features)  # a second run on one set and data
     _oracle_matches_scoring(aset, features, v, mask, twin)
     assert twin.sub is not oracle.sub and not np.shares_memory(twin.sub, oracle.sub)
+
+
+def _open_window(aset, features, cols, v):
+    """A signed basis's run oracle with a window open on cols at v_s = v,
+    of a radius no v leaves, so that its answer scores every call."""
+    oracle = aset._run_oracle(features)
+    oracle.sub, oracle.cols, oracle.v = features[:, cols], cols, v.copy()
+    oracle.v_norm, oracle.rho, oracle.grow = float(np.sqrt(v @ v)), np.inf, np.inf
+    return oracle
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.3])
+def test_the_window_answers_by_the_sign_rule_to_the_bit(scale):
+    # _Columns.answer scores the |K| products g = sub'v alone: the + atom is
+    # the first argmin of C g, the - atom the first argmax, and the + atom
+    # wins a tie. best_atom over the 2|K| scores by id, (-C) g on K then
+    # C g on K + d, gives the same id and the same bits of sigma, and the
+    # image is the one _image forms. On columns of one 1 each, g is v
+    # itself: cross-sign ties, equal magnitudes, exact zeros of either
+    # sign, magnitudes that C rounds together, and random draws of them
+    rng = np.random.default_rng(34)
+    n, d = 7, 40
+    aset = gc.AtomicSet.signed_basis(d, scale=scale)
+    cols = np.array([2, 5, 6, 11, 17, 23, 39])
+    unit = np.zeros((n, d))
+    unit[np.arange(n), cols] = 1.0
+    near = 0.9317519014656098  # 0.3 * near == 0.3 * its successor
+    after = float(np.nextafter(near, 2.0))
+    assert 0.3 * near == 0.3 * after and near != after
+    cases = [
+        [0.5, -0.5, 0.2, 0.0, 0.1, -0.3, 0.4],
+        [-0.5, 0.2, 0.5, 0.0, 0.1, -0.3, 0.4],
+        [0.5, 0.5, -0.1, 0.0, 0.2, -0.5, -0.5],
+        [-0.5, -0.5, 0.1, 0.5, 0.2, 0.5, 0.0],
+        [0.0] * n,
+        [-0.0] * n,
+        [0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0],
+        [-near, -after, 0.1, 0.0, -0.2, 0.3, near],
+        [near, after, -0.1, 0.0, 0.2, -0.3, -near],
+        [after, near, -after, -near, 0.0, 0.0, 0.0],
+    ]
+    pool = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, near, after, -near, -after]
+    cases += [rng.choice(pool, size=n) for _ in range(300)]
+    cases += [rng.standard_normal(n) for _ in range(50)]
+    features = rng.standard_normal((60, d))
+    picked = set()
+    for case in cases:
+        for data, v in ((unit, np.array(case, dtype=float)), (features, rng.standard_normal(60))):
+            oracle = _open_window(aset, data, cols, v)
+            atom_id, sigma = oracle.answer(v)
+            g = np.dot(oracle.sub.T, v)
+            ids = np.concatenate([cols, cols + d])
+            best = atoms.best_atom(ids, np.where(ids < d, -scale, scale) * np.concatenate([g, g]))
+            assert (atom_id, np.float64(sigma).tobytes()) == (best[0], np.float64(best[1]).tobytes())
+            image = oracle.image(atom_id, 1.3)
+            assert image.tobytes() == (1.3 * aset._image(data, atom_id)).tobytes()
+            picked.add(atom_id >= d)
+    assert picked == {False, True}  # atoms of both signs won
+
+
+def test_the_windows_bound_on_v_gives_each_step_the_tests_verdict():
+    # answer tries (|v_s| + |v - v_s|) grow for the computed |v| in the
+    # window's test before it forms |v|: at every v it serves exactly where
+    # the test with the computed |v| passes. v_s at scales from 1e-300 (under
+    # _NORM_FLOOR, where grow is inf) to 1e6, and v on rays from v_s at
+    # steps that straddle the radius to the last bit
+    rng = np.random.default_rng(35)
+    n, d = 50, 80
+    aset = gc.AtomicSet.signed_basis(d)
+    features = rng.standard_normal((n, d))
+    verdicts = set()
+    for scale in (1e-300, 1e-118, 1e-3, 1.0, 1e6):
+        oracle = aset._run_oracle(features)
+        v_s = rng.standard_normal(n) * scale
+        oracle.refresh(features.T @ v_s, v_s)
+        assert oracle.sub is not None and (oracle.grow == np.inf) == (scale < 1e-120)
+
+        def test(v):
+            shift = v - v_s
+            reach = np.sqrt(shift @ shift) + oracle.gamma * (oracle.v_norm + np.sqrt(v @ v))
+            return bool(reach * oracle.inflate <= oracle.rho)
+
+        for _ in range(20):
+            ray = rng.standard_normal(n)
+            inside, outside = 0.0, 1.0
+            while test(v_s + outside * scale * ray):
+                outside *= 2.0
+            for _ in range(200):  # bisect to where the verdict turns
+                mid = 0.5 * (inside + outside)
+                if test(v_s + mid * scale * ray):
+                    inside = mid
+                else:
+                    outside = mid
+            for length in (inside, outside, *np.nextafter(outside, [0.0, 2.0]), 0.0, 1e-9):
+                v = v_s + length * scale * ray
+                verdicts.add(test(v))
+                assert (oracle.answer(v) is not None) == test(v), (scale, length)
+    assert verdicts == {False, True}

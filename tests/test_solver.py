@@ -4,6 +4,7 @@ bookkeeping, the state invariants as properties, and both failure paths."""
 import dataclasses
 import hashlib
 import math
+import sys
 import types
 import warnings
 from gc import get_referents
@@ -813,6 +814,134 @@ def test_a_run_below_the_window_floor_forms_the_product_on_every_step(monkeypatc
     assert state.x.tobytes() == plain.x.tobytes()
     monkeypatch.setattr(atoms, "_WINDOW_FLOOR", loss.data.features.size)
     assert solve()[0]._oracle.norms is not None
+
+
+def test_a_window_served_step_enters_neither_best_atom_nor_image():
+    # a step the window serves answers by the sign rule and takes its image
+    # from the window's copy: over 300 of them at n=200, d=1000 the profile
+    # sees no call of best_atom or of either _image, which the steps that
+    # form A'v do make
+    loss, penalty, aset = synthetic_problem(3, lam=0.1, n=200, d=1000)
+    config = gc.SolverConfig(max_iters=2000)
+    hops = {"best_atom", "AtomicSet._image", "_SignedBasis._image"}
+    entered, refreshes = set(), set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__") == "gaugecg.atoms":
+            entered.add(frame.f_code.co_qualname)
+
+    state, served = gc.SolverState(aset), 0
+    while served < 300:
+        entered.clear()
+        sys.setprofile(profile)
+        try:
+            gc.step(state, loss, penalty, aset, config)
+        finally:
+            sys.setprofile(None)
+        if state._oracle.pick is not None:  # the copy answered
+            served += 1
+            assert not entered & hops, (state.t, entered & hops)
+        else:
+            refreshes |= entered
+    assert "_SignedBasis._image" in refreshes
+    assert "_Columns.answer" in entered
+    assert state.t < 400
+
+
+# ------------------------------------------------- the zero-sign pass of a move
+
+
+def _formula_move(aset):
+    """AtomicSet.move as its formula, out of place: the zero-sign pass on
+    every step, whatever step has shown of x."""
+
+    def move(x, theta, xi, atom_id):
+        x[:] = (1.0 - theta) * x + theta * (xi * aset.atom_vector(atom_id))
+        return atom_id % aset.dimension
+
+    return move
+
+
+def _trail(loss, penalty, aset, config, x0, t, steps, move=None):
+    """The bytes of x, ax and the ledger after each of steps steps of a state
+    from x0 at iteration t, and the repr of its trace rows less elapsed_s
+    (repr tells -0 from +0); move stands in for aset.move if given. After
+    each step the state's floor bounds the nonzero |x_j| from below, and is
+    0 while x holds a -0."""
+    state = gc.SolverState(aset, x0=x0)
+    state.t = t
+    if move is not None:
+        aset.move = move
+    trail = []
+    try:
+        for _ in range(steps):
+            gc.step(state, loss, penalty, aset, config)
+            mags = np.abs(state.x)
+            assert state._floor <= np.min(mags[mags > 0.0], initial=np.inf)
+            assert state._floor == 0.0 or not np.signbit(state.x[mags == 0.0]).any()
+            ledger = repr((sorted(state._ledger.items()), state._ledger_scale))
+            trail.append((state.x.tobytes(), state.ax.tobytes(), ledger))
+    finally:
+        vars(aset).pop("move", None)
+    return trail, repr([dataclasses.replace(row, elapsed_s=0.0) for row in state.trace])
+
+
+@pytest.mark.parametrize(
+    "case", ["negative-start", "negative-start-4t2", "negative-subnormals", "resumed-with-zeros"]
+)
+def test_a_move_left_without_its_zero_sign_pass_is_the_formula(case):
+    # step leaves the pass x += theta * (xi * 0) out of a signed-basis move
+    # where the state's floor shows it a no-op. Against a run whose every
+    # move is the formula, pass and all, the trace rows, x, ax and the
+    # ledger agree to the byte after every step. A negative start meets
+    # theta = 1, which makes a -0 of each negative entry; a state resumed
+    # at t = 2 (theta = 2/3) from negative subnormals has products that
+    # underflow to -0 (a run from t = 1 reaches no such product: past
+    # t = 3 a subnormal times 1 - theta > 1/2 rounds back up), and one
+    # resumed from a start with -0 entries holds them from the first move
+    if case in ("negative-subnormals", "resumed-with-zeros"):
+        loss, penalty, aset = synthetic_problem(5, lam=0.1, n=60, d=40)
+        x0 = np.zeros(40)
+        x0[:7] = [-5e-324, -1e-323, -2.5e-322, 3e-310, -0.4, 0.9, -1e-320]
+        if case == "resumed-with-zeros":
+            x0[:7] = [-0.0, 0.2, -0.0, -0.7, -0.4, 0.9, 0.3]
+        t, steps, schedule = 2, 100, "2t1"
+        scaled = (1.0 - gc.theta_schedule("2t1", t)) * x0
+        assert np.any(np.signbit(scaled[x0 <= 0.0]) & (scaled[x0 <= 0.0] == 0.0))
+    else:
+        loss, penalty, aset = synthetic_problem(3, lam=0.1, n=200, d=1000)
+        x0 = np.zeros(1000)
+        x0[:30] = np.linspace(-0.6, 0.6, 30)
+        x0[3] = -0.0
+        t, steps, schedule = 1, 300, "4t2" if case.endswith("4t2") else "2t1"
+    config = gc.SolverConfig(max_iters=1000, step_schedule=schedule)
+    move, plain = aset.move, []
+
+    def lean(x, theta, xi, atom_id):  # the move step makes, noting the pass it left out
+        plain.append(atoms._PLAIN_ITERATE.get() is x)
+        return move(x, theta, xi, atom_id)
+
+    trail, rows = _trail(loss, penalty, aset, config, x0, t, steps, lean)
+    assert (trail, rows) == _trail(loss, penalty, aset, config, x0, t, steps, _formula_move(aset))
+    assert len(plain) == steps and not plain[0]
+    if t == 2:
+        assert not any(plain)  # the floor is 0 from the start or at once: every pass runs
+    else:
+        assert sum(plain) >= steps - 3
+
+
+def test_a_move_that_leaves_x_k_at_negative_zero_zeroes_the_floor():
+    # at theta = 1 the pass leaves every entry but x_k at +0, and x_k at -0
+    # where xi C rounds to -0 on a negative start (an indicator of radius
+    # 5e-324 over C = 0.3): the floor, positive only while x holds no -0,
+    # reads 0 there, not the inf of an x of +0s
+    data = gc.gen_synthetic(1, n=30, d=8)
+    loss = gc.QuadraticLoss(gc.DataMatrix(data.features * 4.0, data.targets))
+    aset = gc.AtomicSet.signed_basis(8, scale=0.3)
+    state = gc.SolverState(aset, x0=np.full(8, -0.01))
+    gc.step(state, loss, gc.Penalty.indicator(5e-324), aset, gc.SolverConfig(max_iters=5))
+    assert np.count_nonzero(np.signbit(state.x)) == 1 and not state.x.any()
+    assert state._floor == 0.0
 
 
 def _column_copies(state, features):
